@@ -1,10 +1,12 @@
 """Minimal recurrent forecaster: stacked LSTM layers and a linear dense head.
 
-Everything is plain numpy. The forward pass over a batch of windows caches the
-gate activations needed for exact backpropagation through time; gradients are
-analytic, not approximated. Dropout is the inverted variant, applied to each
-recurrent layer's output stream in train mode only, so inference needs no
-rescaling.
+Everything is plain numpy. Each LSTM layer stacks its four gates row-wise in
+the order i, f, o, g, so the input projection of a whole window is one matmul
+done before the time loop and each step adds one recurrent matmul. The
+forward pass over a batch of windows caches the gate activations needed for
+exact backpropagation through time; gradients are analytic, not
+approximated. Dropout is the inverted variant, applied to each recurrent
+layer's output stream in train mode only, so inference needs no rescaling.
 """
 from __future__ import annotations
 
@@ -14,49 +16,36 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-SERIAL_FORMAT_VERSION = 1
+SERIAL_FORMAT_VERSION = 2
+GATES = "ifog"  # row-block order of the stacked W, U and b
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+class UnsupportedModelFormat(ValueError):
+    """A model file carries a format version this reader does not know."""
 
 
 @dataclass
 class LstmLayerParams:
-    """Per-gate input weights (H x D), recurrent weights (H x H), and biases."""
+    """Input weights W (4H x D), recurrent weights U (4H x H) and biases b
+    (4H), each stacking the gates i, f, o, g in that order."""
 
-    w_i: np.ndarray
-    w_f: np.ndarray
-    w_o: np.ndarray
-    w_g: np.ndarray
-    u_i: np.ndarray
-    u_f: np.ndarray
-    u_o: np.ndarray
-    u_g: np.ndarray
-    b_i: np.ndarray
-    b_f: np.ndarray
-    b_o: np.ndarray
-    b_g: np.ndarray
+    W: np.ndarray
+    U: np.ndarray
+    b: np.ndarray
 
     @property
     def hidden_size(self) -> int:
-        return self.w_i.shape[0]
+        return self.U.shape[1]
 
     @property
     def input_size(self) -> int:
-        return self.w_i.shape[1]
+        return self.W.shape[1]
 
     def weight_matrices(self) -> list[np.ndarray]:
-        return [self.w_i, self.w_f, self.w_o, self.w_g,
-                self.u_i, self.u_f, self.u_o, self.u_g]
+        return [self.W, self.U]
 
     def parameters(self) -> list[np.ndarray]:
-        return self.weight_matrices() + [self.b_i, self.b_f, self.b_o, self.b_g]
+        return [self.W, self.U, self.b]
 
 
 @dataclass
@@ -83,9 +72,12 @@ class Network:
             raise ValueError("dropout_rate must lie in [0, 1)")
         size = self.lstm_layers[0].input_size
         for layer in self.lstm_layers:
+            hsize = layer.hidden_size
             if layer.input_size != size:
                 raise ValueError("adjacent layer dimensions are incompatible")
-            size = layer.hidden_size
+            if not layer.W.shape[0] == layer.U.shape[0] == layer.b.shape[0] == 4 * hsize:
+                raise ValueError("LSTM layer arrays must stack four gates")
+            size = hsize
         if self.dense.weights.shape[1] != size:
             raise ValueError("dense layer does not match last hidden size")
 
@@ -121,7 +113,11 @@ def init_network(
     dropout_rate: float = 0.0,
     seed: int | np.random.Generator = 0,
 ) -> Network:
-    """Seeded uniform init in +-1/sqrt(fan_in); forget-gate biases start at 1."""
+    """Seeded uniform init in +-1/sqrt(fan_in); forget-gate biases start at 1.
+
+    W and U are each one draw over their four stacked gates, which takes the
+    same values from the generator as four per-gate draws in gate order.
+    """
     rng = np.random.default_rng(seed)
 
     def uniform(rows: int, cols: int) -> np.ndarray:
@@ -131,16 +127,27 @@ def init_network(
     layers = []
     d = input_size
     for h in hidden_sizes:
-        layers.append(
-            LstmLayerParams(
-                w_i=uniform(h, d), w_f=uniform(h, d), w_o=uniform(h, d), w_g=uniform(h, d),
-                u_i=uniform(h, h), u_f=uniform(h, h), u_o=uniform(h, h), u_g=uniform(h, h),
-                b_i=np.zeros(h), b_f=np.ones(h), b_o=np.zeros(h), b_g=np.zeros(h),
-            )
-        )
+        b = np.zeros(4 * h)
+        b[h : 2 * h] = 1.0
+        layers.append(LstmLayerParams(W=uniform(4 * h, d), U=uniform(4 * h, h), b=b))
         d = h
     dense = DenseParams(weights=uniform(output_size, d), biases=np.zeros(output_size))
     return Network(layers, dense, dropout_rate)
+
+
+def _cell(a: np.ndarray, c_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Activate stacked pre-activations ``a`` (..., 4H) in place and advance
+    the cell: c = f * c_prev + i * g and h = o * tanh(c). Returns (h, c)."""
+    hsize = a.shape[-1] // 4
+    ifo = a[..., : 3 * hsize]
+    # sigmoid(x) = 0.5 * tanh(x / 2) + 0.5, so one tanh covers all four gates.
+    ifo *= 0.5
+    np.tanh(a, out=a)
+    ifo *= 0.5
+    ifo += 0.5
+    i, f, o, g = (a[..., k * hsize : (k + 1) * hsize] for k in range(4))
+    c = f * c_prev + i * g
+    return o * np.tanh(c), c
 
 
 def lstm_cell_step(
@@ -156,13 +163,7 @@ def lstm_cell_step(
     c_prev = np.asarray(c_prev, dtype=float)
     if x.shape[-1] != params.input_size or h_prev.shape[-1] != params.hidden_size:
         raise ValueError("input or hidden state shape does not match layer")
-    i = sigmoid(x @ params.w_i.T + h_prev @ params.u_i.T + params.b_i)
-    f = sigmoid(x @ params.w_f.T + h_prev @ params.u_f.T + params.b_f)
-    o = sigmoid(x @ params.w_o.T + h_prev @ params.u_o.T + params.b_o)
-    g = np.tanh(x @ params.w_g.T + h_prev @ params.u_g.T + params.b_g)
-    c = f * c_prev + i * g
-    h = o * np.tanh(c)
-    return h, c
+    return _cell(x @ params.W.T + params.b + h_prev @ params.U.T, c_prev)
 
 
 @dataclass
@@ -170,10 +171,11 @@ class ForwardCache:
     """Activations recorded during a train-mode forward pass."""
 
     layer_inputs: list[np.ndarray] = field(default_factory=list)  # (T, B, D) each
-    gates: list[dict] = field(default_factory=list)  # i, f, o, g, c per layer (T, B, H)
+    gates: list[np.ndarray] = field(default_factory=list)  # activated i|f|o|g (T, B, 4H)
+    cells: list[np.ndarray] = field(default_factory=list)  # c (T, B, H)
+    hidden: list[np.ndarray] = field(default_factory=list)  # undropped h (T, B, H)
     masks: list[np.ndarray | None] = field(default_factory=list)
     top_output_last: np.ndarray | None = None  # (B, H) input seen by the dense layer
-    preds: np.ndarray | None = None
 
 
 def forward(
@@ -186,8 +188,9 @@ def forward(
 
     ``windows`` has shape (batch, look_back) for scalar inputs, or
     (batch, look_back, input_size). Infer mode is a pure deterministic
-    function; train mode applies inverted dropout (seeded through ``rng``)
-    and returns the activation cache for :func:`backward`.
+    function and keeps only what the next layer reads; train mode applies
+    inverted dropout (seeded through ``rng``) and returns the activation
+    cache for :func:`backward`.
     """
     x = np.asarray(windows, dtype=float)
     if x.ndim == 1:
@@ -196,8 +199,7 @@ def forward(
         x = x[:, :, None]
     if x.shape[2] != network.lstm_layers[0].input_size:
         raise ValueError("window feature size does not match the first layer")
-    steps = x.shape[1]
-    batch = x.shape[0]
+    batch, steps = x.shape[:2]
 
     use_dropout = train and network.dropout_rate > 0.0
     gen = np.random.default_rng(rng) if use_dropout else None
@@ -205,26 +207,28 @@ def forward(
 
     cache = ForwardCache() if train else None
     seq = np.swapaxes(x, 0, 1)  # (T, B, D)
-    for layer in network.lstm_layers:
+    top = len(network.lstm_layers) - 1
+    for li, layer in enumerate(network.lstm_layers):
         hsize = layer.hidden_size
-        i_s = np.empty((steps, batch, hsize))
-        f_s = np.empty_like(i_s)
-        o_s = np.empty_like(i_s)
-        g_s = np.empty_like(i_s)
-        c_s = np.empty_like(i_s)
-        h_s = np.empty_like(i_s)
-        h = np.zeros((batch, hsize))
+        # One matmul for all steps, the bias riding on a constant-one input
+        # column; np.dot because matmul takes a slow non-BLAS loop for one feature.
+        flat = np.concatenate([seq.reshape(steps * batch, -1), np.ones((steps * batch, 1))], axis=1)
+        gates = np.dot(flat, np.column_stack([layer.W, layer.b]).T).reshape(steps, batch, -1)
+        h_s = np.empty((steps, batch, hsize)) if train or li < top else None
+        c_s = np.empty_like(h_s) if train else None
         c = np.zeros((batch, hsize))
         for t in range(steps):
-            xt = seq[t]
-            i = sigmoid(xt @ layer.w_i.T + h @ layer.u_i.T + layer.b_i)
-            f = sigmoid(xt @ layer.w_f.T + h @ layer.u_f.T + layer.b_f)
-            o = sigmoid(xt @ layer.w_o.T + h @ layer.u_o.T + layer.b_o)
-            g = np.tanh(xt @ layer.w_g.T + h @ layer.u_g.T + layer.b_g)
-            c = f * c + i * g
-            h = o * np.tanh(c)
-            i_s[t], f_s[t], o_s[t], g_s[t], c_s[t], h_s[t] = i, f, o, g, c, h
+            if t:
+                gates[t] += h @ layer.U.T
+            h, c = _cell(gates[t], c)
+            if h_s is not None:
+                h_s[t] = h
+            if c_s is not None:
+                c_s[t] = c
 
+        if h_s is None:  # top layer in infer mode: the dense layer reads the last step only
+            seq = h[None]
+            break
         out = h_s
         mask = None
         if use_dropout:
@@ -232,7 +236,9 @@ def forward(
             out = out * mask / keep
         if cache is not None:
             cache.layer_inputs.append(seq)
-            cache.gates.append({"i": i_s, "f": f_s, "o": o_s, "g": g_s, "c": c_s})
+            cache.gates.append(gates)
+            cache.cells.append(c_s)
+            cache.hidden.append(h_s)
             cache.masks.append(mask)
         seq = out
 
@@ -240,8 +246,45 @@ def forward(
     preds = top_last @ network.dense.weights.T + network.dense.biases
     if cache is not None:
         cache.top_output_last = top_last
-        cache.preds = preds
     return preds, cache
+
+
+def _layer_backward(layer: LstmLayerParams, cache: ForwardCache, idx: int, dh_out: np.ndarray):
+    """BPTT through layer ``idx`` given d(loss)/d(its undropped output stream).
+
+    Returns (dW, dU, db, d inputs). The time loop only fills the stacked
+    pre-activation deltas; each gradient is then one matmul over all steps.
+    """
+    inputs, gates = cache.layer_inputs[idx], cache.gates[idx]
+    c_s, h_s = cache.cells[idx], cache.hidden[idx]
+    steps, batch, hsize = h_s.shape
+    i_s, f_s, o_s, g_s = (gates[..., k * hsize : (k + 1) * hsize] for k in range(4))
+    tanh_c = np.tanh(c_s)
+    # d(activation)/d(pre-activation): s(1 - s) for the sigmoid gates, 1 - g^2 for g.
+    dact = gates * (1.0 - gates)
+    dact[..., 3 * hsize :] = 1.0 - g_s**2
+
+    da = np.empty_like(gates)
+    zero = np.zeros((batch, hsize))
+    dh_carry = dc_carry = zero
+    for t in range(steps - 1, -1, -1):
+        dh = dh_out[t] + dh_carry
+        dc = dh * o_s[t] * (1.0 - tanh_c[t] ** 2) + dc_carry
+        d = da[t]
+        np.multiply(dc, g_s[t], out=d[:, :hsize])
+        np.multiply(dc, c_s[t - 1] if t else zero, out=d[:, hsize : 2 * hsize])
+        np.multiply(dh, tanh_c[t], out=d[:, 2 * hsize : 3 * hsize])
+        np.multiply(dc, i_s[t], out=d[:, 3 * hsize :])
+        d *= dact[t]
+        dc_carry = dc * f_s[t]
+        dh_carry = d @ layer.U
+
+    flat = da.reshape(-1, 4 * hsize)
+    dW = flat.T @ inputs.reshape(steps * batch, -1)
+    dU = da[1:].reshape(-1, 4 * hsize).T @ h_s[:-1].reshape(-1, hsize)
+    db = flat.sum(axis=0)
+    dx = (flat @ layer.W).reshape(inputs.shape)
+    return dW, dU, db, dx
 
 
 def backward(
@@ -263,68 +306,17 @@ def backward(
     d_dense_w = dpreds.T @ cache.top_output_last
     d_dense_b = dpreds.sum(axis=0)
 
-    steps = cache.layer_inputs[0].shape[0]
-    batch = cache.layer_inputs[0].shape[1]
+    steps, batch = cache.layer_inputs[0].shape[:2]
     # Gradient w.r.t. the (possibly dropped) output stream of the top layer.
     dout = np.zeros((steps, batch, network.lstm_layers[-1].hidden_size))
     dout[-1] = dpreds @ network.dense.weights
 
-    grads_per_layer: list[list[np.ndarray]] = []
+    grads = [d_dense_w, d_dense_b]
     for idx in range(len(network.lstm_layers) - 1, -1, -1):
-        layer = network.lstm_layers[idx]
-        gates = cache.gates[idx]
-        inputs = cache.layer_inputs[idx]
         mask = cache.masks[idx]
-        i_s, f_s, o_s, g_s, c_s = (gates[k] for k in ("i", "f", "o", "g", "c"))
-
-        dw = {k: np.zeros_like(getattr(layer, f"w_{k}")) for k in "ifog"}
-        du = {k: np.zeros_like(getattr(layer, f"u_{k}")) for k in "ifog"}
-        db = {k: np.zeros_like(getattr(layer, f"b_{k}")) for k in "ifog"}
-        dx_seq = np.zeros_like(inputs)
-        dh_carry = np.zeros((batch, layer.hidden_size))
-        dc_carry = np.zeros_like(dh_carry)
-
-        for t in range(steps - 1, -1, -1):
-            dup = dout[t] if mask is None else dout[t] * mask[t] / keep
-            dh = dup + dh_carry
-            i, f, o, g, c = i_s[t], f_s[t], o_s[t], g_s[t], c_s[t]
-            tanh_c = np.tanh(c)
-            do = dh * tanh_c
-            dc = dh * o * (1.0 - tanh_c**2) + dc_carry
-            c_prev = c_s[t - 1] if t > 0 else np.zeros_like(c)
-            # The recurrent path sees the undropped hidden state.
-            h_prev = o_s[t - 1] * np.tanh(c_prev) if t > 0 else None
-            di = dc * g
-            dg = dc * i
-            df = dc * c_prev
-            dc_carry = dc * f
-
-            da = {
-                "i": di * i * (1.0 - i),
-                "f": df * f * (1.0 - f),
-                "o": do * o * (1.0 - o),
-                "g": dg * (1.0 - g**2),
-            }
-            xt = inputs[t]
-            for k in "ifog":
-                dw[k] += da[k].T @ xt
-                db[k] += da[k].sum(axis=0)
-                if t > 0:
-                    du[k] += da[k].T @ h_prev
-            dx_seq[t] = sum(da[k] @ getattr(layer, f"w_{k}") for k in "ifog")
-            dh_carry = sum(da[k] @ getattr(layer, f"u_{k}") for k in "ifog")
-
-        grads_per_layer.append(
-            [dw["i"], dw["f"], dw["o"], dw["g"],
-             du["i"], du["f"], du["o"], du["g"],
-             db["i"], db["f"], db["o"], db["g"]]
-        )
-        dout = dx_seq  # gradient w.r.t. the layer below's output stream
-
-    grads: list[np.ndarray] = []
-    for layer_grads in reversed(grads_per_layer):
-        grads += layer_grads
-    grads += [d_dense_w, d_dense_b]
+        dh_out = dout if mask is None else dout * mask / keep
+        dW, dU, db, dout = _layer_backward(network.lstm_layers[idx], cache, idx, dh_out)
+        grads = [dW, dU, db] + grads
 
     if weight_decay > 0.0:
         decayed = {id(m) for m in network.weight_matrices()}
@@ -350,11 +342,7 @@ def save_network(path, network: Network, loss_spec=None) -> None:
     }
     arrays = {}
     for li, layer in enumerate(network.lstm_layers):
-        for name, arr in zip(
-            ("w_i", "w_f", "w_o", "w_g", "u_i", "u_f", "u_o", "u_g",
-             "b_i", "b_f", "b_o", "b_g"),
-            layer.parameters(),
-        ):
+        for name, arr in zip("WUb", layer.parameters()):
             arrays[f"layer{li}_{name}"] = np.ascontiguousarray(arr)
     arrays["dense_weights"] = np.ascontiguousarray(network.dense.weights)
     arrays["dense_biases"] = np.ascontiguousarray(network.dense.biases)
@@ -366,19 +354,26 @@ def save_network(path, network: Network, loss_spec=None) -> None:
 
 
 def load_network(path):
-    """Inverse of :func:`save_network`. Returns (network, loss_spec_dict)."""
+    """Inverse of :func:`save_network`. Returns (network, loss_spec_dict).
+
+    Also reads format v1, which stored each gate's arrays apart (``w_i`` ...
+    ``b_g``); they are stacked in gate order on load.
+    """
     with np.load(path) as data:
         meta = json.loads(bytes(data["meta"]).decode())
-        if meta["format_version"] != SERIAL_FORMAT_VERSION:
-            raise ValueError(f"unsupported model format version {meta['format_version']}")
+        version = meta["format_version"]
+        if version not in (1, SERIAL_FORMAT_VERSION):
+            raise UnsupportedModelFormat(f"unsupported model format version {version}")
         layers = []
         for li in range(len(meta["hidden_sizes"])):
-            fields = {
-                name: data[f"layer{li}_{name}"]
-                for name in ("w_i", "w_f", "w_o", "w_g", "u_i", "u_f", "u_o", "u_g",
-                             "b_i", "b_f", "b_o", "b_g")
-            }
-            layers.append(LstmLayerParams(**fields))
+            if version == 1:
+                W, U, b = (
+                    np.concatenate([data[f"layer{li}_{kind}_{gate}"] for gate in GATES])
+                    for kind in "wub"
+                )
+            else:
+                W, U, b = (data[f"layer{li}_{name}"] for name in "WUb")
+            layers.append(LstmLayerParams(W, U, b))
         dense = DenseParams(data["dense_weights"], data["dense_biases"])
         network = Network(layers, dense, meta["dropout_rate"])
     return network, meta["loss_spec"]

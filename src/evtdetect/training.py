@@ -70,12 +70,19 @@ class TrainedModel:
     initial_mean_abs_prediction: float | None = None
 
 
-def _epoch_loss(network: Network, data: WindowedDataset, spec: LossSpec, chunk: int = 512) -> float:
+def _predict(network: Network, data: WindowedDataset, chunk: int = 512) -> np.ndarray:
+    """Inference-mode predictions for every window, ``chunk`` windows per forward pass."""
     preds = np.empty((len(data), data.look_ahead))
     for lo in range(0, len(data), chunk):
         batch, _ = forward(network, data.inputs[lo : lo + chunk], train=False)
         preds[lo : lo + len(batch)] = batch
-    return batch_loss(preds, data.targets, spec, network.weight_matrices())
+    return preds
+
+
+def _epoch_loss(network: Network, data: WindowedDataset, spec: LossSpec) -> tuple[float, np.ndarray]:
+    """Loss over the whole dataset, and the predictions it was computed from."""
+    preds = _predict(network, data)
+    return batch_loss(preds, data.targets, spec, network.weight_matrices()), preds
 
 
 def _sgd_epoch(
@@ -128,8 +135,8 @@ def train_forecaster(
     stale = 0
     for epoch in range(1, config.epochs + 1):
         _sgd_epoch(network, params, state, train, spec, config, rng)
-        train_loss = _epoch_loss(network, train, spec)
-        val_loss = _epoch_loss(network, val, spec)
+        train_loss, _ = _epoch_loss(network, train, spec)
+        val_loss, _ = _epoch_loss(network, val, spec)
         history.append({"epoch": epoch, "train_loss": train_loss, "val_loss": val_loss})
         if val_loss < best_val:
             best_val = val_loss
@@ -166,7 +173,7 @@ def _update_threshold(
         )
         threshold = evt.pot_threshold(fit, config.risk)
         info.update(gamma=fit.gamma, sigma=fit.sigma, peak_count=fit.peak_count)
-    except (evt.TooFewExcesses, evt.RiskTooHigh, ValueError):
+    except (evt.TooFewExcesses, evt.RiskTooHigh):
         info["retained_previous"] = True
         return previous, info
     return threshold, info
@@ -203,8 +210,8 @@ def train_evt_lstm(
     prev_obj = None
     for epoch in range(1, config.epochs + 1):
         _sgd_epoch(network, params, state, train, spec, config, rng)
-        train_loss = _epoch_loss(network, train, spec)
-        val_loss = _epoch_loss(network, val, spec)
+        train_loss, _ = _epoch_loss(network, train, spec)
+        val_loss, _ = _epoch_loss(network, val, spec)
         record = {
             "epoch": epoch,
             "train_loss": train_loss,
@@ -262,10 +269,7 @@ def train_svdd(
     params = network.parameters()
     state = init_adam_state(params)
 
-    initial_preds = np.empty((len(train), train.look_ahead))
-    for lo in range(0, len(train), 512):
-        batch, _ = forward(network, train.inputs[lo : lo + 512], train=False)
-        initial_preds[lo : lo + len(batch)] = batch
+    initial_preds = _predict(network, train)
     center = initial_preds.mean(axis=0)
     spec = LossSpec("svdd", weight_decay=config.weight_decay, center=center)
 
@@ -275,12 +279,8 @@ def train_svdd(
     mean_abs = float(np.mean(np.abs(initial_preds)))
     for epoch in range(1, config.epochs + 1):
         _sgd_epoch(network, params, state, train, spec, config, rng)
-        train_loss = _epoch_loss(network, train, spec)
-        val_loss = _epoch_loss(network, val, spec)
-        preds = np.empty((len(train), train.look_ahead))
-        for lo in range(0, len(train), 512):
-            batch, _ = forward(network, train.inputs[lo : lo + 512], train=False)
-            preds[lo : lo + len(batch)] = batch
+        train_loss, preds = _epoch_loss(network, train, spec)
+        val_loss, _ = _epoch_loss(network, val, spec)
         history.append({
             "epoch": epoch,
             "train_loss": train_loss,

@@ -134,6 +134,15 @@ class TestPipeline:
         assert manifest["objective"] == "svdd"
         assert "initial_mean_abs_prediction" in manifest
 
+    def test_unknown_model_format_is_runtime_error(self, tmp_path, config_doc, capsys):
+        model = tmp_path / "model.npz"
+        np.savez(model, meta=np.frombuffer(json.dumps({"format_version": 99}).encode(), dtype=np.uint8))
+        cfg = write_config(tmp_path, config_doc, output_dir=str(tmp_path / "out"))
+        assert main(["detect", "--config", cfg, "--model", str(model)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == {"kind": "runtime", "type": "UnsupportedModelFormat",
+                                "message": "unsupported model format version 99"}
+
     def test_missing_detections_file_is_runtime_error(self, tmp_path, config_doc, capsys):
         cfg = write_config(tmp_path, config_doc)
         assert main(["evaluate", "--config", cfg, "--detections", "/nonexistent.csv"]) == 1

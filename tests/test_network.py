@@ -17,12 +17,15 @@ from evtdetect.network import (
 
 
 def zero_layer(hidden, inputs):
-    z = np.zeros
     return LstmLayerParams(
-        w_i=z((hidden, inputs)), w_f=z((hidden, inputs)), w_o=z((hidden, inputs)), w_g=z((hidden, inputs)),
-        u_i=z((hidden, hidden)), u_f=z((hidden, hidden)), u_o=z((hidden, hidden)), u_g=z((hidden, hidden)),
-        b_i=z(hidden), b_f=z(hidden), b_o=z(hidden), b_g=z(hidden),
+        W=np.zeros((4 * hidden, inputs)), U=np.zeros((4 * hidden, hidden)), b=np.zeros(4 * hidden)
     )
+
+
+def gate_rows(hidden, gate):
+    """Rows of gate ``gate`` (one of i, f, o, g) in a stacked W, U or b."""
+    k = "ifog".index(gate)
+    return slice(k * hidden, (k + 1) * hidden)
 
 
 class TestCellStep:
@@ -42,8 +45,7 @@ class TestCellStep:
     def test_matches_scalar_oracle(self):
         # Independent step-by-step evaluation of the gate equations.
         rng = np.random.default_rng(3)
-        layer = LstmLayerParams(*(rng.normal(size=s) for s in
-                                  [(2, 2)] * 4 + [(2, 2)] * 4 + [(2,)] * 4))
+        layer = LstmLayerParams(*(rng.normal(size=s) for s in [(8, 2), (8, 2), (8,)]))
         x, h_prev, c_prev = rng.normal(size=2), rng.normal(size=2), rng.normal(size=2)
 
         def sig(a):
@@ -52,12 +54,9 @@ class TestCellStep:
         expect_h, expect_c = [], []
         for r in range(2):
             pre = {}
-            for name, w, u, b in [
-                ("i", layer.w_i, layer.u_i, layer.b_i),
-                ("f", layer.w_f, layer.u_f, layer.b_f),
-                ("o", layer.w_o, layer.u_o, layer.b_o),
-                ("g", layer.w_g, layer.u_g, layer.b_g),
-            ]:
+            for name in "ifog":
+                rows = gate_rows(2, name)
+                w, u, b = layer.W[rows], layer.U[rows], layer.b[rows]
                 pre[name] = sum(w[r][col] * x[col] for col in range(2)) \
                     + sum(u[r][col] * h_prev[col] for col in range(2)) + b[r]
             i, f, o, g = sig(pre["i"]), sig(pre["f"]), sig(pre["o"]), math.tanh(pre["g"])
@@ -110,6 +109,12 @@ class TestForward:
         preds, _ = forward(net, np.zeros(5))
         assert preds.shape == (1, 3)
 
+    def test_layer_arrays_must_stack_four_gates(self):
+        layer = zero_layer(4, 1)
+        layer.b = np.zeros(4)
+        with pytest.raises(ValueError, match="four gates"):
+            Network([layer], DenseParams(np.zeros((1, 4)), np.zeros(1)))
+
     def test_feature_size_mismatch(self):
         net = init_network((4,), output_size=1, input_size=2, seed=0)
         with pytest.raises(ValueError):
@@ -120,14 +125,17 @@ class TestInit:
     def test_forget_bias_is_one(self):
         net = init_network((5, 4), output_size=2, seed=3)
         for layer in net.lstm_layers:
-            np.testing.assert_array_equal(layer.b_f, 1.0)
-            np.testing.assert_array_equal(layer.b_i, 0.0)
+            h = layer.hidden_size
+            np.testing.assert_array_equal(layer.b[gate_rows(h, "f")], 1.0)
+            for gate in "iog":
+                np.testing.assert_array_equal(layer.b[gate_rows(h, gate)], 0.0)
 
     def test_fan_in_bounds(self):
         net = init_network((8,), output_size=1, seed=5)
         layer = net.lstm_layers[0]
-        assert np.max(np.abs(layer.w_i)) <= 1.0
-        assert np.max(np.abs(layer.u_i)) <= 1.0 / math.sqrt(8)
+        assert layer.W.shape == (32, 1) and layer.U.shape == (32, 8)
+        assert np.max(np.abs(layer.W)) <= 1.0
+        assert np.max(np.abs(layer.U)) <= 1.0 / math.sqrt(8)
 
     def test_seeded_reproducible(self):
         a = init_network((5,), output_size=1, seed=9)

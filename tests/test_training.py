@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from evtdetect import evt
 from evtdetect.data import LabeledSeries, make_windows
 from evtdetect.losses import LossSpec, evt_loss
 from evtdetect.network import forward
@@ -97,6 +98,28 @@ class TestEvtLstm:
         assert a.threshold == b.threshold
         for pa, pb in zip(a.network.parameters(), b.network.parameters()):
             np.testing.assert_array_equal(pa, pb)
+
+
+def _fit_gpd_raising(exc):
+    def fit_gpd(*args, **kwargs):
+        raise exc
+    return fit_gpd
+
+
+def test_typed_fit_failure_retains_threshold(monkeypatch, sine_windows):
+    monkeypatch.setattr(evt, "fit_gpd", _fit_gpd_raising(evt.TooFewExcesses("injected")))
+    cfg = TrainConfig(epochs=2, threshold_update_period=2, risk=1e-3, **SMALL)
+    model = train_evt_lstm(cfg, *sine_windows)
+    assert model.history[-1]["threshold_update"]["retained_previous"] is True
+    assert model.threshold == 0.0
+
+
+def test_untyped_fit_error_propagates(monkeypatch, sine_windows):
+    # A plain ValueError from the fit is a bug, not a degenerate tail.
+    monkeypatch.setattr(evt, "fit_gpd", _fit_gpd_raising(ValueError("injected bug")))
+    cfg = TrainConfig(epochs=2, threshold_update_period=2, risk=1e-3, **SMALL)
+    with pytest.raises(ValueError, match="injected bug"):
+        train_evt_lstm(cfg, *sine_windows)
 
 
 def test_update_schedule_at_paper_defaults():
