@@ -19,41 +19,21 @@ from pathlib import Path
 import numpy as np
 
 from . import evt
-from .data import (
-    CsvSchema,
-    SplitSpec,
-    fit_norm_params,
-    load_series,
-    make_windows,
-    normalize,
-    split_series,
+from .data import CsvSchema, SplitSpec, load_series, prepare
+from .detectors import DEFAULT_RISK_GRID, detect, prediction_errors, threshold_decisions
+from .evaluation import (
+    BenchmarkConfig,
+    LabelsRequired,
+    benchmark,
+    calibrate,
+    compute_metrics,
+    confusion,
+    format_report,
 )
-from .detectors import (
-    DEFAULT_RISK_GRID,
-    PredictionErrors,
-    calibrate_gaussian_threshold,
-    calibrate_risk,
-    detect,
-    fit_gaussian,
-    gaussian_logpd,
-    prediction_errors,
-    tukey_threshold,
-    with_threshold,
-)
-from .evaluation import BenchmarkConfig, benchmark, compute_metrics, confusion, format_report
 from .losses import LossSpec
 from .network import load_network, save_network
 from .presets import preset
-from .training import (
-    TrainConfig,
-    TrainedModel,
-    Timer,
-    decision_scores,
-    run_manifest,
-    train_evt_lstm,
-    train_forecaster,
-    train_svdd,
-)
+from .training import TrainConfig, Timer, run_manifest, train_evt_lstm, train_forecaster, train_svdd
 
 OUTPUT_DIR_ENV = "EVTDETECT_OUTPUT_DIR"
 
@@ -211,17 +191,11 @@ def atomic_write_json(path: Path, payload: dict) -> None:
 
 def _prepared_splits(config: RunConfig):
     series = load_series(config.require_dataset(), config.schema)
-    train_s, val_s, test_s = split_series(series, config.split, config.look_back, config.look_ahead)
-    norm = fit_norm_params(train_s)
-    splits = tuple(normalize(s, norm) for s in (train_s, val_s, test_s))
-    windows = tuple(make_windows(s, config.look_back, config.look_ahead) for s in splits)
-    offsets = (0, len(train_s), len(train_s) + len(val_s))
-    return series, splits, windows, offsets
+    return (series, *prepare(series, config.split, config.look_back, config.look_ahead))
 
 
 def cmd_train(config: RunConfig) -> int:
-    _, _, windows, _ = _prepared_splits(config)
-    train_w, val_w, _ = windows
+    _, _, (train_w, val_w, _), _ = _prepared_splits(config)
     trainers = {"mse": train_forecaster, "evt": train_evt_lstm, "svdd": train_svdd}
     with Timer() as timer:
         model = trainers[config.objective](config.train, train_w, val_w)
@@ -244,56 +218,21 @@ def cmd_train(config: RunConfig) -> int:
 def _calibrated_detection(config: RunConfig, model_path: str):
     """Calibrate the selected rule and run detection on the test split."""
     series, splits, windows, offsets = _prepared_splits(config)
-    train_n, val_n, test_n = splits
     network, loss_spec = load_network(model_path)
-    errs = {
-        name: prediction_errors(network, w)
-        for name, w in zip(("train", "val", "test"), windows)
-    }
-
-    params: dict
-    if config.rule == "gaussian":
-        if val_n.labels is None:
-            raise ConfigError("gaussian calibration needs a labeled validation split")
-        gfit = fit_gaussian(errs["train"])
-        threshold = calibrate_gaussian_threshold(
-            gaussian_logpd(errs["val"].errors, gfit),
-            val_n.labels[errs["val"].indices],
-        )
-        rule = with_threshold(gfit, threshold)
-        det = detect(errs["test"], rule)
-        params = {"mu": rule.mu, "sigma2": rule.sigma2, "logpd_threshold": rule.logpd_threshold}
-    elif config.rule == "tukey":
-        pooled = np.concatenate([errs[k].errors for k in ("train", "val", "test")])
-        tfit = tukey_threshold(PredictionErrors(pooled, np.arange(pooled.size)))
-        det = detect(errs["test"], tfit)
-        params = {"q1": tfit.q1, "q3": tfit.q3, "fence": tfit.fence}
-    elif config.rule == "evt":
-        init = PredictionErrors(
-            np.concatenate([errs["train"].errors, errs["val"].errors]),
-            np.arange(len(errs["train"]) + len(errs["val"])),
-        )
-        if train_n.labels is None:
-            raise ConfigError("evt risk calibration needs a labeled series")
-        init_labels = np.concatenate(
-            [train_n.labels[errs["train"].indices], val_n.labels[errs["val"].indices]]
-        )
-        rule = calibrate_risk(init, init_labels, grid=config.risk_grid, level=config.train.init_quantile)
-        det = detect(errs["test"], rule)
-        params = {
-            "risk": rule.risk,
-            "threshold": rule.threshold,
-            "gamma": rule.fit.gamma,
-            "sigma": rule.fit.sigma,
-        }
-    else:  # evt-lstm: the model file carries its own detection threshold
+    if config.rule == "evt-lstm":  # the model file carries its own detection threshold
         if loss_spec is None or loss_spec.get("threshold") is None:
             raise ConfigError("model file was not trained with the evt objective")
-        model = TrainedModel(network=network, loss_kind="evt", threshold=loss_spec["threshold"])
-        det = decision_scores(model, windows[2])
-        params = {"threshold": model.threshold}
+        test_errs = prediction_errors(network, windows[2])
+        det = threshold_decisions(test_errs, loss_spec["threshold"])
+        return series, test_errs, det, {"threshold": loss_spec["threshold"]}, offsets[2]
 
-    return series, errs["test"], det, params, offsets[2]
+    errs = tuple(prediction_errors(network, w) for w in windows)
+    labels = None if series.labels is None else tuple(s.labels[e.indices] for s, e in zip(splits, errs))
+    try:
+        rule, params = calibrate(config.rule, errs, labels, config.risk_grid, config.train.init_quantile)
+    except LabelsRequired as exc:
+        raise ConfigError(str(exc)) from exc
+    return series, errs[2], detect(errs[2], rule), params, offsets[2]
 
 
 def cmd_detect(config: RunConfig, model_path: str) -> int:

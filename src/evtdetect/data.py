@@ -281,3 +281,20 @@ def make_windows(series: LabeledSeries, look_back: int, look_ahead: int) -> Wind
     targets = np.lib.stride_tricks.sliding_window_view(values[look_back:], look_ahead).copy()
     target_indices = np.arange(look_back, look_back + count)
     return WindowedDataset(inputs=inputs, targets=targets, target_indices=target_indices)
+
+
+def prepare(
+    series: LabeledSeries, spec: SplitSpec, look_back: int, look_ahead: int
+) -> tuple[tuple[LabeledSeries, ...], tuple[WindowedDataset, ...], tuple[int, int, int]]:
+    """Split ``series``, min-max normalize every part with the training
+    part's range, and window each part.
+
+    Returns the normalized (train, val, test) parts, their windows, and the
+    offset of each part's first point in ``series``.
+    """
+    parts = split_series(series, spec, look_back, look_ahead)
+    norm = fit_norm_params(parts[0])
+    splits = tuple(normalize(s, norm) for s in parts)
+    windows = tuple(make_windows(s, look_back, look_ahead) for s in splits)
+    offsets = (0, len(parts[0]), len(parts[0]) + len(parts[1]))
+    return splits, windows, offsets

@@ -7,7 +7,7 @@ and differ in how the flagging threshold is derived:
   Gaussian log probability density, flag scores below a threshold calibrated
   on validation data.
 * Tukey fences: flag errors above Q3 + 3 * (Q3 - Q1) of the pooled errors.
-* Extreme-value: flag errors above the peaks-over-threshold detection
+* Extreme-value: flag errors at or above the peaks-over-threshold detection
   threshold for a risk level chosen on an initialization stream.
 """
 from __future__ import annotations
@@ -154,21 +154,17 @@ def calibrate_gaussian_threshold(val_scores, val_labels) -> float:
     if labels.all():
         raise NoAnomaliesInValidation("validation stream has no normal points")
 
-    unique = np.unique(scores)
+    unique, rank = np.unique(scores, return_inverse=True)
     candidates = (unique[:-1] + unique[1:]) / 2.0
     if candidates.size == 0:
         raise DegenerateErrors("all validation scores are identical")
 
-    best_f1, best_threshold = -1.0, None
-    for threshold in candidates:
-        flagged = scores < threshold
-        tp = int(np.sum(flagged & labels))
-        fp = int(np.sum(flagged & ~labels))
-        fn = int(np.sum(~flagged & labels))
-        f1 = 2.0 * tp / (2.0 * tp + fp + fn) if tp else 0.0
-        if f1 > best_f1:
-            best_f1, best_threshold = f1, float(threshold)
-    return best_threshold
+    # Candidate j flags every score up to unique[j]; 2tp + fp + fn is then
+    # the flagged count plus the anomaly count.
+    flagged = np.cumsum(np.bincount(rank, minlength=unique.size))[:-1]
+    tp = np.cumsum(np.bincount(rank[labels], minlength=unique.size))[:-1]
+    f1 = np.where(tp > 0, 2.0 * tp / (flagged + labels.sum()), 0.0)
+    return float(candidates[np.argmax(f1)])  # the first maximum: ties go to the lowest threshold
 
 
 def tukey_threshold(all_errors: PredictionErrors) -> TukeyFit:
@@ -206,7 +202,7 @@ def calibrate_risk(
     scored: list[tuple[float, float, float]] = []
     for risk in sorted(grid):
         threshold = evt.pot_threshold(fit, risk)
-        flagged = init_errors.errors > threshold
+        flagged = threshold_decisions(init_errors, threshold).flags
         tp = int(np.sum(flagged & labels))
         fp = int(np.sum(flagged & ~labels))
         fn = int(np.sum(~flagged & labels))
@@ -226,10 +222,11 @@ def calibrate_risk(
 def detect(errors: PredictionErrors, rule) -> DetectionResult:
     """Apply a calibrated rule to errors, yielding flags and scores.
 
-    Gaussian rules flag log densities below the calibrated threshold; Tukey
-    and extreme-value rules flag errors strictly above theirs. Scores are the
-    log densities, the raw errors, and the threshold-relative decision scores
-    respectively.
+    Gaussian rules flag log densities below the calibrated threshold, Tukey
+    rules flag errors strictly above the fence, and extreme-value rules flag
+    errors at or above their threshold (:func:`threshold_decisions`). Scores
+    are the log densities, the raw errors, and the threshold-relative decision
+    scores respectively.
     """
     if isinstance(rule, GaussianFit):
         if rule.logpd_threshold is None:
@@ -240,11 +237,17 @@ def detect(errors: PredictionErrors, rule) -> DetectionResult:
         scores = errors.errors.copy()
         flags = scores > rule.fence
     elif isinstance(rule, EvtRule):
-        scores = errors.errors - rule.threshold
-        flags = errors.errors > rule.threshold
+        return threshold_decisions(errors, rule.threshold)
     else:
         raise TypeError(f"unknown rule type {type(rule).__name__}")
     return DetectionResult(indices=errors.indices.copy(), scores=scores, flags=flags)
+
+
+def threshold_decisions(errors: PredictionErrors, threshold: float) -> DetectionResult:
+    """Decision scores ``s = error - threshold``; points with ``s >= 0`` are
+    flagged. This is the tie rule of the evt and evt-lstm rules."""
+    scores = errors.errors - threshold
+    return DetectionResult(indices=errors.indices.copy(), scores=scores, flags=scores >= 0.0)
 
 
 def with_threshold(fit: GaussianFit, logpd_threshold: float) -> GaussianFit:

@@ -6,7 +6,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import detectors, evt
-from .data import LabeledSeries, SplitSpec, fit_norm_params, make_windows, normalize, split_series
+from .data import LabeledSeries, SplitSpec, prepare
 from .detectors import (
     DEFAULT_RISK_GRID,
     PredictionErrors,
@@ -96,19 +96,63 @@ class BenchmarkConfig:
     look_ahead: int = 1
     train: TrainConfig = TrainConfig()
     risk_grid: tuple[float, ...] = DEFAULT_RISK_GRID
-    # Start the end-to-end model from the shared forecaster's weights; the
-    # hybrid rules and the end-to-end model then share all settings.
-    warm_start: bool = True
 
 
-def _labels_at(split_labels: np.ndarray, errs: PredictionErrors) -> np.ndarray:
-    return split_labels[errs.indices]
-
-
-def _pool_errors(parts: list[PredictionErrors]) -> PredictionErrors:
+def _pool_errors(parts) -> PredictionErrors:
     errors = np.concatenate([p.errors for p in parts])
     indices = np.arange(errors.size)  # identity only matters within one split
     return PredictionErrors(errors=errors, indices=indices)
+
+
+def calibrate(rule: str, errs, labels, risk_grid: tuple[float, ...], level: float):
+    """Fit one error rule from the train, validation and test errors ``errs``.
+
+    ``labels`` holds each split's labels aligned with its errors, or is None
+    for an unlabeled series. Returns the fitted rule, ready for :func:`detect`
+    on the test errors, and its parameters as a JSON-ready dict:
+
+    * gaussian: fit on the training errors, log-density threshold calibrated
+      on the validation scores;
+    * tukey: fence from the pooled train, validation and test errors;
+    * evt: risk chosen on the initialization stream (training plus validation
+      errors and their labels), ``level`` being the initial quantile.
+
+    Raises LabelsRequired when gaussian or evt has no labels, and the rule's
+    typed calibration errors when the data cannot support it.
+    """
+    if rule == "gaussian":
+        if labels is None:
+            raise LabelsRequired("gaussian calibration needs a labeled validation split")
+        gfit = fit_gaussian(errs[0])
+        threshold = calibrate_gaussian_threshold(gaussian_logpd(errs[1].errors, gfit), labels[1])
+        fitted = with_threshold(gfit, threshold)
+        return fitted, {"mu": fitted.mu, "sigma2": fitted.sigma2, "logpd_threshold": fitted.logpd_threshold}
+    if rule == "tukey":
+        fence = tukey_threshold(_pool_errors(errs))
+        return fence, {"q1": fence.q1, "q3": fence.q3, "fence": fence.fence}
+    if rule == "evt":
+        if labels is None:
+            raise LabelsRequired("evt risk calibration needs a labeled series")
+        fitted = calibrate_risk(
+            _pool_errors(errs[:2]), np.concatenate(labels[:2]), grid=risk_grid, level=level
+        )
+        return fitted, {
+            "risk": fitted.risk,
+            "threshold": fitted.threshold,
+            "gamma": fitted.fit.gamma,
+            "sigma": fitted.fit.sigma,
+            "initial_threshold": fitted.fit.threshold,
+        }
+    raise ValueError(f"unknown error rule {rule!r}")
+
+
+# The typed failures by which each rule's calibration rejects the data; the
+# benchmark reports them as error rows, and anything else is a bug and raises.
+_CALIBRATION_FAILURES = {
+    "gaussian": (detectors.NoAnomaliesInValidation, detectors.DegenerateErrors),
+    "tukey": (),
+    "evt": (evt.TooFewExcesses, evt.RiskTooHigh),
+}
 
 
 def _metrics_row(det, labels) -> dict:
@@ -120,98 +164,44 @@ def benchmark(series: LabeledSeries, config: BenchmarkConfig) -> dict:
     """Run every rule end to end on one labeled series, from a single split
     and seed, and report one metrics row per rule.
 
-    Rules whose calibration preconditions fail on the given data (for example
-    a validation split without labeled anomalies for the Gaussian rule) are
-    reported with an ``error`` entry instead of metrics.
+    The error rules share one forecaster and are calibrated by
+    :func:`calibrate`. Rules whose calibration preconditions fail on the given
+    data (for example a validation split without labeled anomalies for the
+    Gaussian rule) are reported with an ``error`` entry instead of metrics.
+    The end-to-end model starts from the forecaster's weights and reuses the
+    risk chosen for the evt rule, so the hybrid rules and the end-to-end model
+    share all settings.
     """
     if series.labels is None:
         raise LabelsRequired("benchmark needs a labeled series")
 
-    train_s, val_s, test_s = split_series(series, config.split, config.look_back, config.look_ahead)
-    norm = fit_norm_params(train_s)
-    train_n, val_n, test_n = (normalize(s, norm) for s in (train_s, val_s, test_s))
-    windows = {
-        name: make_windows(s, config.look_back, config.look_ahead)
-        for name, s in (("train", train_n), ("val", val_n), ("test", test_n))
-    }
-
-    forecaster = train_forecaster(config.train, windows["train"], windows["val"])
-    errs = {
-        name: prediction_errors(forecaster.network, windows[name])
-        for name in ("train", "val", "test")
-    }
-    test_labels = _labels_at(test_s.labels, errs["test"])
+    splits, windows, _ = prepare(series, config.split, config.look_back, config.look_ahead)
+    forecaster = train_forecaster(config.train, windows[0], windows[1])
+    errs = tuple(prediction_errors(forecaster.network, w) for w in windows)
+    labels = tuple(s.labels[e.indices] for s, e in zip(splits, errs))
 
     report: dict = {
         "look_back": config.look_back,
         "look_ahead": config.look_ahead,
         "seed": config.train.seed,
-        "scored_points": int(len(errs["test"])),
+        "scored_points": int(len(errs[2])),
         "rules": {},
     }
+    for name, failures in _CALIBRATION_FAILURES.items():
+        try:
+            rule, params = calibrate(name, errs, labels, config.risk_grid, config.train.init_quantile)
+        except failures as exc:
+            report["rules"][name] = {"error": str(exc)}
+            continue
+        report["rules"][name] = {"params": params, **_metrics_row(detect(errs[2], rule), labels[2])}
 
-    # Gaussian: fit on training errors, calibrate the log-density threshold on
-    # validation scores, evaluate on the test split.
-    try:
-        gfit = fit_gaussian(errs["train"])
-        val_scores = gaussian_logpd(errs["val"].errors, gfit)
-        threshold = calibrate_gaussian_threshold(val_scores, _labels_at(val_s.labels, errs["val"]))
-        rule = with_threshold(gfit, threshold)
-        det = detect(errs["test"], rule)
-        report["rules"]["gaussian"] = {
-            "params": {"mu": rule.mu, "sigma2": rule.sigma2, "logpd_threshold": rule.logpd_threshold},
-            **_metrics_row(det, test_labels),
-        }
-    except (detectors.NoAnomaliesInValidation, detectors.DegenerateErrors) as exc:
-        report["rules"]["gaussian"] = {"error": str(exc)}
-
-    # Tukey: fence from the pooled train+val+test errors.
-    pooled = _pool_errors([errs["train"], errs["val"], errs["test"]])
-    tfit = tukey_threshold(pooled)
-    det = detect(errs["test"], tfit)
-    report["rules"]["tukey"] = {
-        "params": {"q1": tfit.q1, "q3": tfit.q3, "fence": tfit.fence},
-        **_metrics_row(det, test_labels),
-    }
-
-    # Extreme-value hybrid: risk chosen on the initialization stream
-    # (training plus validation errors and their labels).
-    init_errors = _pool_errors([errs["train"], errs["val"]])
-    init_labels = np.concatenate(
-        [_labels_at(train_s.labels, errs["train"]), _labels_at(val_s.labels, errs["val"])]
-    )
-    evt_risk = config.train.risk
-    try:
-        evt_rule = calibrate_risk(
-            init_errors, init_labels, grid=config.risk_grid, level=config.train.init_quantile
-        )
-        evt_risk = evt_rule.risk
-        det = detect(errs["test"], evt_rule)
-        report["rules"]["evt"] = {
-            "params": {
-                "risk": evt_rule.risk,
-                "threshold": evt_rule.threshold,
-                "gamma": evt_rule.fit.gamma,
-                "sigma": evt_rule.fit.sigma,
-                "initial_threshold": evt_rule.fit.threshold,
-            },
-            **_metrics_row(det, test_labels),
-        }
-    except (evt.TooFewExcesses, evt.RiskTooHigh, ValueError) as exc:
-        report["rules"]["evt"] = {"error": str(exc)}
-
-    # End-to-end model: reuses the risk chosen for the hybrid rule (the
-    # regulators picked for the hybrid models carry over).
+    evt_risk = report["rules"]["evt"].get("params", {}).get("risk", config.train.risk)
     end_to_end = train_evt_lstm(
-        replace(config.train, risk=evt_risk),
-        windows["train"],
-        windows["val"],
-        network=forecaster.network.copy() if config.warm_start else None,
+        replace(config.train, risk=evt_risk), windows[0], windows[1], network=forecaster.network.copy()
     )
-    det = decision_scores(end_to_end, windows["test"])
     report["rules"]["evt_lstm"] = {
         "params": {"risk": evt_risk, "threshold": end_to_end.threshold},
-        **_metrics_row(det, test_labels),
+        **_metrics_row(decision_scores(end_to_end, windows[2]), labels[2]),
     }
     return report
 

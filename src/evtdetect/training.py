@@ -18,7 +18,7 @@ import numpy as np
 
 from . import evt
 from .data import WindowedDataset
-from .detectors import DetectionResult, prediction_errors
+from .detectors import DetectionResult, prediction_errors, threshold_decisions
 from .losses import LossSpec, batch_loss, loss_grad_wrt_preds
 from .network import Network, backward, forward, init_network
 from .optim import adam_step, clip_global_norm, init_adam_state
@@ -104,13 +104,71 @@ def _sgd_epoch(
         adam_step(params, grads, state, config.learning_rate)
 
 
-def _build(config: TrainConfig, data: WindowedDataset, rng: np.random.Generator) -> Network:
-    return init_network(
-        config.hidden_sizes,
-        output_size=data.look_ahead,
-        dropout_rate=config.dropout_rate,
-        seed=rng,
-    )
+def _start(
+    config: TrainConfig, train: WindowedDataset, val: WindowedDataset, network: Network | None
+) -> tuple[Network, np.random.Generator]:
+    """The seeded generator, and ``network`` or a fresh network drawn from it."""
+    if len(train) == 0 or len(val) == 0:
+        raise ValueError("empty dataset")
+    rng = np.random.default_rng(config.seed)
+    if network is None:
+        network = init_network(
+            config.hidden_sizes,
+            output_size=train.look_ahead,
+            dropout_rate=config.dropout_rate,
+            seed=rng,
+        )
+    return network, rng
+
+
+def _train_epochs(
+    network: Network,
+    spec: LossSpec,
+    config: TrainConfig,
+    train: WindowedDataset,
+    val: WindowedDataset,
+    rng: np.random.Generator,
+    after_epoch=None,
+    restore_best: bool = False,
+) -> tuple[list[dict], LossSpec]:
+    """The epoch loop shared by every objective: one Adam pass over shuffled
+    minibatches, the train and validation losses, one history record, and
+    early stopping once validation loss goes stale for ``patience`` epochs.
+
+    ``after_epoch(record, train_preds, spec)`` adds the objective's fields to
+    the epoch's record and returns the spec for the next epoch and whether to
+    stop now. With ``restore_best`` the weights of the best validation epoch
+    are restored at the end. Returns the history and the final spec.
+    """
+    params = network.parameters()
+    state = init_adam_state(params)
+    history: list[dict] = []
+    best_val = np.inf
+    best_params = [p.copy() for p in params] if restore_best else None
+    stale = 0
+    for epoch in range(1, config.epochs + 1):
+        _sgd_epoch(network, params, state, train, spec, config, rng)
+        train_loss, preds = _epoch_loss(network, train, spec)
+        val_loss, _ = _epoch_loss(network, val, spec)
+        record = {"epoch": epoch, "train_loss": train_loss, "val_loss": val_loss}
+        stop = False
+        if after_epoch is not None:
+            spec, stop = after_epoch(record, preds, spec)
+        history.append(record)
+        if val_loss < best_val:
+            best_val = val_loss
+            stale = 0
+            if restore_best:
+                best_params = [p.copy() for p in params]
+        else:
+            stale += 1
+            stop = stop or stale >= config.patience
+        if stop:
+            break
+    if restore_best:
+        for p, b in zip(params, best_params):
+            p[...] = b
+    return history, spec
 
 
 def train_forecaster(
@@ -121,33 +179,8 @@ def train_forecaster(
 ) -> TrainedModel:
     """Minimize MSE with Adam; early-stop on validation MSE and keep the best
     weights seen. Deterministic for a fixed seed."""
-    if len(train) == 0 or len(val) == 0:
-        raise ValueError("empty dataset")
-    rng = np.random.default_rng(config.seed)
-    network = network or _build(config, train, rng)
-    params = network.parameters()
-    state = init_adam_state(params)
-    spec = LossSpec("mse")
-
-    history: list[dict] = []
-    best_val = np.inf
-    best_params = [p.copy() for p in params]
-    stale = 0
-    for epoch in range(1, config.epochs + 1):
-        _sgd_epoch(network, params, state, train, spec, config, rng)
-        train_loss, _ = _epoch_loss(network, train, spec)
-        val_loss, _ = _epoch_loss(network, val, spec)
-        history.append({"epoch": epoch, "train_loss": train_loss, "val_loss": val_loss})
-        if val_loss < best_val:
-            best_val = val_loss
-            best_params = [p.copy() for p in params]
-            stale = 0
-        else:
-            stale += 1
-            if stale >= config.patience:
-                break
-    for p, b in zip(params, best_params):
-        p[...] = b
+    network, rng = _start(config, train, val, network)
+    history, _ = _train_epochs(network, LossSpec("mse"), config, train, val, rng, restore_best=True)
     return TrainedModel(network=network, loss_kind="mse", history=history)
 
 
@@ -195,53 +228,27 @@ def train_evt_lstm(
     epochs, or at the epoch budget. Pass ``network`` to warm-start from
     pretrained weights instead of a fresh initialization.
     """
-    if len(train) == 0 or len(val) == 0:
-        raise ValueError("empty dataset")
-    rng = np.random.default_rng(config.seed)
-    network = network or _build(config, train, rng)
-    params = network.parameters()
-    state = init_adam_state(params)
-    spec = LossSpec("evt", weight_decay=config.weight_decay, threshold=0.0)
-
-    history: list[dict] = []
-    best_val = np.inf
-    stale = 0
+    network, rng = _start(config, train, val, network)
     flat_epochs = 0
     prev_obj = None
-    for epoch in range(1, config.epochs + 1):
-        _sgd_epoch(network, params, state, train, spec, config, rng)
-        train_loss, _ = _epoch_loss(network, train, spec)
-        val_loss, _ = _epoch_loss(network, val, spec)
-        record = {
-            "epoch": epoch,
-            "train_loss": train_loss,
-            "val_loss": val_loss,
-            "threshold": spec.threshold,
-        }
 
-        if epoch % config.threshold_update_period == 0:
+    def after_epoch(record, preds, spec):
+        nonlocal flat_epochs, prev_obj
+        record["threshold"] = spec.threshold
+        if record["epoch"] % config.threshold_update_period == 0:
             new_threshold, info = _update_threshold(network, train, config, spec.threshold)
             spec = spec.with_threshold(new_threshold)
             record["threshold_update"] = info
             record["threshold_after_update"] = new_threshold
-
-        history.append(record)
-
+        train_loss = record["train_loss"]
         if prev_obj is not None:
             rel = abs(train_loss - prev_obj) / max(abs(prev_obj), 1e-12)
             flat_epochs = flat_epochs + 1 if rel < config.convergence_tol else 0
         prev_obj = train_loss
-        if flat_epochs >= config.convergence_patience:
-            break
+        return spec, flat_epochs >= config.convergence_patience
 
-        if val_loss < best_val:
-            best_val = val_loss
-            stale = 0
-        else:
-            stale += 1
-            if stale >= config.patience:
-                break
-
+    spec = LossSpec("evt", weight_decay=config.weight_decay, threshold=0.0)
+    history, spec = _train_epochs(network, spec, config, train, val, rng, after_epoch)
     return TrainedModel(
         network=network,
         loss_kind="evt",
@@ -262,46 +269,22 @@ def train_svdd(
     A final detection threshold is still calibrated from the training errors
     by the same peaks-over-threshold procedure, so decision scores stay
     comparable across objectives."""
-    if len(train) == 0 or len(val) == 0:
-        raise ValueError("empty dataset")
-    rng = np.random.default_rng(config.seed)
-    network = network or _build(config, train, rng)
-    params = network.parameters()
-    state = init_adam_state(params)
-
+    network, rng = _start(config, train, val, network)
     initial_preds = _predict(network, train)
-    center = initial_preds.mean(axis=0)
-    spec = LossSpec("svdd", weight_decay=config.weight_decay, center=center)
+    spec = LossSpec("svdd", weight_decay=config.weight_decay, center=initial_preds.mean(axis=0))
 
-    history: list[dict] = []
-    best_val = np.inf
-    stale = 0
-    mean_abs = float(np.mean(np.abs(initial_preds)))
-    for epoch in range(1, config.epochs + 1):
-        _sgd_epoch(network, params, state, train, spec, config, rng)
-        train_loss, preds = _epoch_loss(network, train, spec)
-        val_loss, _ = _epoch_loss(network, val, spec)
-        history.append({
-            "epoch": epoch,
-            "train_loss": train_loss,
-            "val_loss": val_loss,
-            "mean_abs_prediction": float(np.mean(np.abs(preds))),
-        })
-        if val_loss < best_val:
-            best_val = val_loss
-            stale = 0
-        else:
-            stale += 1
-            if stale >= config.patience:
-                break
+    def after_epoch(record, preds, spec):
+        record["mean_abs_prediction"] = float(np.mean(np.abs(preds)))
+        return spec, False
 
+    history, _ = _train_epochs(network, spec, config, train, val, rng, after_epoch)
     threshold, _ = _update_threshold(network, train, config, previous=np.nan)
     return TrainedModel(
         network=network,
         loss_kind="svdd",
         threshold=None if np.isnan(threshold) else threshold,
         history=history,
-        initial_mean_abs_prediction=mean_abs,
+        initial_mean_abs_prediction=float(np.mean(np.abs(initial_preds))),
     )
 
 
@@ -310,9 +293,7 @@ def decision_scores(model: TrainedModel, data: WindowedDataset) -> DetectionResu
     flagged anomalous."""
     if model.threshold is None:
         raise ValueError("model has no detection threshold; train with the evt objective")
-    errs = prediction_errors(model.network, data)
-    scores = errs.errors - model.threshold
-    return DetectionResult(indices=errs.indices, scores=scores, flags=scores >= 0.0)
+    return threshold_decisions(prediction_errors(model.network, data), model.threshold)
 
 
 def run_manifest(

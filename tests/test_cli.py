@@ -150,6 +150,44 @@ class TestPipeline:
         assert err["error"]["kind"] == "runtime"
 
 
+    def test_missing_label_column_exits_2(self, tmp_path, config_doc, capsys):
+        data = tmp_path / "unlabeled.csv"
+        data.write_text("timestamp,value\n" + "".join(
+            f"{t},{float(np.sin(t / 5.0))!r}\n" for t in range(400)))
+        out = tmp_path / "run5"
+        doc = {**config_doc, "dataset": {"path": str(data)},
+               "training": {**config_doc["training"], "epochs": 2, "threshold_update_period": 1}}
+        cfg = write_config(tmp_path, doc, output_dir=str(out))
+        assert main(["train", "--config", cfg, "--objective", "mse"]) == 0
+        model = str(out / "model.npz")
+        capsys.readouterr()
+        for rule in ("gaussian", "evt"):
+            assert main(["detect", "--config", cfg, "--model", model, "--rule", rule]) == 2
+            err = json.loads(capsys.readouterr().err)["error"]
+            assert (err["kind"], err["type"]) == ("config", "ConfigError")
+        assert main(["detect", "--config", cfg, "--model", model, "--rule", "tukey"]) == 0
+
+    def test_detect_matches_benchmark_rows(self, tmp_path, config_doc):
+        # One calibration path: the CLI's detect + evaluate and benchmark()
+        # train the same forecaster from the same seed and agree exactly.
+        out = tmp_path / "parity"
+        cfg = write_config(tmp_path, config_doc, output_dir=str(out))
+        assert main(["train", "--config", cfg, "--objective", "mse"]) == 0
+        assert main(["benchmark", "--config", cfg]) == 0
+        rows = json.loads((out / "benchmark.json").read_text())["rules"]
+        for rule in ("gaussian", "tukey", "evt"):
+            rule_out = str(out / rule)
+            assert main(["detect", "--config", cfg, "--model", str(out / "model.npz"),
+                         "--rule", rule, "--output-dir", rule_out]) == 0
+            assert main(["evaluate", "--config", cfg, "--output-dir", rule_out,
+                         "--detections", str(out / rule / "detections.csv")]) == 0
+            summary = json.loads((out / rule / "detection_summary.json").read_text())
+            metrics = json.loads((out / rule / "metrics.json").read_text())["metrics"]
+            assert summary["params"] == rows[rule]["params"]
+            for key in ("tp", "fp", "fn", "tn"):
+                assert metrics[key] == rows[rule]["metrics"][key], (rule, key)
+
+
 class TestBenchmarkCommand:
     def test_byte_identical_reports(self, tmp_path, config_doc):
         out_a = tmp_path / "a"

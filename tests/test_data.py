@@ -18,6 +18,7 @@ from evtdetect.data import (
     load_series,
     make_windows,
     normalize,
+    prepare,
     split_series,
 )
 
@@ -197,3 +198,16 @@ class TestWindow:
             t = ds.target_indices[i]
             np.testing.assert_array_equal(ds.targets[i], values[t : t + 3])
             np.testing.assert_array_equal(ds.inputs[i], values[t - 5 : t])
+
+
+def test_prepare_normalizes_with_train_range_and_offsets_each_part():
+    labels = np.zeros(20, dtype=bool)
+    labels[15] = True
+    s = series(np.arange(20.0) ** 2, labels)
+    (train, val, test), windows, offsets = prepare(s, SplitSpec(0.5, 0.25, 0.25), 3, 1)
+    assert offsets == (0, 10, 15)
+    assert (train.values.min(), train.values.max()) == (0.0, 1.0)
+    np.testing.assert_allclose(test.values, (np.arange(15.0, 20.0) ** 2) / 81.0)
+    assert test.labels.tolist() == [True, False, False, False, False]
+    assert [len(w) for w in windows] == [7, 2, 2]
+    np.testing.assert_array_equal(windows[2].inputs[0], test.values[:3])

@@ -101,19 +101,25 @@ class TestCalibrateGaussian:
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(3)
-        scores = rng.normal(size=40)
+        distinct = rng.normal(size=40)
         labels = rng.uniform(size=40) < 0.3
 
-        def f1_at(threshold):
-            flagged = scores < threshold
-            tp = np.sum(flagged & labels)
-            fp = np.sum(flagged & ~labels)
-            fn = np.sum(~flagged & labels)
-            return 2 * tp / (2 * tp + fp + fn) if tp else 0.0
+        for scores in (distinct, np.round(distinct, 1)):  # the second has ties
+            def f1_at(threshold):
+                flagged = scores < threshold
+                tp = np.sum(flagged & labels)
+                fp = np.sum(flagged & ~labels)
+                fn = np.sum(~flagged & labels)
+                return 2 * tp / (2 * tp + fp + fn) if tp else 0.0
 
-        chosen = calibrate_gaussian_threshold(scores, labels)
-        dense = np.linspace(scores.min() - 1, scores.max() + 1, 4001)
-        assert f1_at(chosen) >= max(f1_at(t) for t in dense) - 1e-12
+            chosen = calibrate_gaussian_threshold(scores, labels)
+            dense = np.linspace(scores.min() - 1, scores.max() + 1, 4001)
+            assert f1_at(chosen) >= max(f1_at(t) for t in dense) - 1e-12
+
+            unique = np.unique(scores)
+            midpoints = (unique[:-1] + unique[1:]) / 2.0
+            f1s = [f1_at(t) for t in midpoints]
+            assert chosen == min(t for t, f in zip(midpoints, f1s) if f == max(f1s))
 
     def test_requires_anomaly(self):
         with pytest.raises(NoAnomaliesInValidation):
@@ -219,6 +225,15 @@ class TestDetect:
         det = detect(data, rule)
         assert det.flags.sum() == 0
         np.testing.assert_allclose(det.scores, data.errors - rule.threshold)
+
+    def test_evt_flags_error_equal_to_threshold(self):
+        # The paper's tie rule: a decision score error - threshold of exactly 0
+        # is anomalous, as in training.decision_scores.
+        fit = evt.GpdFit(gamma=0.1, sigma=1.0, threshold=2.0, total_count=1000, peak_count=20)
+        rule = EvtRule(fit=fit, risk=1e-3, threshold=3.5)
+        det = detect(errs([3.4, 3.5, 3.6]), rule)
+        assert det.flags.tolist() == [False, True, True]
+        assert det.scores[1] == 0.0
 
     def test_gaussian_vacuous_threshold(self):
         rule = GaussianFit(mu=0.0, sigma2=1.0, logpd_threshold=-np.inf)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from evtdetect import evaluation
 from evtdetect.data import LabeledSeries, SplitSpec
 from evtdetect.evaluation import (
     BenchmarkConfig,
@@ -126,3 +127,16 @@ class TestBenchmark:
             if "metrics" in row:
                 m = row["metrics"]
                 assert m["tp"] + m["fp"] + m["fn"] + m["tn"] == report["scored_points"]
+
+    def test_untyped_calibration_error_propagates(self, tiny_benchmark, monkeypatch):
+        # Only the rules' typed failures become error rows; a plain ValueError
+        # from the evt calibration is a bug and must surface.
+        series, config, _ = tiny_benchmark
+
+        def broken(*args, **kwargs):
+            raise ValueError("injected bug")
+
+        monkeypatch.setattr(evaluation, "calibrate_risk", broken)
+        short = TrainConfig(hidden_sizes=(4,), epochs=1, threshold_update_period=1, seed=0)
+        with pytest.raises(ValueError, match="injected bug"):
+            benchmark(series, BenchmarkConfig(split=config.split, look_back=10, train=short))
