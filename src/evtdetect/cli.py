@@ -13,14 +13,15 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import evt
-from .data import CsvSchema, SplitSpec, load_series, prepare
-from .detectors import DEFAULT_RISK_GRID, detect, prediction_errors, threshold_decisions
+from .data import CsvSchema, load_series, prepare
+from .detectors import detect, prediction_errors, threshold_decisions
 from .evaluation import (
     BenchmarkConfig,
     LabelsRequired,
@@ -33,7 +34,7 @@ from .evaluation import (
 from .losses import LossSpec
 from .network import load_network, save_network
 from .presets import preset
-from .training import TrainConfig, Timer, run_manifest, train_evt_lstm, train_forecaster, train_svdd
+from .training import TrainConfig, run_manifest, train_evt_lstm, train_forecaster, train_svdd
 
 OUTPUT_DIR_ENV = "EVTDETECT_OUTPUT_DIR"
 
@@ -54,11 +55,7 @@ class RunConfig:
 
     dataset_path: str | None = None
     schema: CsvSchema = field(default_factory=CsvSchema)
-    split: SplitSpec = field(default_factory=lambda: SplitSpec(0.8, 0.1, 0.1))
-    look_back: int = 20
-    look_ahead: int = 1
-    train: TrainConfig = field(default_factory=TrainConfig)
-    risk_grid: tuple[float, ...] = DEFAULT_RISK_GRID
+    pipeline: BenchmarkConfig = field(default_factory=BenchmarkConfig)
     rule: str = "evt"
     objective: str = "mse"
     output_dir: str = "."
@@ -92,23 +89,16 @@ def parse_config(doc: dict) -> RunConfig:
     """Build a validated RunConfig from a JSON document.
 
     A ``preset`` name fills the network geometry fields; explicit settings in
-    the document win over the preset.
+    the document win over the preset. Settings left out take the defaults of
+    :class:`CsvSchema` and :class:`BenchmarkConfig`.
     """
     try:
         doc = dict(doc)
-        dataset = doc.pop("dataset", {}) or {}
-        schema = CsvSchema(
-            timestamp_column=dataset.get("timestamp_column", "timestamp"),
-            value_column=dataset.get("value_column", "value"),
-            label_column=dataset.get("label_column"),
-            sampling_period=dataset.get("sampling_period"),
-        )
-        split_doc = doc.pop("split", {}) or {}
-        split = SplitSpec(
-            train_frac=split_doc.get("train_frac", 0.8),
-            val_frac=split_doc.get("val_frac", 0.1),
-            test_frac=split_doc.get("test_frac", 0.1),
-        )
+        dataset = dict(doc.pop("dataset", {}) or {})
+        dataset_path = dataset.pop("path", None)
+        schema = CsvSchema(**dataset)
+        defaults = BenchmarkConfig()
+        split = replace(defaults.split, **(doc.pop("split", {}) or {}))
 
         geometry: dict = {}
         preset_name = doc.pop("preset", None)
@@ -123,8 +113,8 @@ def parse_config(doc: dict) -> RunConfig:
             train_doc["hidden_sizes"] = tuple(train_doc["hidden_sizes"])
         train = TrainConfig(**train_doc)
 
-        look_back = int(doc.pop("look_back", geometry.get("look_back", 20)))
-        look_ahead = int(doc.pop("look_ahead", geometry.get("look_ahead", 1)))
+        look_back = int(doc.pop("look_back", geometry.get("look_back", defaults.look_back)))
+        look_ahead = int(doc.pop("look_ahead", geometry.get("look_ahead", defaults.look_ahead)))
 
         rule = doc.pop("rule", "evt")
         if rule not in RULES:
@@ -133,16 +123,12 @@ def parse_config(doc: dict) -> RunConfig:
         if objective not in ("mse", "evt", "svdd"):
             raise ConfigError(f"objective must be mse, evt, or svdd, got {objective!r}")
 
-        risk_grid = tuple(doc.pop("risk_grid", DEFAULT_RISK_GRID))
+        risk_grid = tuple(doc.pop("risk_grid", defaults.risk_grid))
         output_dir = doc.pop("output_dir", None) or os.environ.get(OUTPUT_DIR_ENV, ".")
         config = RunConfig(
-            dataset_path=dataset.get("path"),
+            dataset_path=dataset_path,
             schema=schema,
-            split=split,
-            look_back=look_back,
-            look_ahead=look_ahead,
-            train=train,
-            risk_grid=risk_grid,
+            pipeline=BenchmarkConfig(split, look_back, look_ahead, train, risk_grid),
             rule=rule,
             objective=objective,
             output_dir=str(output_dir),
@@ -191,22 +177,25 @@ def atomic_write_json(path: Path, payload: dict) -> None:
 
 def _prepared_splits(config: RunConfig):
     series = load_series(config.require_dataset(), config.schema)
-    return (series, *prepare(series, config.split, config.look_back, config.look_ahead))
+    p = config.pipeline
+    return (series, *prepare(series, p.split, p.look_back, p.look_ahead))
 
 
 def cmd_train(config: RunConfig) -> int:
     _, _, (train_w, val_w, _), _ = _prepared_splits(config)
     trainers = {"mse": train_forecaster, "evt": train_evt_lstm, "svdd": train_svdd}
-    with Timer() as timer:
-        model = trainers[config.objective](config.train, train_w, val_w)
+    train = config.pipeline.train
+    start = time.perf_counter()
+    model = trainers[config.objective](train, train_w, val_w)
+    seconds = time.perf_counter() - start
 
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     spec = None
     if model.loss_kind == "evt":
-        spec = LossSpec("evt", weight_decay=config.train.weight_decay, threshold=model.threshold)
+        spec = LossSpec("evt", weight_decay=train.weight_decay, threshold=model.threshold)
     save_network(out / "model.npz", model.network, spec)
-    manifest = run_manifest(model, config.train, wall_clock_seconds=round(timer.seconds, 3))
+    manifest = run_manifest(model, train, wall_clock_seconds=round(seconds, 3))
     manifest["objective"] = config.objective
     atomic_write_json(out / "manifest.json", manifest)
     print(f"trained {config.objective} model for {len(model.history)} epochs -> {out / 'model.npz'}")
@@ -228,8 +217,9 @@ def _calibrated_detection(config: RunConfig, model_path: str):
 
     errs = tuple(prediction_errors(network, w) for w in windows)
     labels = None if series.labels is None else tuple(s.labels[e.indices] for s, e in zip(splits, errs))
+    p = config.pipeline
     try:
-        rule, params = calibrate(config.rule, errs, labels, config.risk_grid, config.train.init_quantile)
+        rule, params = calibrate(config.rule, errs, labels, p.risk_grid, p.train.init_quantile)
     except LabelsRequired as exc:
         raise ConfigError(str(exc)) from exc
     return series, errs[2], detect(errs[2], rule), params, offsets[2]
@@ -320,14 +310,7 @@ def cmd_fit_gpd(input_path: str, level: float, risk: float) -> int:
 
 def cmd_benchmark(config: RunConfig) -> int:
     series = load_series(config.require_dataset(), config.schema)
-    bench = BenchmarkConfig(
-        split=config.split,
-        look_back=config.look_back,
-        look_ahead=config.look_ahead,
-        train=config.train,
-        risk_grid=config.risk_grid,
-    )
-    report = benchmark(series, bench)
+    report = benchmark(series, config.pipeline)
     out = Path(config.output_dir)
     atomic_write_json(out / "benchmark.json", report)
     print(format_report(report))

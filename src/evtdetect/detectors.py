@@ -18,7 +18,7 @@ import numpy as np
 
 from . import evt
 from .data import WindowedDataset
-from .network import Network, forward
+from .network import Network, predict
 
 
 class DegenerateErrors(ValueError):
@@ -105,19 +105,21 @@ class DetectionResult:
         return len(self.flags)
 
 
-def prediction_errors(network: Network, data: WindowedDataset, batch_size: int = 256) -> PredictionErrors:
-    """Absolute one-step-ahead errors |prediction - target| per target index.
+def first_horizon_errors(preds: np.ndarray, data: WindowedDataset) -> PredictionErrors:
+    """Absolute one-step-ahead errors |prediction - target| per target index,
+    from predictions (n, look_ahead) already made for ``data``.
 
     For look-ahead > 1 only the first horizon component is used: it is the
-    forecast made from the most recent window for that timestamp. Inference
-    runs with dropout disabled and is deterministic.
+    forecast made from the most recent window for that timestamp.
     """
-    preds = np.empty(len(data))
-    for lo in range(0, len(data), batch_size):
-        batch, _ = forward(network, data.inputs[lo : lo + batch_size], train=False)
-        preds[lo : lo + len(batch)] = batch[:, 0]
-    errors = np.abs(preds - data.targets[:, 0])
+    errors = np.abs(preds[:, 0] - data.targets[:, 0])
     return PredictionErrors(errors=errors, indices=data.target_indices.copy())
+
+
+def prediction_errors(network: Network, data: WindowedDataset) -> PredictionErrors:
+    """:func:`first_horizon_errors` of the network's predictions for ``data``.
+    Inference runs with dropout disabled and is deterministic."""
+    return first_horizon_errors(predict(network, data.inputs), data)
 
 
 def fit_gaussian(train_errors: PredictionErrors) -> GaussianFit:

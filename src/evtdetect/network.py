@@ -249,6 +249,23 @@ def forward(
     return preds, cache
 
 
+# Windows per infer-mode forward pass in :func:`predict`; it bounds memory.
+# With OpenBLAS, predictions of one or two outputs were bit-identical at 64,
+# 256 and 512; with three or five, the dense head rounded some rows
+# differently (relative difference 6e-12 at most).
+PREDICT_CHUNK = 256
+
+
+def predict(network: Network, windows: np.ndarray) -> np.ndarray:
+    """Infer-mode predictions (n, output_size) for ``n`` look-back windows,
+    ``PREDICT_CHUNK`` windows per :func:`forward` pass."""
+    preds = np.empty((len(windows), network.output_size))
+    for lo in range(0, len(windows), PREDICT_CHUNK):
+        batch, _ = forward(network, windows[lo : lo + PREDICT_CHUNK], train=False)
+        preds[lo : lo + len(batch)] = batch
+    return preds
+
+
 def _layer_backward(layer: LstmLayerParams, cache: ForwardCache, idx: int, dh_out: np.ndarray):
     """BPTT through layer ``idx`` given d(loss)/d(its undropped output stream).
 

@@ -11,16 +11,15 @@ reduce to plain error minimization.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import evt
 from .data import WindowedDataset
-from .detectors import DetectionResult, prediction_errors, threshold_decisions
+from .detectors import DetectionResult, first_horizon_errors, prediction_errors, threshold_decisions
 from .losses import LossSpec, batch_loss, loss_grad_wrt_preds
-from .network import Network, backward, forward, init_network
+from .network import Network, backward, forward, init_network, predict
 from .optim import adam_step, clip_global_norm, init_adam_state
 
 MAX_GRAD_NORM = 5.0
@@ -68,21 +67,6 @@ class TrainedModel:
     threshold: float | None = None
     history: list[dict] = field(default_factory=list)
     initial_mean_abs_prediction: float | None = None
-
-
-def _predict(network: Network, data: WindowedDataset, chunk: int = 512) -> np.ndarray:
-    """Inference-mode predictions for every window, ``chunk`` windows per forward pass."""
-    preds = np.empty((len(data), data.look_ahead))
-    for lo in range(0, len(data), chunk):
-        batch, _ = forward(network, data.inputs[lo : lo + chunk], train=False)
-        preds[lo : lo + len(batch)] = batch
-    return preds
-
-
-def _epoch_loss(network: Network, data: WindowedDataset, spec: LossSpec) -> tuple[float, np.ndarray]:
-    """Loss over the whole dataset, and the predictions it was computed from."""
-    preds = _predict(network, data)
-    return batch_loss(preds, data.targets, spec, network.weight_matrices()), preds
 
 
 def _sgd_epoch(
@@ -148,8 +132,10 @@ def _train_epochs(
     stale = 0
     for epoch in range(1, config.epochs + 1):
         _sgd_epoch(network, params, state, train, spec, config, rng)
-        train_loss, preds = _epoch_loss(network, train, spec)
-        val_loss, _ = _epoch_loss(network, val, spec)
+        preds = predict(network, train.inputs)
+        weights = network.weight_matrices()
+        train_loss = batch_loss(preds, train.targets, spec, weights)
+        val_loss = batch_loss(predict(network, val.inputs), val.targets, spec, weights)
         record = {"epoch": epoch, "train_loss": train_loss, "val_loss": val_loss}
         stop = False
         if after_epoch is not None:
@@ -184,18 +170,12 @@ def train_forecaster(
     return TrainedModel(network=network, loss_kind="mse", history=history)
 
 
-def _update_threshold(
-    network: Network,
-    train: WindowedDataset,
-    config: TrainConfig,
-    previous: float,
-) -> tuple[float, dict]:
-    """Re-estimate the detection threshold from current training errors.
+def _update_threshold(errors: np.ndarray, config: TrainConfig, previous: float) -> tuple[float, dict]:
+    """Re-estimate the detection threshold from the current training errors.
 
     Falls back to the previous threshold when there are too few excesses or
     the tail fit cannot accommodate the requested risk.
     """
-    errors = prediction_errors(network, train).errors
     initial = evt.initial_threshold(errors, config.init_quantile)
     info: dict = {"initial_threshold": initial}
     try:
@@ -236,7 +216,8 @@ def train_evt_lstm(
         nonlocal flat_epochs, prev_obj
         record["threshold"] = spec.threshold
         if record["epoch"] % config.threshold_update_period == 0:
-            new_threshold, info = _update_threshold(network, train, config, spec.threshold)
+            errors = first_horizon_errors(preds, train).errors
+            new_threshold, info = _update_threshold(errors, config, spec.threshold)
             spec = spec.with_threshold(new_threshold)
             record["threshold_update"] = info
             record["threshold_after_update"] = new_threshold
@@ -270,15 +251,20 @@ def train_svdd(
     by the same peaks-over-threshold procedure, so decision scores stay
     comparable across objectives."""
     network, rng = _start(config, train, val, network)
-    initial_preds = _predict(network, train)
+    initial_preds = predict(network, train.inputs)
     spec = LossSpec("svdd", weight_decay=config.weight_decay, center=initial_preds.mean(axis=0))
+    last_preds = None
 
     def after_epoch(record, preds, spec):
+        nonlocal last_preds
+        last_preds = preds
         record["mean_abs_prediction"] = float(np.mean(np.abs(preds)))
         return spec, False
 
+    # No weights are restored, so the last epoch's predictions are the final network's.
     history, _ = _train_epochs(network, spec, config, train, val, rng, after_epoch)
-    threshold, _ = _update_threshold(network, train, config, previous=np.nan)
+    errors = first_horizon_errors(last_preds, train).errors
+    threshold, _ = _update_threshold(errors, config, previous=np.nan)
     return TrainedModel(
         network=network,
         loss_kind="svdd",
@@ -318,15 +304,3 @@ def run_manifest(
     if wall_clock_seconds is not None:
         manifest["wall_clock_seconds"] = wall_clock_seconds
     return manifest
-
-
-class Timer:
-    """Context manager measuring wall clock for run manifests."""
-
-    def __enter__(self):
-        self.start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.seconds = time.perf_counter() - self.start
-        return False

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from evtdetect.cli import main
+from evtdetect.cli import main, parse_config
+from evtdetect.data import SplitSpec
 from evtdetect.synthetic import make_spike_series, write_csv
 
 
@@ -72,6 +73,20 @@ class TestConfigHandling:
     def test_unknown_key_exits_2(self, tmp_path, config_doc):
         cfg = write_config(tmp_path, config_doc, bogus_key=1)
         assert main(["benchmark", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize("section, key", [("dataset", "label_colum"), ("split", "train_fraction")])
+    def test_unknown_section_key_exits_2(self, tmp_path, config_doc, capsys, section, key):
+        doc = {**config_doc, section: {**config_doc[section], key: 0.5}}
+        cfg = write_config(tmp_path, doc)
+        assert main(["detect", "--config", cfg, "--model", "missing.npz"]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert (err["kind"], err["type"]) == ("config", "ConfigError")
+        assert key in err["message"]
+
+    def test_split_defaults(self):
+        assert parse_config({}).pipeline.split == SplitSpec(0.8, 0.1, 0.1)
+        partial = parse_config({"split": {"train_frac": 0.7, "val_frac": 0.2}})
+        assert partial.pipeline.split == SplitSpec(0.7, 0.2, 0.1)
 
     def test_missing_dataset_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, {"look_back": 4})

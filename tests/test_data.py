@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -141,8 +143,8 @@ class TestSplit:
     def test_concatenation_reproduces_input(self):
         rng = np.random.default_rng(0)
         s = series(rng.normal(size=83), rng.uniform(size=83) < 0.1)
-        with np.testing.suppress_warnings() as sup:
-            sup.filter(AnomalyInTrainWarning)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AnomalyInTrainWarning)
             train, val, test = split_series(s, SplitSpec(0.5, 0.25, 0.25))
         np.testing.assert_array_equal(
             np.concatenate([train.values, val.values, test.values]), s.values

@@ -12,6 +12,7 @@ from evtdetect.network import (
     init_network,
     load_network,
     lstm_cell_step,
+    predict,
     save_network,
 )
 
@@ -119,6 +120,19 @@ class TestForward:
         net = init_network((4,), output_size=1, input_size=2, seed=0)
         with pytest.raises(ValueError):
             forward(net, np.zeros((2, 5)))
+
+
+class TestPredict:
+    def test_chunks_match_one_forward_pass(self):
+        # 600 windows span two full chunks and a partial third one
+        net = init_network((6, 5), output_size=2, dropout_rate=0.5, seed=7)
+        windows = np.random.default_rng(3).normal(size=(600, 8))
+        whole, _ = forward(net, windows, train=False)
+        np.testing.assert_allclose(predict(net, windows), whole, rtol=1e-12, atol=0.0)
+
+    def test_no_windows(self):
+        net = init_network((4,), output_size=3, seed=0)
+        assert predict(net, np.zeros((0, 5))).shape == (0, 3)
 
 
 class TestInit:

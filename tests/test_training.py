@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from evtdetect import evt
+from evtdetect import detectors, evt, network, training
 from evtdetect.data import LabeledSeries, make_windows
+from evtdetect.detectors import prediction_errors
 from evtdetect.losses import LossSpec, evt_loss
 from evtdetect.network import forward
 from evtdetect.training import (
@@ -98,6 +99,42 @@ class TestEvtLstm:
         assert a.threshold == b.threshold
         for pa, pb in zip(a.network.parameters(), b.network.parameters()):
             np.testing.assert_array_equal(pa, pb)
+
+
+def test_last_update_matches_final_network(trained, sine_windows):
+    # the τ re-estimate of the last epoch reads the final network's training errors
+    cfg, model = trained
+    info = model.history[-1]["threshold_update"]
+    errors = prediction_errors(model.network, sine_windows[0]).errors
+    assert info["initial_threshold"] == evt.initial_threshold(errors, cfg.init_quantile)
+
+
+def count_infer_windows(monkeypatch) -> list[int]:
+    """Patch ``forward`` wherever the package holds it; the returned list
+    collects the window count of every infer-mode call."""
+    counted: list[int] = []
+    original = network.forward
+
+    def counting_forward(net, windows, train=False, rng=None):
+        if not train:
+            counted.append(len(windows))
+        return original(net, windows, train=train, rng=rng)
+
+    for module in (network, detectors, training):
+        if getattr(module, "forward", None) is original:
+            monkeypatch.setattr(module, "forward", counting_forward)
+    return counted
+
+
+def test_threshold_update_reuses_epoch_predictions(monkeypatch, sine_windows):
+    # each epoch predicts its train and validation windows once, and τ
+    # re-estimates read the train predictions instead of predicting again
+    train, val = sine_windows
+    counted = count_infer_windows(monkeypatch)
+    cfg = TrainConfig(epochs=4, threshold_update_period=2, risk=1e-3, **SMALL)
+    model = train_evt_lstm(cfg, train, val)
+    assert sum("threshold_update" in r for r in model.history) == 2
+    assert sum(counted) == len(model.history) * (len(train) + len(val))
 
 
 def _fit_gpd_raising(exc):
@@ -204,6 +241,21 @@ def test_svdd_records_prediction_magnitude(sine_windows):
     assert model.initial_mean_abs_prediction is not None
     assert all("mean_abs_prediction" in r for r in model.history)
     assert model.loss_kind == "svdd"
+
+
+def test_svdd_threshold_from_last_epoch_predictions(monkeypatch, sine_windows):
+    # one center pass, then train and validation once per epoch; the closing
+    # threshold still equals one computed from the final network
+    train, val = sine_windows
+    counted = count_infer_windows(monkeypatch)
+    # quantile 0.85 leaves the 30 excesses a tail fit needs among 280 windows
+    cfg = TrainConfig(epochs=4, threshold_update_period=2, risk=1e-3, init_quantile=0.85, **SMALL)
+    model = train_svdd(cfg, train, val)
+    assert sum(counted) == len(train) + len(model.history) * (len(train) + len(val))
+    errors = prediction_errors(model.network, train).errors
+    expected, info = training._update_threshold(errors, cfg, previous=None)
+    assert "retained_previous" not in info
+    assert model.threshold == expected
 
 
 def test_config_validation():
