@@ -192,8 +192,9 @@ def cmd_train(config: RunConfig) -> int:
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     spec = None
-    if model.loss_kind == "evt":
-        spec = LossSpec("evt", weight_decay=train.weight_decay, threshold=model.threshold)
+    if model.loss_kind != "mse":
+        spec = LossSpec(model.loss_kind, weight_decay=train.weight_decay,
+                        center=model.center, threshold=model.threshold)
     save_network(out / "model.npz", model.network, spec)
     manifest = run_manifest(model, train, wall_clock_seconds=round(seconds, 3))
     manifest["objective"] = config.objective
@@ -210,7 +211,7 @@ def _calibrated_detection(config: RunConfig, model_path: str):
     network, loss_spec = load_network(model_path)
     if config.rule == "evt-lstm":  # the model file carries its own detection threshold
         if loss_spec is None or loss_spec.get("threshold") is None:
-            raise ConfigError("model file was not trained with the evt objective")
+            raise ConfigError("model file has no detection threshold (evt or svdd objective)")
         test_errs = prediction_errors(network, windows[2])
         det = threshold_decisions(test_errs, loss_spec["threshold"])
         return series, test_errs, det, {"threshold": loss_spec["threshold"]}, offsets[2]

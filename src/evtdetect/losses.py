@@ -22,9 +22,10 @@ KINDS = ("mse", "svdd", "evt")
 class LossSpec:
     """Objective selector with its kind-specific fields.
 
-    ``center`` must be set exactly for the svdd kind and ``threshold``
-    exactly for the evt kind; ``weight_decay`` is the lambda of the decay
-    term and applies to svdd and evt.
+    ``center`` must be set exactly for the svdd kind. ``threshold`` is
+    required for the evt kind, optional for svdd (its closing detection
+    threshold) and absent for mse. ``weight_decay`` is the lambda of the
+    decay term and applies to svdd and evt.
     """
 
     kind: str
@@ -39,8 +40,10 @@ class LossSpec:
             raise ValueError("weight_decay must be >= 0")
         if (self.center is not None) != (self.kind == "svdd"):
             raise ValueError("center is required exactly for the svdd kind")
-        if (self.threshold is not None) != (self.kind == "evt"):
-            raise ValueError("threshold is required exactly for the evt kind")
+        if self.kind == "evt" and self.threshold is None:
+            raise ValueError("threshold is required for the evt kind")
+        if self.kind == "mse" and self.threshold is not None:
+            raise ValueError("the mse kind takes no threshold")
         if self.center is not None:
             object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
 

@@ -59,14 +59,15 @@ class TrainConfig:
 
 @dataclass
 class TrainedModel:
-    """A trained network with its loss kind, per-epoch history, and, for the
-    threshold-embedded objective, the final detection threshold."""
+    """A trained network with its loss kind, per-epoch history, the final
+    detection threshold (evt, and svdd's closing one) and the svdd center."""
 
     network: Network
     loss_kind: str
     threshold: float | None = None
     history: list[dict] = field(default_factory=list)
     initial_mean_abs_prediction: float | None = None
+    center: np.ndarray | None = None
 
 
 def _sgd_epoch(
@@ -271,6 +272,7 @@ def train_svdd(
         threshold=None if np.isnan(threshold) else threshold,
         history=history,
         initial_mean_abs_prediction=float(np.mean(np.abs(initial_preds))),
+        center=spec.center,
     )
 
 
@@ -278,7 +280,7 @@ def decision_scores(model: TrainedModel, data: WindowedDataset) -> DetectionResu
     """Score ``|prediction - target| - threshold``; non-negative scores are
     flagged anomalous."""
     if model.threshold is None:
-        raise ValueError("model has no detection threshold; train with the evt objective")
+        raise ValueError("model has no detection threshold; train with the evt or svdd objective")
     return threshold_decisions(prediction_errors(model.network, data), model.threshold)
 
 

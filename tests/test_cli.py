@@ -139,6 +139,19 @@ class TestPipeline:
         assert main(["train", "--config", cfg, "--objective", "mse"]) == 0
         assert main(["detect", "--config", cfg, "--model", str(out / "model.npz")]) == 2
 
+    def test_svdd_model_detects_under_evt_lstm_rule(self, tmp_path, config_doc):
+        out = tmp_path / "run5"
+        # quantile 0.95 leaves the closing tail fit enough excesses
+        training = {"epochs": 3, "threshold_update_period": 3, "init_quantile": 0.95}
+        doc = {**config_doc, "training": {**config_doc["training"], **training}}
+        cfg = write_config(tmp_path, doc, output_dir=str(out), rule="evt-lstm")
+        assert main(["train", "--config", cfg, "--objective", "svdd"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["threshold"] is not None
+        assert main(["detect", "--config", cfg, "--model", str(out / "model.npz")]) == 0
+        summary = json.loads((out / "detection_summary.json").read_text())
+        assert summary["params"]["threshold"] == manifest["threshold"]
+
     def test_svdd_objective_trains(self, tmp_path, config_doc):
         out = tmp_path / "run4"
         doc = dict(config_doc)

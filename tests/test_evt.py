@@ -32,6 +32,13 @@ class TestInitialThreshold:
         with pytest.raises(ValueError):
             evt.initial_threshold(np.array([]), 0.5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        # A NaN quantile would otherwise turn into "too few excesses" downstream.
+        errors = np.append(np.linspace(0.1, 1.0, 99), bad)
+        with pytest.raises(ValueError, match="finite"):
+            evt.initial_threshold(errors, 0.98)
+
 
 class TestExcesses:
     def test_filter(self):
@@ -91,6 +98,13 @@ class TestFitGpd:
         x = np.concatenate([np.full(40, 1.0), [0.0]])
         with pytest.raises(ValueError, match="strictly positive"):
             evt.fit_gpd(x)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        x = np.append(np.linspace(0.1, 2.0, 40), bad)
+        with pytest.raises(ValueError, match="finite") as info:
+            evt.fit_gpd(x)
+        assert not isinstance(info.value, evt.SupportViolation)
 
     def test_returned_candidate_beats_exponential(self):
         rng = np.random.default_rng(45)

@@ -15,7 +15,15 @@ class TestLossSpec:
         with pytest.raises(ValueError):
             LossSpec("evt")
         with pytest.raises(ValueError):
-            LossSpec("svdd", center=np.array([0.0]), threshold=1.0)
+            LossSpec("mse", threshold=1.0)
+
+    def test_svdd_threshold_optional(self):
+        # svdd carries its closing detection threshold when the fit succeeded.
+        assert LossSpec("svdd", center=np.array([0.0])).threshold is None
+        spec = LossSpec("svdd", weight_decay=0.5, center=np.array([1.0, 2.0]), threshold=1.25)
+        back = LossSpec.from_dict(spec.to_dict())
+        assert back.threshold == 1.25
+        np.testing.assert_array_equal(back.center, spec.center)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

@@ -159,6 +159,14 @@ def test_untyped_fit_error_propagates(monkeypatch, sine_windows):
         train_evt_lstm(cfg, *sine_windows)
 
 
+def test_non_finite_errors_are_not_retained_as_too_few_excesses():
+    # A diverged network's NaN errors must surface, not read as a thin tail.
+    cfg = TrainConfig(risk=1e-3, init_quantile=0.85, **SMALL)
+    errors = np.append(np.linspace(0.01, 1.0, 299), np.nan)
+    with pytest.raises(ValueError, match="finite"):
+        training._update_threshold(errors, cfg, previous=0.5)
+
+
 def test_update_schedule_at_paper_defaults():
     # k=20 with a 100-epoch budget recomputes the threshold at 20, 40, ..., 100
     values = 0.5 + 0.3 * np.sin(np.arange(60) / 3.0)
@@ -256,6 +264,8 @@ def test_svdd_threshold_from_last_epoch_predictions(monkeypatch, sine_windows):
     expected, info = training._update_threshold(errors, cfg, previous=None)
     assert "retained_previous" not in info
     assert model.threshold == expected
+    fresh, _ = training._start(cfg, train, val, None)  # the center is the untrained mean
+    np.testing.assert_array_equal(model.center, network.predict(fresh, train.inputs).mean(axis=0))
 
 
 def test_config_validation():
