@@ -162,24 +162,32 @@ def load_series(path: str | Path, schema: CsvSchema = CsvSchema()) -> LabeledSer
     values: list[float] = []
     labels: list[bool] = []
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise ValueError(f"{path}: empty file, expected a header row")
+        column = {name: k for k, name in enumerate(header)}  # a repeated name maps to its last cell
         for col in (schema.timestamp_column, schema.value_column):
-            if col not in reader.fieldnames:
+            if col not in column:
                 raise ValueError(f"{path}: missing column {col!r}")
-        if schema.label_column is not None and schema.label_column not in reader.fieldnames:
+        if schema.label_column is not None and schema.label_column not in column:
             raise ValueError(f"{path}: missing label column {schema.label_column!r}")
+        ts_at, value_at = column[schema.timestamp_column], column[schema.value_column]
+        label_at = None if schema.label_column is None else column[schema.label_column]
+        width = len(header)
 
-        for i, row in enumerate(reader, start=2):
-            timestamps.append(_parse_timestamp(row[schema.timestamp_column], i))
-            cell = row[schema.value_column]
+        # Blank lines are skipped and not counted, as csv.DictReader does.
+        for i, row in enumerate(filter(None, reader), start=2):
+            if len(row) < width:
+                raise ValueError(f"row {i}: {len(row)} cells, the header has {width}")
+            timestamps.append(_parse_timestamp(row[ts_at], i))
+            cell = row[value_at]
             try:
                 values.append(float(cell))
-            except (TypeError, ValueError):
+            except ValueError:
                 raise ValueError(f"row {i}: non-numeric value cell {cell!r}") from None
-            if schema.label_column is not None:
-                raw = row[schema.label_column].strip()
+            if label_at is not None:
+                raw = row[label_at].strip()
                 if raw not in ("0", "1"):
                     raise ValueError(f"row {i}: label must be 0 or 1, got {raw!r}")
                 labels.append(raw == "1")

@@ -135,19 +135,45 @@ def init_network(
     return Network(layers, dense, dropout_rate)
 
 
-def _cell(a: np.ndarray, c_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Activate stacked pre-activations ``a`` (..., 4H) in place and advance
-    the cell: c = f * c_prev + i * g and h = o * tanh(c). Returns (h, c)."""
-    hsize = a.shape[-1] // 4
-    ifo = a[..., : 3 * hsize]
-    # sigmoid(x) = 0.5 * tanh(x / 2) + 0.5, so one tanh covers all four gates.
-    ifo *= 0.5
+def _halved(layer: LstmLayerParams) -> tuple[np.ndarray, ...]:
+    """Operands of :func:`_step` for one layer: ``[W | b]`` and the
+    transposed view of ``U``, their i, f, o rows halved, and the column
+    ``scale`` [0.5 (i, f, o) | 1 (g)] and ``shift`` [0.5 | -0.0].
+
+    Halving is exact, so the pre-activations come out as exactly half of the
+    unscaled ones, the argument sigmoid(x) = 0.5 * tanh(x / 2) + 0.5 needs.
+    Multiplying by 1 and adding -0.0 leave every g value, signed zeros
+    included, as tanh gave it. ``U`` stays a transposed view rather than a
+    contiguous copy, which keeps batch 1 on the same BLAS kernel as before.
+    """
+    hsize = layer.hidden_size
+    scale = np.ones(4 * hsize)
+    scale[: 3 * hsize] = 0.5
+    shift = np.full(4 * hsize, -0.0)
+    shift[: 3 * hsize] = 0.5
+    Wb = np.column_stack([layer.W, layer.b]) * scale[:, None]
+    return Wb, (layer.U * scale[:, None]).T, scale, shift
+
+
+def _step(a, c_prev, c, h, ig, scale, shift) -> None:
+    """Activate pre-activations ``a`` (..., 4H) in place, their i, f, o
+    columns already halved, and advance the cell into ``c`` and ``h``:
+    c = f * c_prev + i * g and h = o * tanh(c). ``ig`` is scratch shaped
+    like ``c``; ``scale`` and ``shift`` broadcast against ``a``.
+
+    sigmoid(x) = 0.5 * tanh(x / 2) + 0.5, so one tanh covers all four gates,
+    and one multiply and one add over all columns finish i, f and o.
+    """
     np.tanh(a, out=a)
-    ifo *= 0.5
-    ifo += 0.5
+    a *= scale
+    a += shift
+    hsize = c.shape[-1]
     i, f, o, g = (a[..., k * hsize : (k + 1) * hsize] for k in range(4))
-    c = f * c_prev + i * g
-    return o * np.tanh(c), c
+    np.multiply(f, c_prev, out=c)
+    np.multiply(i, g, out=ig)
+    c += ig
+    np.tanh(c, out=h)
+    h *= o
 
 
 def lstm_cell_step(
@@ -163,7 +189,11 @@ def lstm_cell_step(
     c_prev = np.asarray(c_prev, dtype=float)
     if x.shape[-1] != params.input_size or h_prev.shape[-1] != params.hidden_size:
         raise ValueError("input or hidden state shape does not match layer")
-    return _cell(x @ params.W.T + params.b + h_prev @ params.U.T, c_prev)
+    Wb, UT, scale, shift = _halved(params)
+    a = x @ Wb[:, :-1].T + Wb[:, -1] + h_prev @ UT
+    h, c, ig = (np.empty_like(c_prev) for _ in range(3))
+    _step(a, c_prev, c, h, ig, scale, shift)
+    return h, c
 
 
 @dataclass
@@ -210,23 +240,32 @@ def forward(
     top = len(network.lstm_layers) - 1
     for li, layer in enumerate(network.lstm_layers):
         hsize = layer.hidden_size
+        Wb, UT, scale, shift = _halved(layer)
         # One matmul for all steps, the bias riding on a constant-one input
         # column; np.dot because matmul takes a slow non-BLAS loop for one feature.
         flat = np.concatenate([seq.reshape(steps * batch, -1), np.ones((steps * batch, 1))], axis=1)
-        gates = np.dot(flat, np.column_stack([layer.W, layer.b]).T).reshape(steps, batch, -1)
-        h_s = np.empty((steps, batch, hsize)) if train or li < top else None
-        c_s = np.empty_like(h_s) if train else None
-        c = np.zeros((batch, hsize))
+        gates = np.dot(flat, Wb.T).reshape(steps, batch, -1)
+        # Infer mode keeps only the states the next layer reads; the rest
+        # cycle through two slots.
+        keep_h = train or li < top
+        h_s = np.empty((steps if keep_h else 2, batch, hsize))
+        c_s = np.empty((steps if train else 2, batch, hsize))
+        # Full (B, 4H) tiles: a same-shape multiply and add run about twice
+        # as fast as broadcasting one row.
+        rec, scale_tile, shift_tile = np.empty((3, batch, 4 * hsize))
+        scale_tile[:] = scale
+        shift_tile[:] = shift
+        c_prev = np.zeros((batch, hsize))
+        ig = np.empty_like(c_prev)
         for t in range(steps):
             if t:
-                gates[t] += h @ layer.U.T
-            h, c = _cell(gates[t], c)
-            if h_s is not None:
-                h_s[t] = h
-            if c_s is not None:
-                c_s[t] = c
+                np.dot(h_s[(t - 1) % len(h_s)], UT, out=rec)
+                gates[t] += rec
+            c, h = c_s[t % len(c_s)], h_s[t % len(h_s)]
+            _step(gates[t], c_prev, c, h, ig, scale_tile, shift_tile)
+            c_prev = c
 
-        if h_s is None:  # top layer in infer mode: the dense layer reads the last step only
+        if not keep_h:  # top layer in infer mode: the dense layer reads the last step only
             seq = h[None]
             break
         out = h_s

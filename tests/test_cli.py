@@ -171,6 +171,16 @@ class TestPipeline:
         assert err["error"] == {"kind": "runtime", "type": "UnsupportedModelFormat",
                                 "message": "unsupported model format version 99"}
 
+    def test_short_csv_row_is_runtime_error(self, tmp_path, config_doc, capsys):
+        data = tmp_path / "short.csv"
+        data.write_text("timestamp,value,label\n0,1.0,0\n1,2.0\n")
+        doc = {**config_doc, "dataset": {**config_doc["dataset"], "path": str(data)}}
+        cfg = write_config(tmp_path, doc, output_dir=str(tmp_path / "out"))
+        assert main(["train", "--config", cfg]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == {"kind": "runtime", "type": "ValueError",
+                                "message": "row 3: 2 cells, the header has 3"}
+
     def test_missing_detections_file_is_runtime_error(self, tmp_path, config_doc, capsys):
         cfg = write_config(tmp_path, config_doc)
         assert main(["evaluate", "--config", cfg, "--detections", "/nonexistent.csv"]) == 1

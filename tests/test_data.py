@@ -23,6 +23,7 @@ from evtdetect.data import (
     prepare,
     split_series,
 )
+from evtdetect.synthetic import make_spike_series, write_csv
 
 
 def series(values, labels=None):
@@ -77,6 +78,26 @@ class TestLoadSeries:
         p.write_text("t,v,l\n1,1.0,yes\n")
         with pytest.raises(ValueError, match="label must be 0 or 1"):
             load_series(p, CsvSchema("t", "v", "l"))
+
+    def test_row_without_label_cell(self, tmp_path):
+        p = tmp_path / "s.csv"
+        p.write_text("t,v,l\n1,1.0,0\n2,2.0\n")
+        with pytest.raises(ValueError, match=r"^row 3: 2 cells, the header has 3$"):
+            load_series(p, CsvSchema("t", "v", "l"))
+
+    def test_row_without_value_cell(self, tmp_path):
+        p = tmp_path / "s.csv"
+        p.write_text("t,v\n1,1.0\n2\n")
+        with pytest.raises(ValueError, match=r"^row 3: 1 cells, the header has 2$"):
+            load_series(p, CsvSchema("t", "v"))
+
+    def test_round_trip_through_write_csv(self, tmp_path):
+        source = make_spike_series(seed=4)
+        p = tmp_path / "s.csv"
+        write_csv(source, p)
+        loaded = load_series(p, CsvSchema("timestamp", "value", "label"))
+        for field in ("timestamps", "values", "labels"):
+            np.testing.assert_array_equal(getattr(loaded, field), getattr(source, field), strict=True)
 
 
 class TestNormalize:
