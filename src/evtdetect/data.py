@@ -179,7 +179,7 @@ def load_series(path: str | Path, schema: CsvSchema = CsvSchema()) -> LabeledSer
         # Blank lines are skipped and not counted, as csv.DictReader does.
         for i, row in enumerate(filter(None, reader), start=2):
             if len(row) < width:
-                raise ValueError(f"row {i}: {len(row)} cells, the header has {width}")
+                raise ValueError(f"row {i}: {len(row)} of {width} cells")
             timestamps.append(_parse_timestamp(row[ts_at], i))
             cell = row[value_at]
             try:

@@ -143,8 +143,9 @@ def _halved(layer: LstmLayerParams) -> tuple[np.ndarray, ...]:
     Halving is exact, so the pre-activations come out as exactly half of the
     unscaled ones, the argument sigmoid(x) = 0.5 * tanh(x / 2) + 0.5 needs.
     Multiplying by 1 and adding -0.0 leave every g value, signed zeros
-    included, as tanh gave it. ``U`` stays a transposed view rather than a
-    contiguous copy, which keeps batch 1 on the same BLAS kernel as before.
+    included, as tanh gave it. ``U`` stays a transposed view: with a
+    contiguous copy numpy sends a batch of one to another BLAS kernel, which
+    rounds differently.
     """
     hsize = layer.hidden_size
     scale = np.ones(4 * hsize)

@@ -179,7 +179,7 @@ class TestPipeline:
         assert main(["train", "--config", cfg]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == {"kind": "runtime", "type": "ValueError",
-                                "message": "row 3: 2 cells, the header has 3"}
+                                "message": "row 3: 2 of 3 cells"}
 
     def test_missing_detections_file_is_runtime_error(self, tmp_path, config_doc, capsys):
         cfg = write_config(tmp_path, config_doc)
