@@ -156,7 +156,15 @@ def _halved(layer: LstmLayerParams) -> tuple[np.ndarray, ...]:
     return Wb, (layer.U * scale[:, None]).T, scale, shift
 
 
-def _step(a, c_prev, c, h, ig, scale, shift) -> None:
+def _step(
+    a: np.ndarray,
+    c_prev: np.ndarray,
+    c: np.ndarray,
+    h: np.ndarray,
+    ig: np.ndarray,
+    scale: np.ndarray,
+    shift: np.ndarray,
+) -> None:
     """Activate pre-activations ``a`` (..., 4H) in place, their i, f, o
     columns already halved, and advance the cell into ``c`` and ``h``:
     c = f * c_prev + i * g and h = o * tanh(c). ``ig`` is scratch shaped
