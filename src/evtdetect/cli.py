@@ -49,6 +49,10 @@ class ConfigError(ValueError):
     """Invalid or incomplete run configuration."""
 
 
+class NoThresholdEstimate(ValueError):
+    """No threshold re-estimate of an evt training run succeeded."""
+
+
 @dataclass
 class RunConfig:
     """Validated settings for one CLI invocation."""
@@ -188,6 +192,15 @@ def cmd_train(config: RunConfig) -> int:
     start = time.perf_counter()
     model = trainers[config.objective](train, train_w, val_w)
     seconds = time.perf_counter() - start
+    if model.loss_kind == "evt":
+        updates = [r["threshold_update"] for r in model.history if "threshold_update" in r]
+        if all(u.get("retained_previous") for u in updates):
+            # The threshold is still its starting 0.0, which flags every point.
+            raise NoThresholdEstimate(
+                f"none of {len(updates)} threshold re-estimates in {len(model.history)} epochs "
+                f"succeeded (too few excesses above the {train.init_quantile} quantile of "
+                f"{len(train_w)} training errors, or risk too high); no model written"
+            )
 
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -176,8 +176,10 @@ def load_series(path: str | Path, schema: CsvSchema = CsvSchema()) -> LabeledSer
         label_at = None if schema.label_column is None else column[schema.label_column]
         width = len(header)
 
-        # Blank lines are skipped and not counted, as csv.DictReader does.
-        for i, row in enumerate(filter(None, reader), start=2):
+        # Blank lines are skipped; rows are numbered by the file's lines (the
+        # last line of a record with quoted line breaks), blank ones included.
+        for row in filter(None, reader):
+            i = reader.line_num
             if len(row) < width:
                 raise ValueError(f"row {i}: {len(row)} of {width} cells")
             timestamps.append(_parse_timestamp(row[ts_at], i))

@@ -124,14 +124,30 @@ class TestPipeline:
 
     def test_evt_lstm_train_and_detect(self, tmp_path, config_doc):
         out = tmp_path / "run2"
-        cfg = write_config(tmp_path, config_doc, output_dir=str(out), rule="evt-lstm")
+        # quantile 0.95 leaves the re-estimates enough excesses
+        doc = {**config_doc, "training": {**config_doc["training"], "init_quantile": 0.95}}
+        cfg = write_config(tmp_path, doc, output_dir=str(out), rule="evt-lstm")
         assert main(["train", "--config", cfg, "--objective", "evt"]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["threshold"] is not None
+        assert manifest["threshold"] > 0
         assert main(["detect", "--config", cfg, "--model", str(out / "model.npz")]) == 0
         summary = json.loads((out / "detection_summary.json").read_text())
         assert summary["rule"] == "evt-lstm"
         assert summary["params"]["threshold"] == manifest["threshold"]
+
+    def test_evt_training_without_a_threshold_estimate_fails(self, tmp_path, config_doc, capsys):
+        # About 1,430 training windows leave under 30 excesses above the 0.98
+        # quantile, so every re-estimate falls back and the threshold stays 0.0.
+        out = tmp_path / "run_no_tau"
+        training = {"epochs": 6, "threshold_update_period": 2}
+        doc = {**config_doc, "training": {**config_doc["training"], **training}}
+        cfg = write_config(tmp_path, doc, output_dir=str(out), rule="evt-lstm")
+        assert main(["train", "--config", cfg, "--objective", "evt"]) == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert (err["kind"], err["type"]) == ("runtime", "NoThresholdEstimate")
+        assert "none of 3 threshold re-estimates" in err["message"]
+        assert not (out / "model.npz").exists()
+        assert not (out / "manifest.json").exists()
 
     def test_detect_with_mse_model_under_evt_lstm_rule_fails(self, tmp_path, config_doc):
         out = tmp_path / "run3"

@@ -85,6 +85,12 @@ class TestLoadSeries:
         with pytest.raises(ValueError, match=r"^row 3: 2 of 3 cells$"):
             load_series(p, CsvSchema("t", "v", "l"))
 
+    def test_rows_are_numbered_by_line_past_blank_lines(self, tmp_path):
+        p = tmp_path / "s.csv"
+        p.write_text("t,v\n1,1.0\n\n\n2,abc\n")
+        with pytest.raises(ValueError, match=r"^row 5: non-numeric value cell 'abc'$"):
+            load_series(p, CsvSchema("t", "v"))
+
     def test_row_without_value_cell(self, tmp_path):
         p = tmp_path / "s.csv"
         p.write_text("t,v\n1,1.0\n2\n")

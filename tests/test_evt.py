@@ -1,4 +1,7 @@
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -207,6 +210,66 @@ class TestAndersonDarling:
         fit = evt.fit_gpd(sample)
         result = evt.anderson_darling(sample, fit, bootstrap_reps=200, seed=9)
         assert result.p_value < 0.001
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    @pytest.mark.parametrize("gamma, m, seed, reps", [
+        (0.1, 200, 3, 1),    # one rep, one worker
+        (-0.2, 100, 5, 3),   # fewer reps than CPUs
+        (0.4, 300, 7, 13),   # more reps than resamples in flight
+        (0.0, 150, 9, 17),
+    ])
+    def test_pool_matches_serial_loop(self, monkeypatch, cpus, gamma, m, seed, reps):
+        # The one-thread loop the pool replaced is the reference; the count is
+        # order-free, so statistic and p-value must be equal, not close. Four
+        # CPUs reported on a smaller machine give more workers than cores.
+        rng = np.random.default_rng(seed)
+        x = gpd_inverse_cdf_samples(rng, gamma, 1.0, m)
+        fit = evt.fit_gpd(x)
+        observed = evt._ad_statistic(x, fit.gamma, fit.sigma)
+        draws = np.random.default_rng(seed)
+        exceed = 0
+        for _ in range(reps):
+            resample = evt.sample_gpd(draws, fit.gamma, fit.sigma, m)
+            refit = evt.fit_gpd(resample)
+            if evt._ad_statistic(resample, refit.gamma, refit.sigma) >= observed:
+                exceed += 1
+
+        threads = set()
+        fit_gpd = evt.fit_gpd
+
+        def recording_fit_gpd(sample):
+            threads.add(threading.get_ident())
+            return fit_gpd(sample)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(evt, "fit_gpd", recording_fit_gpd)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            result = evt.anderson_darling(x, fit, bootstrap_reps=reps, seed=seed)
+        finally:
+            sys.setswitchinterval(interval)
+        assert (result.statistic, result.p_value) == (observed, exceed / reps)
+        assert result.bootstrap_reps == reps
+        assert threading.get_ident() not in threads
+        assert 1 <= len(threads) <= min(cpus, reps)
+
+    def test_failing_refit_surfaces(self, monkeypatch):
+        # A refit's exception is stored in its future and must be raised.
+        x = evt.sample_gpd(np.random.default_rng(4), 0.1, 1.0, 100)
+        fit = evt.fit_gpd(x)
+
+        def refuse(sample):
+            raise evt.SupportViolation("injected")
+
+        monkeypatch.setattr(evt, "fit_gpd", refuse)
+        with pytest.raises(evt.SupportViolation, match="injected"):
+            evt.anderson_darling(x, fit, bootstrap_reps=9, seed=0)
+
+    def test_non_positive_reps_rejected(self):
+        x = evt.sample_gpd(np.random.default_rng(4), 0.1, 1.0, 100)
+        with pytest.raises(ValueError, match="bootstrap_reps"):
+            evt.anderson_darling(x, evt.fit_gpd(x), bootstrap_reps=0)
 
     def test_too_few_excesses(self):
         fit = evt.GpdFit(gamma=0.0, sigma=1.0, threshold=0.0, total_count=2, peak_count=2)

@@ -115,6 +115,40 @@ def test_u_v_matches_direct_means():
     np.testing.assert_array_equal(v, 1.0 + np.mean(np.log(s), axis=1))
 
 
+@pytest.mark.parametrize("gamma, m", [(-0.4, 50), (0.0, 1000), (0.3, 1000), (0.8, 37)])
+def test_bisection_step_matches_one_row_u_v(gamma, m):
+    # The bisection's in-place step must give a one-row _u_v's w bit for bit,
+    # over both sides of the search and at odd sample sizes.
+    x = golden_sample(gamma, m, 6)
+    theta = np.concatenate([
+        -np.geomspace(1.0 - 1e-8, 1e-6, 200) / x.max(),
+        np.geomspace(1e-6, 1e4, 200) / x.mean(),
+    ])
+    s, r = np.empty_like(x), np.empty_like(x)
+    for t in theta:
+        u, v = evt._u_v(np.array([t]), x)
+        assert evt._w_at(float(t), x, s, r) == float(u[0] * v[0] - 1.0), t
+
+    # And the roots _bisect returns are those of bisecting on one-row _u_v calls.
+    def reference_bisect(lo, hi, w_lo):
+        while hi - lo > evt._BISECT_TOL:
+            mid = 0.5 * (lo + hi)
+            u, v = evt._u_v(np.array([mid]), x)
+            w_mid = float(u[0] * v[0] - 1.0)
+            if (w_mid < 0) == (w_lo < 0):
+                lo, w_lo = mid, w_mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    u, v = evt._u_v(theta, x)
+    w = u * v - 1.0
+    brackets = np.nonzero(np.signbit(w[:-1]) != np.signbit(w[1:]))[0]
+    for i in brackets:
+        args = float(theta[i]), float(theta[i + 1]), float(w[i])
+        assert evt._bisect(x, *args) == reference_bisect(*args)
+
+
 def test_search_work_per_fit(monkeypatch):
     """Rows of u, v evaluated and brackets refined per m = 1000 fit, on the
     three samples of the gpd-compliance benchmark workload at seed 1. Noise
