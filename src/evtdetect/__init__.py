@@ -57,9 +57,11 @@ from .losses import LossSpec, evt_loss, mse_loss, svdd_loss
 from .network import Network, forward, init_network, load_network, lstm_cell_step, save_network
 from .optim import AdamState, adam_step, init_adam_state
 from .training import (
+    NoThresholdEstimate,
     TrainConfig,
     TrainedModel,
     decision_scores,
+    require_threshold_estimate,
     train_evt_lstm,
     train_forecaster,
     train_svdd,

@@ -34,7 +34,14 @@ from .evaluation import (
 from .losses import LossSpec
 from .network import load_network, save_network
 from .presets import preset
-from .training import TrainConfig, run_manifest, train_evt_lstm, train_forecaster, train_svdd
+from .training import (
+    TrainConfig,
+    require_threshold_estimate,
+    run_manifest,
+    train_evt_lstm,
+    train_forecaster,
+    train_svdd,
+)
 
 OUTPUT_DIR_ENV = "EVTDETECT_OUTPUT_DIR"
 
@@ -47,10 +54,6 @@ RULES = ("gaussian", "tukey", "evt", "evt-lstm")
 
 class ConfigError(ValueError):
     """Invalid or incomplete run configuration."""
-
-
-class NoThresholdEstimate(ValueError):
-    """No threshold re-estimate of an evt training run succeeded."""
 
 
 @dataclass
@@ -192,15 +195,7 @@ def cmd_train(config: RunConfig) -> int:
     start = time.perf_counter()
     model = trainers[config.objective](train, train_w, val_w)
     seconds = time.perf_counter() - start
-    if model.loss_kind == "evt":
-        updates = [r["threshold_update"] for r in model.history if "threshold_update" in r]
-        if all(u.get("retained_previous") for u in updates):
-            # The threshold is still its starting 0.0, which flags every point.
-            raise NoThresholdEstimate(
-                f"none of {len(updates)} threshold re-estimates in {len(model.history)} epochs "
-                f"succeeded (too few excesses above the {train.init_quantile} quantile of "
-                f"{len(train_w)} training errors, or risk too high); no model written"
-            )
+    require_threshold_estimate(model, train, len(train_w))  # before anything is written
 
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -147,6 +147,13 @@ def _parse_timestamp(cell: str, row: int) -> float:
         raise ValueError(f"row {row}: cannot parse timestamp {cell!r}") from None
 
 
+def _noting_lines(rows, reader, lines: list[int]):
+    """Yield ``rows``, appending the reader's line number for each to ``lines``."""
+    for row in rows:
+        lines.append(reader.line_num)
+        yield row
+
+
 def load_series(path: str | Path, schema: CsvSchema = CsvSchema()) -> LabeledSeries:
     """Load a labeled series from a headered CSV file.
 
@@ -178,7 +185,11 @@ def load_series(path: str | Path, schema: CsvSchema = CsvSchema()) -> LabeledSer
 
         # Blank lines are skipped; rows are numbered by the file's lines (the
         # last line of a record with quoted line breaks), blank ones included.
-        for row in filter(None, reader):
+        rows = filter(None, reader)
+        lines: list[int] = []  # each sample's row, kept only for the gap check
+        if schema.sampling_period is not None:
+            rows = _noting_lines(rows, reader, lines)
+        for row in rows:
             i = reader.line_num
             if len(row) < width:
                 raise ValueError(f"row {i}: {len(row)} of {width} cells")
@@ -200,7 +211,7 @@ def load_series(path: str | Path, schema: CsvSchema = CsvSchema()) -> LabeledSer
         bad = np.nonzero(np.abs(gaps - schema.sampling_period) > 1e-9 * schema.sampling_period)[0]
         if bad.size:
             raise MissingSamples(
-                f"{path}: gap of {gaps[bad[0]]} at row {bad[0] + 2}, "
+                f"{path}: gap of {gaps[bad[0]]} at row {lines[bad[0]]}, "
                 f"expected sampling period {schema.sampling_period}"
             )
 

@@ -19,7 +19,14 @@ from .detectors import (
     tukey_threshold,
     with_threshold,
 )
-from .training import TrainConfig, decision_scores, train_evt_lstm, train_forecaster
+from .training import (
+    NoThresholdEstimate,
+    TrainConfig,
+    decision_scores,
+    require_threshold_estimate,
+    train_evt_lstm,
+    train_forecaster,
+)
 
 
 class LabelsRequired(ValueError):
@@ -170,13 +177,15 @@ def benchmark(series: LabeledSeries, config: BenchmarkConfig) -> dict:
     Gaussian rule) are reported with an ``error`` entry instead of metrics.
     The end-to-end model starts from the forecaster's weights and reuses the
     risk chosen for the evt rule, so the hybrid rules and the end-to-end model
-    share all settings.
+    share all settings; when none of its threshold re-estimates succeeded, its
+    row is an ``error`` entry too. The report keeps no training history, so
+    the forecaster is trained without its per-epoch training-set loss.
     """
     if series.labels is None:
         raise LabelsRequired("benchmark needs a labeled series")
 
     splits, windows, _ = prepare(series, config.split, config.look_back, config.look_ahead)
-    forecaster = train_forecaster(config.train, windows[0], windows[1])
+    forecaster = train_forecaster(config.train, windows[0], windows[1], record_train_loss=False)
     errs = tuple(prediction_errors(forecaster.network, w) for w in windows)
     labels = tuple(s.labels[e.indices] for s, e in zip(splits, errs))
 
@@ -199,6 +208,11 @@ def benchmark(series: LabeledSeries, config: BenchmarkConfig) -> dict:
     end_to_end = train_evt_lstm(
         replace(config.train, risk=evt_risk), windows[0], windows[1], network=forecaster.network.copy()
     )
+    try:
+        require_threshold_estimate(end_to_end, config.train, len(windows[0]))
+    except NoThresholdEstimate as exc:
+        report["rules"]["evt_lstm"] = {"error": str(exc)}
+        return report
     report["rules"]["evt_lstm"] = {
         "params": {"risk": evt_risk, "threshold": end_to_end.threshold},
         **_metrics_row(decision_scores(end_to_end, windows[2]), labels[2]),

@@ -25,6 +25,10 @@ from .optim import adam_step, clip_global_norm, init_adam_state
 MAX_GRAD_NORM = 5.0
 
 
+class NoThresholdEstimate(ValueError):
+    """No threshold re-estimate of an evt training run succeeded."""
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Knobs for one training run. Defaults follow the shipped presets."""
@@ -115,6 +119,7 @@ def _train_epochs(
     rng: np.random.Generator,
     after_epoch=None,
     restore_best: bool = False,
+    record_train_loss: bool = True,
 ) -> tuple[list[dict], LossSpec]:
     """The epoch loop shared by every objective: one Adam pass over shuffled
     minibatches, the train and validation losses, one history record, and
@@ -123,7 +128,9 @@ def _train_epochs(
     ``after_epoch(record, train_preds, spec)`` adds the objective's fields to
     the epoch's record and returns the spec for the next epoch and whether to
     stop now. With ``restore_best`` the weights of the best validation epoch
-    are restored at the end. Returns the history and the final spec.
+    are restored at the end. Without ``record_train_loss`` the training set
+    is not predicted, the records hold only ``epoch`` and ``val_loss``, and
+    ``after_epoch`` must be None. Returns the history and the final spec.
     """
     params = network.parameters()
     state = init_adam_state(params)
@@ -133,11 +140,13 @@ def _train_epochs(
     stale = 0
     for epoch in range(1, config.epochs + 1):
         _sgd_epoch(network, params, state, train, spec, config, rng)
-        preds = predict(network, train.inputs)
         weights = network.weight_matrices()
-        train_loss = batch_loss(preds, train.targets, spec, weights)
+        record = {"epoch": epoch}
+        if record_train_loss:
+            preds = predict(network, train.inputs)
+            record["train_loss"] = batch_loss(preds, train.targets, spec, weights)
         val_loss = batch_loss(predict(network, val.inputs), val.targets, spec, weights)
-        record = {"epoch": epoch, "train_loss": train_loss, "val_loss": val_loss}
+        record["val_loss"] = val_loss
         stop = False
         if after_epoch is not None:
             spec, stop = after_epoch(record, preds, spec)
@@ -163,11 +172,19 @@ def train_forecaster(
     train: WindowedDataset,
     val: WindowedDataset,
     network: Network | None = None,
+    *,
+    record_train_loss: bool = True,
 ) -> TrainedModel:
     """Minimize MSE with Adam; early-stop on validation MSE and keep the best
-    weights seen. Deterministic for a fixed seed."""
+    weights seen. Deterministic for a fixed seed.
+
+    Each epoch predicts the validation windows for early stopping. With
+    ``record_train_loss`` (the default) it also predicts the training windows
+    and records their loss as ``train_loss``; prediction draws no random
+    numbers, so the weights are the same either way."""
     network, rng = _start(config, train, val, network)
-    history, _ = _train_epochs(network, LossSpec("mse"), config, train, val, rng, restore_best=True)
+    history, _ = _train_epochs(network, LossSpec("mse"), config, train, val, rng,
+                               restore_best=True, record_train_loss=record_train_loss)
     return TrainedModel(network=network, loss_kind="mse", history=history)
 
 
@@ -274,6 +291,21 @@ def train_svdd(
         initial_mean_abs_prediction=float(np.mean(np.abs(initial_preds))),
         center=spec.center,
     )
+
+
+def require_threshold_estimate(model: TrainedModel, config: TrainConfig, train_size: int) -> None:
+    """Raise NoThresholdEstimate for an evt model none of whose threshold
+    re-estimates succeeded: its threshold is still the starting 0.0, which
+    flags every point. ``train_size`` is the number of training windows."""
+    if model.loss_kind != "evt":
+        return
+    updates = [r["threshold_update"] for r in model.history if "threshold_update" in r]
+    if all(u.get("retained_previous") for u in updates):
+        raise NoThresholdEstimate(
+            f"none of {len(updates)} threshold re-estimates in {len(model.history)} epochs "
+            f"succeeded (too few excesses above the {config.init_quantile} quantile of "
+            f"{train_size} training errors, or risk too high)"
+        )
 
 
 def decision_scores(model: TrainedModel, data: WindowedDataset) -> DetectionResult:

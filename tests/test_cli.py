@@ -109,6 +109,7 @@ class TestPipeline:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["objective"] == "mse"
         assert len(manifest["history"]) >= 1
+        assert all(isinstance(r["train_loss"], float) for r in manifest["history"])
 
         assert main(["detect", "--config", cfg, "--model", str(out / "model.npz")]) == 0
         detections = (out / "detections.csv").read_text().strip().splitlines()

@@ -70,8 +70,15 @@ class TestLoadSeries:
     def test_sampling_period_gap(self, tmp_path):
         p = tmp_path / "s.csv"
         p.write_text("t,v\n0,1.0\n1,1.0\n3,1.0\n")
-        with pytest.raises(MissingSamples):
+        with pytest.raises(MissingSamples, match=r"gap of 2.0 at row 3,"):
             load_series(p, CsvSchema("t", "v", sampling_period=1.0))
+
+    def test_gap_row_is_numbered_by_line_past_blank_lines(self, tmp_path):
+        # the row named is the sample before the gap, line 4 of the file
+        p = tmp_path / "s.csv"
+        p.write_text("t,v\n0,1\n\n1,1\n3,1\n")
+        with pytest.raises(MissingSamples, match=r"gap of 2.0 at row 4,"):
+            load_series(p, CsvSchema("t", "v", sampling_period=1))
 
     def test_bad_label_encoding(self, tmp_path):
         p = tmp_path / "s.csv"

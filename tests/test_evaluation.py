@@ -1,8 +1,11 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from evtdetect import evaluation
-from evtdetect.data import LabeledSeries, SplitSpec
+from evtdetect.data import LabeledSeries, SplitSpec, prepare
 from evtdetect.evaluation import (
     BenchmarkConfig,
     ConfusionCounts,
@@ -14,6 +17,7 @@ from evtdetect.evaluation import (
 )
 from evtdetect.synthetic import make_spike_series
 from evtdetect.training import TrainConfig
+from infer_counting import count_infer_windows
 
 
 class TestConfusion:
@@ -83,10 +87,14 @@ class TestMetrics:
                 )
 
 
+def small_spike_series():
+    return make_spike_series(length=1800, period=30.0, val_spikes=3, test_spikes=5,
+                             margin=15, min_separation=8, seed=2)
+
+
 @pytest.fixture(scope="module")
 def tiny_benchmark():
-    series = make_spike_series(length=1800, period=30.0, val_spikes=3, test_spikes=5,
-                               margin=15, min_separation=8, seed=2)
+    series = small_spike_series()
     config = BenchmarkConfig(
         split=SplitSpec(0.8, 0.1, 0.1),
         look_back=10,
@@ -140,3 +148,61 @@ class TestBenchmark:
         short = TrainConfig(hidden_sizes=(4,), epochs=1, threshold_update_period=1, seed=0)
         with pytest.raises(ValueError, match="injected bug"):
             benchmark(series, BenchmarkConfig(split=config.split, look_back=10, train=short))
+
+
+# sha256 of json.dumps(report, sort_keys=True) for the configuration below,
+# recorded before the forecaster stopped predicting its training set each
+# epoch (the same at 1 and 2 BLAS threads).
+COUNTED_REPORT_SHA256 = "395bd47abc9a30511bc1a97bc40e1fee4be2533df7160246581e3aef7a583e69"
+
+
+@pytest.fixture(scope="module")
+def counted_benchmark():
+    series = small_spike_series()
+    config = BenchmarkConfig(
+        split=SplitSpec(0.8, 0.1, 0.1), look_back=10, look_ahead=1,
+        train=TrainConfig(hidden_sizes=(8,), epochs=4, threshold_update_period=2,
+                          learning_rate=5e-3, dropout_rate=0.1, weight_decay=1e-4,
+                          init_quantile=0.95, patience=4, convergence_tol=1e-12, seed=0),
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        counted = count_infer_windows(mp)
+        report = benchmark(series, config)
+    _, windows, _ = prepare(series, config.split, config.look_back, config.look_ahead)
+    return report, counted, [len(w) for w in windows]
+
+
+def test_benchmark_forecaster_predicts_only_its_validation_windows(counted_benchmark):
+    # Patience and tolerance let every one of the 4 epochs run. Per epoch the
+    # forecaster predicts its validation windows and the end-to-end model its
+    # train and validation windows; then come the forecaster's errors on the
+    # three splits and the end-to-end model's test decisions.
+    report, counted, (n_train, n_val, n_test) = counted_benchmark
+    assert "metrics" in report["rules"]["evt_lstm"]
+    forecaster = 4 * n_val
+    errors = n_train + n_val + n_test
+    end_to_end = 4 * (n_train + n_val)
+    assert sum(counted) == forecaster + errors + end_to_end + n_test
+
+
+def test_benchmark_report_unchanged_without_the_training_set_pass(counted_benchmark):
+    report, _, _ = counted_benchmark
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    assert digest == COUNTED_REPORT_SHA256
+
+
+def test_evt_lstm_without_a_threshold_estimate_is_an_error_row():
+    # About 1,430 training windows leave under 30 excesses above the 0.98
+    # quantile, so every re-estimate falls back and τ stays 0.0, which would
+    # flag every test point.
+    config = BenchmarkConfig(
+        split=SplitSpec(0.8, 0.1, 0.1), look_back=10, look_ahead=1,
+        train=TrainConfig(hidden_sizes=(8,), epochs=6, threshold_update_period=2,
+                          learning_rate=5e-3, dropout_rate=0.0, weight_decay=1e-4,
+                          patience=10, seed=0),
+    )
+    report = benchmark(small_spike_series(), config)
+    row = report["rules"]["evt_lstm"]
+    assert set(row) == {"error"}
+    assert row["error"].startswith("none of 3 threshold re-estimates in 6 epochs succeeded")
+    assert "evt_lstm   calibration failed: none of 3" in format_report(report)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from evtdetect import detectors, evt, network, training
+from evtdetect import evt, network, training
 from evtdetect.data import LabeledSeries, make_windows
 from evtdetect.detectors import prediction_errors
 from evtdetect.losses import LossSpec, evt_loss
@@ -14,6 +14,7 @@ from evtdetect.training import (
     train_forecaster,
     train_svdd,
 )
+from infer_counting import count_infer_windows
 
 
 def windows_from(values, look_back=4, look_ahead=1):
@@ -54,6 +55,23 @@ class TestForecaster:
         b = train_forecaster(cfg, train, val)
         assert a.history == b.history
         for pa, pb in zip(a.network.parameters(), b.network.parameters()):
+            np.testing.assert_array_equal(pa, pb)
+
+    def test_history_records_train_loss_by_default(self, sine_windows):
+        train, val = sine_windows
+        model = train_forecaster(TrainConfig(epochs=4, threshold_update_period=2, **SMALL), train, val)
+        assert [sorted(r) for r in model.history] == [["epoch", "train_loss", "val_loss"]] * 4
+
+    def test_without_train_loss_skips_the_training_set_pass(self, monkeypatch, sine_windows):
+        # prediction draws no random numbers: the weights and val losses match
+        train, val = sine_windows
+        cfg = TrainConfig(epochs=4, threshold_update_period=2, **SMALL)
+        full = train_forecaster(cfg, train, val)
+        counted = count_infer_windows(monkeypatch)
+        lean = train_forecaster(cfg, train, val, record_train_loss=False)
+        assert sum(counted) == 4 * len(val)
+        assert lean.history == [{"epoch": r["epoch"], "val_loss": r["val_loss"]} for r in full.history]
+        for pa, pb in zip(full.network.parameters(), lean.network.parameters()):
             np.testing.assert_array_equal(pa, pb)
 
     def test_empty_dataset_rejected(self, sine_windows):
@@ -107,23 +125,6 @@ def test_last_update_matches_final_network(trained, sine_windows):
     info = model.history[-1]["threshold_update"]
     errors = prediction_errors(model.network, sine_windows[0]).errors
     assert info["initial_threshold"] == evt.initial_threshold(errors, cfg.init_quantile)
-
-
-def count_infer_windows(monkeypatch) -> list[int]:
-    """Patch ``forward`` wherever the package holds it; the returned list
-    collects the window count of every infer-mode call."""
-    counted: list[int] = []
-    original = network.forward
-
-    def counting_forward(net, windows, train=False, rng=None):
-        if not train:
-            counted.append(len(windows))
-        return original(net, windows, train=train, rng=rng)
-
-    for module in (network, detectors, training):
-        if getattr(module, "forward", None) is original:
-            monkeypatch.setattr(module, "forward", counting_forward)
-    return counted
 
 
 def test_threshold_update_reuses_epoch_predictions(monkeypatch, sine_windows):
