@@ -9,19 +9,26 @@ are written atomically (temp file plus rename). Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
-import tempfile
 import time
+import zipfile
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import evt
-from .data import CsvSchema, load_series, prepare
-from .detectors import detect, prediction_errors, threshold_decisions
+from .data import CsvSchema, WindowedDataset, atomic_write_bytes, load_series, prepare
+from .detectors import (
+    PredictionErrors,
+    detect,
+    first_horizon_errors,
+    prediction_errors,
+    threshold_decisions,
+)
 from .evaluation import (
     BenchmarkConfig,
     LabelsRequired,
@@ -50,6 +57,10 @@ EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 
 RULES = ("gaussian", "tukey", "evt", "evt-lstm")
+
+# Written by ``train`` next to model.npz: the model's errors on the training
+# and validation windows, so that ``detect`` predicts only the test split.
+ERRORS_FILE = "errors.npz"
 
 
 class ConfigError(ValueError):
@@ -166,16 +177,7 @@ def load_config(path: str | None, overrides: list[str]) -> RunConfig:
 
 
 def atomic_write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def atomic_write_json(path: Path, payload: dict) -> None:
@@ -186,6 +188,49 @@ def _prepared_splits(config: RunConfig):
     series = load_series(config.require_dataset(), config.schema)
     p = config.pipeline
     return (series, *prepare(series, p.split, p.look_back, p.look_ahead))
+
+
+def _errors_key(model_bytes: bytes, train: WindowedDataset, val: WindowedDataset) -> str:
+    """sha256 over a model file's bytes and the shape and bytes of each
+    training and validation window's inputs and targets."""
+    import hashlib  # here, not at module import, where it adds about 4 ms to every command
+
+    digest = hashlib.sha256(model_bytes)
+    for array in (train.inputs, train.targets, val.inputs, val.targets):
+        digest.update(repr(array.shape).encode())
+        digest.update(np.ascontiguousarray(array))
+    return digest.hexdigest()
+
+
+def _write_errors(path: Path, model_bytes: bytes, train: WindowedDataset, val: WindowedDataset,
+                  predictions: tuple[np.ndarray, np.ndarray]) -> None:
+    """Save the first-horizon errors of the training and validation windows
+    under the key that ties them to one model file and those windows."""
+    buf = io.BytesIO()
+    np.savez(
+        buf,
+        key=np.array(_errors_key(model_bytes, train, val)),
+        train=first_horizon_errors(predictions[0], train).errors,
+        val=first_horizon_errors(predictions[1], val).errors,
+    )
+    atomic_write_bytes(path, buf.getvalue())
+
+
+def _calibration_errors(network, model_bytes: bytes, errors_path: Path,
+                        train: WindowedDataset, val: WindowedDataset) -> tuple[PredictionErrors, ...]:
+    """The network's errors on the training and validation windows: read
+    from ``errors_path`` when its key matches, otherwise predicted. A missing,
+    unreadable or stale file only costs the prediction."""
+    key = _errors_key(model_bytes, train, val)
+    try:
+        # NpzFile, not np.load, which returns a bare array for .npy content
+        with open(errors_path, "rb") as fh, np.lib.npyio.NpzFile(fh) as saved:
+            cached = (saved["train"], saved["val"]) if str(saved["key"]) == key else None
+    except (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile):
+        cached = None
+    if cached is None:
+        return tuple(prediction_errors(network, w) for w in (train, val))
+    return tuple(PredictionErrors(e, w.target_indices) for e, w in zip(cached, (train, val)))
 
 
 def cmd_train(config: RunConfig) -> int:
@@ -204,6 +249,9 @@ def cmd_train(config: RunConfig) -> int:
         spec = LossSpec(model.loss_kind, weight_decay=train.weight_decay,
                         center=model.center, threshold=model.threshold)
     save_network(out / "model.npz", model.network, spec)
+    if model.predictions is not None:
+        model_bytes = (out / "model.npz").read_bytes()
+        _write_errors(out / ERRORS_FILE, model_bytes, train_w, val_w, model.predictions)
     manifest = run_manifest(model, train, wall_clock_seconds=round(seconds, 3))
     manifest["objective"] = config.objective
     atomic_write_json(out / "manifest.json", manifest)
@@ -216,7 +264,8 @@ def cmd_train(config: RunConfig) -> int:
 def _calibrated_detection(config: RunConfig, model_path: str):
     """Calibrate the selected rule and run detection on the test split."""
     series, splits, windows, offsets = _prepared_splits(config)
-    network, loss_spec = load_network(model_path)
+    model_bytes = Path(model_path).read_bytes()
+    network, loss_spec = load_network(io.BytesIO(model_bytes))
     if config.rule == "evt-lstm":  # the model file carries its own detection threshold
         if loss_spec is None or loss_spec.get("threshold") is None:
             raise ConfigError("model file has no detection threshold (evt or svdd objective)")
@@ -224,7 +273,9 @@ def _calibrated_detection(config: RunConfig, model_path: str):
         det = threshold_decisions(test_errs, loss_spec["threshold"])
         return series, test_errs, det, {"threshold": loss_spec["threshold"]}, offsets[2]
 
-    errs = tuple(prediction_errors(network, w) for w in windows)
+    errors_path = Path(model_path).with_name(ERRORS_FILE)
+    errs = (*_calibration_errors(network, model_bytes, errors_path, windows[0], windows[1]),
+            prediction_errors(network, windows[2]))
     labels = None if series.labels is None else tuple(s.labels[e.indices] for s, e in zip(splits, errs))
     p = config.pipeline
     try:
@@ -257,23 +308,44 @@ def cmd_detect(config: RunConfig, model_path: str) -> int:
     return EXIT_OK
 
 
+def _read_detections(path: str, series_length: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``index`` and ``flag`` columns of a detections.csv. Raises
+    ValueError naming the line for a missing column, a short row, an index
+    that is not a point of the series, or a flag other than 0 or 1."""
+    indices: list[int] = []
+    flags: list[bool] = []
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().strip().split(",")
+        for name in ("index", "flag"):
+            if name not in header:
+                raise ValueError(f"{path}, line 1: no {name!r} column in the header")
+        index_col, flag_col = header.index("index"), header.index("flag")
+        for lineno, line in enumerate(fh, start=2):
+            cells = line.strip().split(",")
+            if cells == [""]:
+                continue
+            if len(cells) < len(header):
+                raise ValueError(f"{path}, line {lineno}: {len(cells)} of {len(header)} cells")
+            try:
+                index = int(cells[index_col])
+            except ValueError:
+                index = -1
+            if not 0 <= index < series_length:
+                raise ValueError(f"{path}, line {lineno}: index {cells[index_col]!r} is not a point "
+                                 f"of the {series_length}-point series")
+            if cells[flag_col] not in ("0", "1"):
+                raise ValueError(f"{path}, line {lineno}: flag {cells[flag_col]!r} is not 0 or 1")
+            indices.append(index)
+            flags.append(cells[flag_col] == "1")
+    return np.asarray(indices, dtype=int), np.asarray(flags, dtype=bool)
+
+
 def cmd_evaluate(config: RunConfig, detections_path: str) -> int:
     series = load_series(config.require_dataset(), config.schema)
     if series.labels is None:
         raise ConfigError("evaluate needs a dataset with a label column")
-    indices: list[int] = []
-    flags: list[bool] = []
-    with open(detections_path, encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        col = {name: pos for pos, name in enumerate(header)}
-        for line in fh:
-            cells = line.strip().split(",")
-            if not cells or cells == [""]:
-                continue
-            indices.append(int(cells[col["index"]]))
-            flags.append(cells[col["flag"]] == "1")
-    labels = series.labels[np.asarray(indices, dtype=int)]
-    metrics = compute_metrics(confusion(np.asarray(flags), labels))
+    indices, flags = _read_detections(detections_path, len(series))
+    metrics = compute_metrics(confusion(flags, series.labels[indices]))
 
     out = Path(config.output_dir)
     report = {
@@ -298,10 +370,14 @@ def cmd_evaluate(config: RunConfig, detections_path: str) -> int:
 def cmd_fit_gpd(input_path: str, level: float, risk: float) -> int:
     values = []
     with open(input_path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if line:
+            if not line:
+                continue
+            try:
                 values.append(float(line))
+            except ValueError:
+                raise ValueError(f"{input_path}, line {lineno}: {line!r} is not a number") from None
     fit = evt.fit_tail(np.asarray(values), level=level)
     result = {
         "gamma": fit.gamma,

@@ -3,11 +3,13 @@
 All operations are pure functions over immutable inputs. A series enters as a
 CSV file with a header row and configurable column names, becomes a
 :class:`LabeledSeries`, and leaves as a :class:`WindowedDataset` ready for
-supervised forecasting.
+supervised forecasting. :func:`atomic_write_bytes` is the one way the
+package writes a file.
 """
 from __future__ import annotations
 
 import csv
+import os
 import warnings
 from dataclasses import dataclass
 from datetime import datetime
@@ -134,6 +136,26 @@ class CsvSchema:
     value_column: str = "value"
     label_column: str | None = None
     sampling_period: float | None = None
+
+
+def atomic_write_bytes(path: str | Path, payload: bytes) -> None:
+    """Write ``payload`` to ``path`` through a temp file in the same directory
+    and a rename, so ``path`` holds either its previous bytes or all of the
+    new ones, and a failed write leaves no temp file behind. The file gets
+    the mode ``open(path, "w")`` would give it."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}")
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    fd = os.open(tmp, flags, 0o666)  # the umask applies
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def _parse_timestamp(cell: str, row: int) -> float:

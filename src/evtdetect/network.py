@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import atomic_write_bytes
+
 SERIAL_FORMAT_VERSION = 2
 GATES = "ifog"  # row-block order of the stacked W, U and b
 
@@ -392,7 +394,8 @@ def backward(
 
 
 def save_network(path, network: Network, loss_spec=None) -> None:
-    """Serialize a network (and optionally its training loss spec) to .npz.
+    """Serialize a network (and optionally its training loss spec) to .npz,
+    written atomically.
 
     The format is versioned and round-trips bit-exactly; all matrices are
     stored row-major.
@@ -414,8 +417,7 @@ def save_network(path, network: Network, loss_spec=None) -> None:
     arrays["meta"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
     buf = io.BytesIO()
     np.savez(buf, **arrays)
-    with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+    atomic_write_bytes(path, buf.getvalue())
 
 
 def load_network(path):

@@ -64,7 +64,11 @@ class TrainConfig:
 @dataclass
 class TrainedModel:
     """A trained network with its loss kind, per-epoch history, the final
-    detection threshold (evt, and svdd's closing one) and the svdd center."""
+    detection threshold (evt, and svdd's closing one) and the svdd center.
+
+    ``predictions`` holds the (train, validation) predictions that training
+    made with the weights left in ``network``, or None when it made none:
+    without the training-set pass, or when no epoch's weights were kept."""
 
     network: Network
     loss_kind: str
@@ -72,6 +76,7 @@ class TrainedModel:
     history: list[dict] = field(default_factory=list)
     initial_mean_abs_prediction: float | None = None
     center: np.ndarray | None = None
+    predictions: tuple[np.ndarray, np.ndarray] | None = None
 
 
 def _sgd_epoch(
@@ -120,7 +125,7 @@ def _train_epochs(
     after_epoch=None,
     restore_best: bool = False,
     record_train_loss: bool = True,
-) -> tuple[list[dict], LossSpec]:
+) -> tuple[list[dict], LossSpec, tuple[np.ndarray, np.ndarray] | None]:
     """The epoch loop shared by every objective: one Adam pass over shuffled
     minibatches, the train and validation losses, one history record, and
     early stopping once validation loss goes stale for ``patience`` epochs.
@@ -130,23 +135,32 @@ def _train_epochs(
     stop now. With ``restore_best`` the weights of the best validation epoch
     are restored at the end. Without ``record_train_loss`` the training set
     is not predicted, the records hold only ``epoch`` and ``val_loss``, and
-    ``after_epoch`` must be None. Returns the history and the final spec.
+    ``after_epoch`` must be None. Returns the history, the final spec, and
+    the (train, validation) predictions of the weights left in ``network``:
+    the last epoch's, or the restored epoch's, and None without the training
+    pass or when ``restore_best`` kept no epoch (every ``val_loss`` NaN).
     """
     params = network.parameters()
     state = init_adam_state(params)
     history: list[dict] = []
     best_val = np.inf
     best_params = [p.copy() for p in params] if restore_best else None
+    kept = None
     stale = 0
     for epoch in range(1, config.epochs + 1):
         _sgd_epoch(network, params, state, train, spec, config, rng)
         weights = network.weight_matrices()
         record = {"epoch": epoch}
+        preds = None
         if record_train_loss:
             preds = predict(network, train.inputs)
             record["train_loss"] = batch_loss(preds, train.targets, spec, weights)
-        val_loss = batch_loss(predict(network, val.inputs), val.targets, spec, weights)
+        val_preds = predict(network, val.inputs)
+        val_loss = batch_loss(val_preds, val.targets, spec, weights)
         record["val_loss"] = val_loss
+        epoch_preds = None if preds is None else (preds, val_preds)
+        if not restore_best:
+            kept = epoch_preds
         stop = False
         if after_epoch is not None:
             spec, stop = after_epoch(record, preds, spec)
@@ -156,6 +170,7 @@ def _train_epochs(
             stale = 0
             if restore_best:
                 best_params = [p.copy() for p in params]
+                kept = epoch_preds
         else:
             stale += 1
             stop = stop or stale >= config.patience
@@ -164,7 +179,7 @@ def _train_epochs(
     if restore_best:
         for p, b in zip(params, best_params):
             p[...] = b
-    return history, spec
+    return history, spec, kept
 
 
 def train_forecaster(
@@ -183,9 +198,9 @@ def train_forecaster(
     and records their loss as ``train_loss``; prediction draws no random
     numbers, so the weights are the same either way."""
     network, rng = _start(config, train, val, network)
-    history, _ = _train_epochs(network, LossSpec("mse"), config, train, val, rng,
-                               restore_best=True, record_train_loss=record_train_loss)
-    return TrainedModel(network=network, loss_kind="mse", history=history)
+    history, _, predictions = _train_epochs(network, LossSpec("mse"), config, train, val, rng,
+                                            restore_best=True, record_train_loss=record_train_loss)
+    return TrainedModel(network=network, loss_kind="mse", history=history, predictions=predictions)
 
 
 def _update_threshold(errors: np.ndarray, config: TrainConfig, previous: float) -> tuple[float, dict]:
@@ -247,12 +262,13 @@ def train_evt_lstm(
         return spec, flat_epochs >= config.convergence_patience
 
     spec = LossSpec("evt", weight_decay=config.weight_decay, threshold=0.0)
-    history, spec = _train_epochs(network, spec, config, train, val, rng, after_epoch)
+    history, spec, predictions = _train_epochs(network, spec, config, train, val, rng, after_epoch)
     return TrainedModel(
         network=network,
         loss_kind="evt",
         threshold=spec.threshold,
         history=history,
+        predictions=predictions,
     )
 
 
@@ -271,17 +287,13 @@ def train_svdd(
     network, rng = _start(config, train, val, network)
     initial_preds = predict(network, train.inputs)
     spec = LossSpec("svdd", weight_decay=config.weight_decay, center=initial_preds.mean(axis=0))
-    last_preds = None
 
     def after_epoch(record, preds, spec):
-        nonlocal last_preds
-        last_preds = preds
         record["mean_abs_prediction"] = float(np.mean(np.abs(preds)))
         return spec, False
 
-    # No weights are restored, so the last epoch's predictions are the final network's.
-    history, _ = _train_epochs(network, spec, config, train, val, rng, after_epoch)
-    errors = first_horizon_errors(last_preds, train).errors
+    history, _, predictions = _train_epochs(network, spec, config, train, val, rng, after_epoch)
+    errors = first_horizon_errors(predictions[0], train).errors
     threshold, _ = _update_threshold(errors, config, previous=np.nan)
     return TrainedModel(
         network=network,
@@ -290,6 +302,7 @@ def train_svdd(
         history=history,
         initial_mean_abs_prediction=float(np.mean(np.abs(initial_preds))),
         center=spec.center,
+        predictions=predictions,
     )
 
 

@@ -1,11 +1,16 @@
 import json
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from evtdetect.cli import main, parse_config
-from evtdetect.data import SplitSpec
+from evtdetect.cli import load_config, main, parse_config
+from evtdetect.data import SplitSpec, load_series, prepare
+from evtdetect.detectors import prediction_errors
+from evtdetect.network import load_network
 from evtdetect.synthetic import make_spike_series, write_csv
+from infer_counting import count_infer_windows
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +58,13 @@ class TestFitGpd:
             out["peak_count"] / (1e-3 * out["total_count"])
         )
         assert out["detection_threshold"] == pytest.approx(expected, rel=0.05)
+
+    def test_non_numeric_line_is_named(self, tmp_path, capsys):
+        values = tmp_path / "values.txt"
+        values.write_text("1.5\n\n2.5\nabc\n")
+        assert main(["fit-gpd", "--input", str(values)]) == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["message"] == f"{values}, line 4: 'abc' is not a number"
 
 
 class TestConfigHandling:
@@ -148,6 +160,7 @@ class TestPipeline:
         assert (err["kind"], err["type"]) == ("runtime", "NoThresholdEstimate")
         assert "none of 3 threshold re-estimates" in err["message"]
         assert not (out / "model.npz").exists()
+        assert not (out / "errors.npz").exists()
         assert not (out / "manifest.json").exists()
 
     def test_detect_with_mse_model_under_evt_lstm_rule_fails(self, tmp_path, config_doc):
@@ -241,6 +254,155 @@ class TestPipeline:
             assert summary["params"] == rows[rule]["params"]
             for key in ("tp", "fp", "fn", "tn"):
                 assert metrics[key] == rows[rule]["metrics"][key], (rule, key)
+
+
+class TestEvaluateInput:
+    @pytest.mark.parametrize("text, message", [
+        ("timestamp,error,flag\n0,0.1,0\n", "line 1: no 'index' column in the header"),
+        ("index,timestamp,error,score,flag\n1795,1.0,0.1,0.1,0\n1800,1.0,0.1,0.1,1\n",
+         "line 3: index '1800' is not a point of the 1800-point series"),
+        ("index,timestamp,error,score,flag\n-5,1.0,0.1,0.1,1\n",
+         "line 2: index '-5' is not a point of the 1800-point series"),
+        ("index,timestamp,error,score,flag\n\n1795,1.0,0.1,0.1,yes\n",
+         "line 3: flag 'yes' is not 0 or 1"),
+        ("index,timestamp,error,score,flag\n1795,1.0,0.1\n", "line 2: 3 of 5 cells"),
+    ], ids=["no-index-column", "index-past-the-series", "negative-index", "bad-flag", "short-row"])
+    def test_bad_detections_exit_1_without_metrics(self, tmp_path, config_doc, capsys, text, message):
+        detections = tmp_path / "detections.csv"
+        detections.write_text(text)
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, config_doc, output_dir=str(out))
+        assert main(["evaluate", "--config", cfg, "--detections", str(detections)]) == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert (err["kind"], err["type"]) == ("runtime", "ValueError")
+        assert err["message"] == f"{detections}, {message}"
+        assert not (out / "metrics.json").exists()
+
+
+def _detect_outputs(cfg, model, rule, out, extra=()):
+    assert main(["detect", "--config", cfg, "--model", str(model), "--rule", rule,
+                 "--output-dir", str(out), *extra]) == 0
+    return (out / "detections.csv").read_bytes(), (out / "detection_summary.json").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def evt_models(tmp_path_factory, config_doc):
+    """Two evt models (seeds 0 and 1), each trained into its own directory
+    next to its errors.npz."""
+    root = tmp_path_factory.mktemp("evt_models")
+    # quantile 0.95 leaves the re-estimates enough excesses
+    doc = {**config_doc, "training": {**config_doc["training"], "init_quantile": 0.95}}
+    cfg = write_config(root, doc)
+    dirs = []
+    for seed in (0, 1):
+        out = root / f"seed{seed}"
+        assert main(["train", "--config", cfg, "--objective", "evt", "--seed", str(seed),
+                     "--output-dir", str(out)]) == 0
+        dirs.append(out)
+    return cfg, dirs
+
+
+def _other_seed(tmp_path, cfg, dirs):
+    return cfg, (dirs[1] / "errors.npz").read_bytes(), ()
+
+
+def _truncated(tmp_path, cfg, dirs):
+    saved = (dirs[0] / "errors.npz").read_bytes()
+    return cfg, saved[: len(saved) // 2], ()
+
+
+def _npy(tmp_path, cfg, dirs):
+    np.save(tmp_path / "errors.npy", np.zeros(3))
+    return cfg, (tmp_path / "errors.npy").read_bytes(), ()
+
+
+def _missing_array(tmp_path, cfg, dirs):
+    with np.load(dirs[0] / "errors.npz") as saved:
+        np.savez(tmp_path / "partial.npz", key=saved["key"], train=saved["train"])
+    return cfg, (tmp_path / "partial.npz").read_bytes(), ()
+
+
+def _dataset_byte(tmp_path, cfg, dirs):
+    doc = json.loads(Path(cfg).read_text())
+    lines = Path(doc["dataset"]["path"]).read_text().splitlines()
+    ts, value, label = lines[100].split(",")  # a training point
+    d = value.index(".") + 1  # its first decimal, so that the float changes
+    lines[100] = ",".join([ts, value[:d] + str((int(value[d]) + 1) % 10) + value[d + 1:], label])
+    changed = tmp_path / "changed.csv"
+    changed.write_text("\n".join(lines) + "\n")
+    doc["dataset"]["path"] = str(changed)
+    return write_config(tmp_path, doc), (dirs[0] / "errors.npz").read_bytes(), ()
+
+
+def _look_back(tmp_path, cfg, dirs):
+    return cfg, (dirs[0] / "errors.npz").read_bytes(), ("--set", "look_back=12")
+
+
+class TestErrorsFile:
+    """``detect`` reads the training and validation errors from the errors.npz
+    that ``train`` wrote next to the model when its key matches, and predicts
+    them otherwise. Either way its outputs are the same bytes."""
+
+    @pytest.mark.parametrize("rule", ["gaussian", "tukey", "evt", "evt-lstm"])
+    @pytest.mark.parametrize("case, hit", [
+        (lambda tmp_path, cfg, dirs: (cfg, (dirs[0] / "errors.npz").read_bytes(), ()), True),
+        (_other_seed, False),
+        (_dataset_byte, False),
+        (_look_back, False),
+        (_truncated, False),
+        (lambda tmp_path, cfg, dirs: (cfg, b"", ()), False),
+        (lambda tmp_path, cfg, dirs: (cfg, b"not an npz file", ()), False),
+        (_npy, False),
+        (_missing_array, False),
+    ], ids=["present", "other-seed", "dataset-byte", "look-back", "truncated", "empty", "garbage",
+            "npy", "missing-array"])
+    def test_outputs_do_not_depend_on_the_file(self, tmp_path, monkeypatch, evt_models, rule, case, hit):
+        cfg, dirs = evt_models
+        cfg, errors_bytes, extra = case(tmp_path, cfg, dirs)
+        without, with_file = tmp_path / "without", tmp_path / "with"
+        for d in (without, with_file):
+            d.mkdir()
+            shutil.copy(dirs[0] / "model.npz", d / "model.npz")
+        (with_file / "errors.npz").write_bytes(errors_bytes)
+
+        counted = count_infer_windows(monkeypatch)
+        expected = _detect_outputs(cfg, without / "model.npz", rule, without / "out", extra)
+        forwarded_on_miss = sum(counted)
+        counted.clear()
+        assert _detect_outputs(cfg, with_file / "model.npz", rule, with_file / "out", extra) == expected
+
+        scored = json.loads(expected[1])["points_scored"]
+        if hit or rule == "evt-lstm":
+            assert sum(counted) == scored  # only the test windows
+        else:
+            assert sum(counted) == forwarded_on_miss > scored
+
+    @pytest.mark.parametrize("objective, training", [
+        # at lr 0.3 the best validation epoch comes before the last, so the
+        # kept predictions are the restored epoch's, not the last one's
+        ("mse", {"learning_rate": 0.3, "patience": 3}),
+        ("evt", {"init_quantile": 0.95}),
+        ("svdd", {"epochs": 3, "threshold_update_period": 3, "init_quantile": 0.95}),
+    ])
+    def test_saved_errors_are_the_reloaded_models(self, tmp_path, config_doc, objective, training):
+        out = tmp_path / objective
+        doc = {**config_doc, "training": {**config_doc["training"], **training}}
+        cfg = write_config(tmp_path, doc, output_dir=str(out))
+        assert main(["train", "--config", cfg, "--objective", objective]) == 0
+        history = json.loads((out / "manifest.json").read_text())["history"]
+        if objective == "mse":
+            val_losses = [r["val_loss"] for r in history]
+            assert val_losses.index(min(val_losses)) + 1 < len(history)
+
+        config = load_config(cfg, [])
+        p = config.pipeline
+        _, windows, _ = prepare(load_series(config.dataset_path, config.schema),
+                                p.split, p.look_back, p.look_ahead)
+        network, _ = load_network(out / "model.npz")
+        with np.load(out / "errors.npz") as saved:
+            assert sorted(saved.files) == ["key", "train", "val"]
+            for name, w in zip(("train", "val"), windows):
+                assert saved[name].tobytes() == prediction_errors(network, w).errors.tobytes()
 
 
 class TestBenchmarkCommand:

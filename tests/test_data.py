@@ -15,6 +15,7 @@ from evtdetect.data import (
     NormParams,
     SplitSpec,
     SplitTooSmall,
+    atomic_write_bytes,
     denormalize,
     fit_norm_params,
     load_series,
@@ -247,3 +248,12 @@ def test_prepare_normalizes_with_train_range_and_offsets_each_part():
     assert test.labels.tolist() == [True, False, False, False, False]
     assert [len(w) for w in windows] == [7, 2, 2]
     np.testing.assert_array_equal(windows[2].inputs[0], test.values[:3])
+
+
+def test_atomic_write_gets_the_mode_of_a_plain_write(tmp_path):
+    # a temp file from tempfile.mkstemp is private (0600) whatever the umask
+    with open(tmp_path / "plain", "wb") as fh:
+        fh.write(b"x")
+    atomic_write_bytes(tmp_path / "atomic", b"x")
+    assert (tmp_path / "atomic").stat().st_mode == (tmp_path / "plain").stat().st_mode
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["atomic", "plain"]

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import evtdetect
 from evtdetect.losses import LossSpec
 from evtdetect.network import (
     DenseParams,
@@ -181,3 +186,27 @@ class TestSerialization:
         loaded, spec_dict = load_network(path)
         assert spec_dict is None
         np.testing.assert_array_equal(loaded.dense.weights, net.dense.weights)
+
+    @pytest.mark.skipif(sys.platform == "win32", reason="needs RLIMIT_FSIZE")
+    def test_failed_write_keeps_the_previous_file(self, tmp_path):
+        # A file-size limit below the new model's size makes the write fail
+        # part of the way through, as a full disk would.
+        path = tmp_path / "model.npz"
+        save_network(path, init_network((4,), output_size=1, seed=2))
+        before = path.read_bytes()
+        limit = len(before) // 2
+        script = (
+            "import resource, signal, sys\n"
+            "from evtdetect.network import init_network, save_network\n"
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+            f"resource.setrlimit(resource.RLIMIT_FSIZE, ({limit}, {limit}))\n"
+            "save_network(sys.argv[1], init_network((32,), output_size=1, seed=3))\n"
+        )
+        src = str(Path(evtdetect.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode != 0
+        assert "File too large" in result.stderr
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.npz"]

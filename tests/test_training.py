@@ -276,3 +276,22 @@ def test_config_validation():
         TrainConfig(risk=0.0)
     with pytest.raises(ValueError):
         TrainConfig(init_quantile=1.0)
+
+
+def test_no_predictions_kept_without_the_training_set_pass(sine_windows):
+    train, val = sine_windows
+    cfg = TrainConfig(epochs=2, threshold_update_period=2, **SMALL)
+    assert train_forecaster(cfg, train, val, record_train_loss=False).predictions is None
+
+
+def test_no_predictions_kept_when_no_epoch_is_restored(sine_windows):
+    # every val_loss is NaN, so restore_best puts back the initial weights,
+    # which no epoch predicted with
+    train, val = sine_windows
+    nan_val = type(val)(val.inputs, np.full_like(val.targets, np.nan), val.target_indices)
+    cfg = TrainConfig(epochs=2, threshold_update_period=2, **SMALL)
+    model = train_forecaster(cfg, train, nan_val)
+    fresh, _ = training._start(cfg, train, nan_val, None)
+    for a, b in zip(model.network.parameters(), fresh.parameters()):
+        np.testing.assert_array_equal(a, b)
+    assert model.predictions is None
