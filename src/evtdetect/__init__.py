@@ -12,7 +12,6 @@ from .data import (
     NormParams,
     SplitSpec,
     WindowedDataset,
-    denormalize,
     fit_norm_params,
     load_series,
     make_windows,
@@ -54,7 +53,7 @@ from .evt import (
     tail_probability,
 )
 from .losses import LossSpec, evt_loss, mse_loss, svdd_loss
-from .network import Network, forward, init_network, load_network, lstm_cell_step, save_network
+from .network import Network, forward, init_network, load_network, save_network
 from .optim import AdamState, adam_step, init_adam_state
 from .training import (
     NoThresholdEstimate,

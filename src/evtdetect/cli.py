@@ -131,8 +131,8 @@ def parse_config(doc: dict) -> RunConfig:
             train_doc["hidden_sizes"] = tuple(train_doc["hidden_sizes"])
         train = TrainConfig(**train_doc)
 
-        look_back = int(doc.pop("look_back", geometry.get("look_back", defaults.look_back)))
-        look_ahead = int(doc.pop("look_ahead", geometry.get("look_ahead", defaults.look_ahead)))
+        look_back = doc.pop("look_back", geometry.get("look_back", defaults.look_back))
+        look_ahead = doc.pop("look_ahead", geometry.get("look_ahead", defaults.look_ahead))
 
         rule = doc.pop("rule", "evt")
         if rule not in RULES:
@@ -311,7 +311,8 @@ def cmd_detect(config: RunConfig, model_path: str) -> int:
 def _read_detections(path: str, series_length: int) -> tuple[np.ndarray, np.ndarray]:
     """The ``index`` and ``flag`` columns of a detections.csv. Raises
     ValueError naming the line for a missing column, a short row, an index
-    that is not a point of the series, or a flag other than 0 or 1."""
+    that is not a point of the series or that an earlier row listed, or a
+    flag other than 0 or 1."""
     indices: list[int] = []
     flags: list[bool] = []
     with open(path, encoding="utf-8") as fh:
@@ -337,7 +338,14 @@ def _read_detections(path: str, series_length: int) -> tuple[np.ndarray, np.ndar
                 raise ValueError(f"{path}, line {lineno}: flag {cells[flag_col]!r} is not 0 or 1")
             indices.append(index)
             flags.append(cells[flag_col] == "1")
-    return np.asarray(indices, dtype=int), np.asarray(flags, dtype=bool)
+    idx = np.asarray(indices, dtype=int)
+    _, first = np.unique(idx, return_index=True)
+    if first.size < idx.size:  # find the line only now, off the common path
+        row = np.setdiff1d(np.arange(idx.size), first)[0]
+        with open(path, encoding="utf-8") as fh:
+            lines = [n for n, line in enumerate(fh, start=1) if n > 1 and line.strip()]
+        raise ValueError(f"{path}, line {lines[row]}: index {idx[row]} repeats an earlier row's")
+    return idx, np.asarray(flags, dtype=bool)
 
 
 def cmd_evaluate(config: RunConfig, detections_path: str) -> int:
@@ -443,11 +451,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> RunConfig:
+    # Flag values go in JSON-encoded, so that parsing them as JSON, as every
+    # --set value is, gives each back as typed: --output-dir 1e3 stays "1e3".
     overrides = list(args.overrides)
     if args.dataset:
-        overrides.append(f"dataset.path={args.dataset}")
+        overrides.append(f"dataset.path={json.dumps(args.dataset)}")
     if args.output_dir:
-        overrides.append(f"output_dir={args.output_dir}")
+        overrides.append(f"output_dir={json.dumps(args.output_dir)}")
     if args.seed is not None:
         overrides.append(f"training.seed={args.seed}")
     if getattr(args, "objective", None):

@@ -255,12 +255,6 @@ def normalize(series: LabeledSeries, params: NormParams) -> LabeledSeries:
     return LabeledSeries(series.timestamps, scaled, series.labels)
 
 
-def denormalize(series: LabeledSeries, params: NormParams) -> LabeledSeries:
-    """Inverse of :func:`normalize`."""
-    raw = series.values * (params.max - params.min) + params.min
-    return LabeledSeries(series.timestamps, raw, series.labels)
-
-
 def split_series(
     series: LabeledSeries,
     spec: SplitSpec,

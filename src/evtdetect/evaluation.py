@@ -26,6 +26,7 @@ from .training import (
     require_threshold_estimate,
     train_evt_lstm,
     train_forecaster,
+    whole,
 )
 
 
@@ -103,6 +104,10 @@ class BenchmarkConfig:
     look_ahead: int = 1
     train: TrainConfig = TrainConfig()
     risk_grid: tuple[float, ...] = DEFAULT_RISK_GRID
+
+    def __post_init__(self):
+        for name in ("look_back", "look_ahead"):
+            object.__setattr__(self, name, whole(name, getattr(self, name)))
 
 
 def _pool_errors(parts) -> PredictionErrors:

@@ -19,7 +19,6 @@ import numpy as np
 from .data import atomic_write_bytes
 
 SERIAL_FORMAT_VERSION = 2
-GATES = "ifog"  # row-block order of the stacked W, U and b
 
 
 class UnsupportedModelFormat(ValueError):
@@ -185,26 +184,6 @@ def _step(
     c += ig
     np.tanh(c, out=h)
     h *= o
-
-
-def lstm_cell_step(
-    x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray, params: LstmLayerParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """One LSTM cell update for a single timestep.
-
-    i, f, o are sigmoid gates, g the tanh candidate;
-    c = f * c_prev + i * g and h = o * tanh(c).
-    """
-    x = np.asarray(x, dtype=float)
-    h_prev = np.asarray(h_prev, dtype=float)
-    c_prev = np.asarray(c_prev, dtype=float)
-    if x.shape[-1] != params.input_size or h_prev.shape[-1] != params.hidden_size:
-        raise ValueError("input or hidden state shape does not match layer")
-    Wb, UT, scale, shift = _halved(params)
-    a = x @ Wb[:, :-1].T + Wb[:, -1] + h_prev @ UT
-    h, c, ig = (np.empty_like(c_prev) for _ in range(3))
-    _step(a, c_prev, c, h, ig, scale, shift)
-    return h, c
 
 
 @dataclass
@@ -421,25 +400,15 @@ def save_network(path, network: Network, loss_spec=None) -> None:
 
 
 def load_network(path):
-    """Inverse of :func:`save_network`. Returns (network, loss_spec_dict).
-
-    Also reads format v1, which stored each gate's arrays apart (``w_i`` ...
-    ``b_g``); they are stacked in gate order on load.
-    """
+    """Inverse of :func:`save_network`. Returns (network, loss_spec_dict)."""
     with np.load(path) as data:
         meta = json.loads(bytes(data["meta"]).decode())
         version = meta["format_version"]
-        if version not in (1, SERIAL_FORMAT_VERSION):
+        if version != SERIAL_FORMAT_VERSION:
             raise UnsupportedModelFormat(f"unsupported model format version {version}")
         layers = []
         for li in range(len(meta["hidden_sizes"])):
-            if version == 1:
-                W, U, b = (
-                    np.concatenate([data[f"layer{li}_{kind}_{gate}"] for gate in GATES])
-                    for kind in "wub"
-                )
-            else:
-                W, U, b = (data[f"layer{li}_{name}"] for name in "WUb")
+            W, U, b = (data[f"layer{li}_{name}"] for name in "WUb")
             layers.append(LstmLayerParams(W, U, b))
         dense = DenseParams(data["dense_weights"], data["dense_biases"])
         network = Network(layers, dense, meta["dropout_rate"])

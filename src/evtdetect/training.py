@@ -11,6 +11,7 @@ reduce to plain error minimization.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -27,6 +28,17 @@ MAX_GRAD_NORM = 5.0
 
 class NoThresholdEstimate(ValueError):
     """No threshold re-estimate of an evt training run succeeded."""
+
+
+def whole(name: str, value) -> int:
+    """``value`` as an int; ValueError naming ``name`` unless it is a whole
+    number (an integer, or a float with no fractional part)."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be a whole number, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -48,6 +60,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size", "threshold_update_period", "patience",
+                     "convergence_patience", "seed"):
+            object.__setattr__(self, name, whole(name, getattr(self, name)))
         if self.threshold_update_period > self.epochs:
             raise ValueError("threshold_update_period must not exceed epochs")
         for name in ("epochs", "batch_size", "threshold_update_period",
@@ -58,7 +73,8 @@ class TrainConfig:
             raise ValueError("risk must lie in (0, 1)")
         if not 0.0 < self.init_quantile < 1.0:
             raise ValueError("init_quantile must lie in (0, 1)")
-        object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
+        hidden_sizes = tuple(whole("hidden_sizes", h) for h in self.hidden_sizes)
+        object.__setattr__(self, "hidden_sizes", hidden_sizes)
 
 
 @dataclass
@@ -99,7 +115,7 @@ def _sgd_epoch(
 
 
 def _start(
-    config: TrainConfig, train: WindowedDataset, val: WindowedDataset, network: Network | None
+    config: TrainConfig, train: WindowedDataset, val: WindowedDataset, network: Network | None = None
 ) -> tuple[Network, np.random.Generator]:
     """The seeded generator, and ``network`` or a fresh network drawn from it."""
     if len(train) == 0 or len(val) == 0:
@@ -186,7 +202,6 @@ def train_forecaster(
     config: TrainConfig,
     train: WindowedDataset,
     val: WindowedDataset,
-    network: Network | None = None,
     *,
     record_train_loss: bool = True,
 ) -> TrainedModel:
@@ -197,13 +212,15 @@ def train_forecaster(
     ``record_train_loss`` (the default) it also predicts the training windows
     and records their loss as ``train_loss``; prediction draws no random
     numbers, so the weights are the same either way."""
-    network, rng = _start(config, train, val, network)
+    network, rng = _start(config, train, val)
     history, _, predictions = _train_epochs(network, LossSpec("mse"), config, train, val, rng,
                                             restore_best=True, record_train_loss=record_train_loss)
     return TrainedModel(network=network, loss_kind="mse", history=history, predictions=predictions)
 
 
-def _update_threshold(errors: np.ndarray, config: TrainConfig, previous: float) -> tuple[float, dict]:
+def _update_threshold(
+    errors: np.ndarray, config: TrainConfig, previous: float | None
+) -> tuple[float | None, dict]:
     """Re-estimate the detection threshold from the current training errors.
 
     Falls back to the previous threshold when there are too few excesses or
@@ -276,7 +293,6 @@ def train_svdd(
     config: TrainConfig,
     train: WindowedDataset,
     val: WindowedDataset,
-    network: Network | None = None,
 ) -> TrainedModel:
     """Train under the hypersphere objective with the center fixed to the mean
     of an initial forward pass over the training data.
@@ -284,7 +300,7 @@ def train_svdd(
     A final detection threshold is still calibrated from the training errors
     by the same peaks-over-threshold procedure, so decision scores stay
     comparable across objectives."""
-    network, rng = _start(config, train, val, network)
+    network, rng = _start(config, train, val)
     initial_preds = predict(network, train.inputs)
     spec = LossSpec("svdd", weight_decay=config.weight_decay, center=initial_preds.mean(axis=0))
 
@@ -294,11 +310,11 @@ def train_svdd(
 
     history, _, predictions = _train_epochs(network, spec, config, train, val, rng, after_epoch)
     errors = first_horizon_errors(predictions[0], train).errors
-    threshold, _ = _update_threshold(errors, config, previous=np.nan)
+    threshold, _ = _update_threshold(errors, config, previous=None)
     return TrainedModel(
         network=network,
         loss_kind="svdd",
-        threshold=None if np.isnan(threshold) else threshold,
+        threshold=threshold,
         history=history,
         initial_mean_abs_prediction=float(np.mean(np.abs(initial_preds))),
         center=spec.center,

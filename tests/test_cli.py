@@ -104,6 +104,45 @@ class TestConfigHandling:
         cfg = write_config(tmp_path, {"look_back": 4})
         assert main(["benchmark", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("data_name, out_name", [("1e3", "null"), ("null", "1e3")])
+    def test_shorthand_flags_keep_their_values_as_typed(self, tmp_path, config_doc, monkeypatch,
+                                                        data_name, out_name):
+        # only --set values are parsed as JSON: 1e3 is not 1000.0, null not a missing value
+        monkeypatch.chdir(tmp_path)
+        shutil.copy(config_doc["dataset"]["path"], data_name)
+        doc = {**config_doc, "dataset": {"label_column": "label"}}
+        cfg = write_config(tmp_path, doc, training={**doc["training"], "epochs": 1,
+                                                    "threshold_update_period": 1})
+        assert main(["train", "--config", cfg, "--dataset", data_name, "--output-dir", out_name,
+                     "--objective", "mse"]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["config.json", data_name, out_name])
+        assert (tmp_path / out_name / "model.npz").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("training.epochs", "2.5"), ("training.batch_size", "16.5"),
+        ("training.threshold_update_period", "1.5"), ("training.patience", "2.5"),
+        ("training.convergence_patience", "1.5"), ("training.seed", "0.5"),
+        ("training.hidden_sizes", "[8.5]"), ("look_back", "10.7"), ("look_ahead", "1.5"),
+    ])
+    def test_non_integral_count_exits_2(self, tmp_path, config_doc, capsys, key, value):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, config_doc, output_dir=str(out))
+        assert main(["train", "--config", cfg, "--set", f"{key}={value}"]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert (err["kind"], err["type"]) == ("config", "ConfigError")
+        assert err["message"].startswith(f"{key.split('.')[-1]} must be a whole number, got ")
+        assert not out.exists()
+
+    def test_integral_float_counts_work(self, tmp_path, config_doc):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, config_doc, output_dir=str(out))
+        assert main(["train", "--config", cfg, "--set", "training.epochs=2.0",
+                     "--set", "training.threshold_update_period=1.0", "--set", "look_back=10.0",
+                     "--set", "training.hidden_sizes=[8.0]"]) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert (config["epochs"], config["threshold_update_period"]) == (2, 1)
+        assert config["hidden_sizes"] == [8] and isinstance(config["epochs"], int)
+
     def test_env_var_output_dir(self, tmp_path, config_doc, monkeypatch):
         rng_dir = tmp_path / "from_env"
         monkeypatch.setenv("EVTDETECT_OUTPUT_DIR", str(rng_dir))
@@ -193,13 +232,15 @@ class TestPipeline:
         assert "initial_mean_abs_prediction" in manifest
 
     def test_unknown_model_format_is_runtime_error(self, tmp_path, config_doc, capsys):
-        model = tmp_path / "model.npz"
-        np.savez(model, meta=np.frombuffer(json.dumps({"format_version": 99}).encode(), dtype=np.uint8))
         cfg = write_config(tmp_path, config_doc, output_dir=str(tmp_path / "out"))
-        assert main(["detect", "--config", cfg, "--model", str(model)]) == 1
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == {"kind": "runtime", "type": "UnsupportedModelFormat",
-                                "message": "unsupported model format version 99"}
+        for version in (1, 99):  # 1 stored per-gate arrays and is no longer read
+            model = tmp_path / "model.npz"
+            meta = json.dumps({"format_version": version}).encode()
+            np.savez(model, meta=np.frombuffer(meta, dtype=np.uint8))
+            assert main(["detect", "--config", cfg, "--model", str(model)]) == 1
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == {"kind": "runtime", "type": "UnsupportedModelFormat",
+                                    "message": f"unsupported model format version {version}"}
 
     def test_short_csv_row_is_runtime_error(self, tmp_path, config_doc, capsys):
         data = tmp_path / "short.csv"
@@ -266,7 +307,10 @@ class TestEvaluateInput:
         ("index,timestamp,error,score,flag\n\n1795,1.0,0.1,0.1,yes\n",
          "line 3: flag 'yes' is not 0 or 1"),
         ("index,timestamp,error,score,flag\n1795,1.0,0.1\n", "line 2: 3 of 5 cells"),
-    ], ids=["no-index-column", "index-past-the-series", "negative-index", "bad-flag", "short-row"])
+        ("index,timestamp,error,score,flag\n1795,1.0,0.1,0.1,0\n1796,1.0,0.1,0.1,1\n\n"
+         "1795,1.0,0.1,0.1,0\n", "line 5: index 1795 repeats an earlier row's"),
+    ], ids=["no-index-column", "index-past-the-series", "negative-index", "bad-flag", "short-row",
+            "repeated-index"])
     def test_bad_detections_exit_1_without_metrics(self, tmp_path, config_doc, capsys, text, message):
         detections = tmp_path / "detections.csv"
         detections.write_text(text)

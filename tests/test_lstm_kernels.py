@@ -1,7 +1,6 @@
 """The fused-gate LSTM kernels against the per-gate reference, and model
-files of the per-gate format v1."""
+files of a format version the reader does not know."""
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,8 +21,6 @@ from evtdetect.network import (
 # 0.5 * tanh(x / 2) + 0.5.
 OUTPUT_ATOL = 1e-12
 GRAD_RTOL = 1e-9  # per array, relative to its largest reference entry
-
-V1_MODEL = Path(__file__).parent / "data" / "model_v1.npz"
 
 CASES = [((24,), 1), ((24,), 64), ((24,), 512), ((6, 4), 3)]
 LOOK_BACK = 20
@@ -76,40 +73,12 @@ def test_single_step_windows():
     _assert_grads_close(backward(network, cache, dpreds), ref.backward(network, ref_cache, dpreds))
 
 
-class TestFormatV1:
-    """``model_v1.npz`` was written by the per-gate v1 ``save_network`` for
-    ``init_network((3, 2), output_size=2, dropout_rate=0.25, seed=17)`` with
-    every bias then replaced by seeded normal draws, and an evt loss spec."""
-
-    def test_loads_stacked_per_gate_arrays(self):
-        network, spec = load_network(V1_MODEL)
-        assert spec == {"center": None, "kind": "evt", "threshold": 0.25, "weight_decay": 1e-4}
-        assert network.dropout_rate == 0.25
-        with np.load(V1_MODEL) as raw:
-            for li, layer in enumerate(network.lstm_layers):
-                for kind, stacked in zip("wub", layer.parameters()):
-                    per_gate = [raw[f"layer{li}_{kind}_{gate}"] for gate in ref.GATES]
-                    np.testing.assert_array_equal(stacked, np.concatenate(per_gate))
-            np.testing.assert_array_equal(network.dense.weights, raw["dense_weights"])
-
-    def test_seeded_init_draws_like_v1(self):
-        loaded, _ = load_network(V1_MODEL)
-        fresh = init_network((3, 2), output_size=2, dropout_rate=0.25, seed=17)
-        for a, b in zip(fresh.weight_matrices(), loaded.weight_matrices()):
-            np.testing.assert_array_equal(a, b)
-
-    def test_predicts_like_reference(self):
-        network, _ = load_network(V1_MODEL)
-        windows = np.linspace(-1.0, 1.0, 10).reshape(2, 5)
-        got, _ = forward(network, windows)
-        want, _ = ref.forward(network, windows)
-        np.testing.assert_allclose(got, want, rtol=0, atol=OUTPUT_ATOL)
-
-
 def test_unknown_format_version_is_typed(tmp_path):
-    path = tmp_path / "model.npz"
-    meta = json.dumps({"format_version": 99}).encode()
-    np.savez(path, meta=np.frombuffer(meta, dtype=np.uint8))
-    with pytest.raises(UnsupportedModelFormat, match="99"):
-        load_network(path)
+    # Version 1 stored each gate's arrays apart; no reader for it is kept.
+    for version in (1, 99):
+        path = tmp_path / f"model{version}.npz"
+        meta = json.dumps({"format_version": version}).encode()
+        np.savez(path, meta=np.frombuffer(meta, dtype=np.uint8))
+        with pytest.raises(UnsupportedModelFormat, match=f"^unsupported model format version {version}$"):
+            load_network(path)
     assert issubclass(UnsupportedModelFormat, ValueError)

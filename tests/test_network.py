@@ -16,7 +16,6 @@ from evtdetect.network import (
     forward,
     init_network,
     load_network,
-    lstm_cell_step,
     predict,
     save_network,
 )
@@ -34,50 +33,58 @@ def gate_rows(hidden, gate):
     return slice(k * hidden, (k + 1) * hidden)
 
 
+def cell_states(layer, windows):
+    """Hidden and cell states (T, B, H) of a one-layer, dropout-free network
+    over ``windows`` (B, T, D), from a train-mode forward pass."""
+    net = Network([layer], DenseParams(np.zeros((1, layer.hidden_size)), np.zeros(1)))
+    _, cache = forward(net, windows, train=True)
+    return cache.hidden[0], cache.cells[0]
+
+
 class TestCellStep:
     def test_zero_weights_zero_cell(self):
-        layer = zero_layer(3, 2)
-        h, c = lstm_cell_step(np.ones(2), np.zeros(3), np.zeros(3), layer)
+        h, c = cell_states(zero_layer(3, 2), np.ones((1, 2, 2)))
         np.testing.assert_allclose(c, 0.0)
         np.testing.assert_allclose(h, 0.0)
 
     def test_zero_weights_unit_cell(self):
+        # Gates sit at sigmoid(0) = 0.5; a g bias of 20 puts the candidate at
+        # tanh(20) = 1 in float64, so the cell reads 0.5, then 0.5 * 0.5 + 0.5.
         layer = zero_layer(1, 1)
-        h, c = lstm_cell_step(np.ones(1), np.zeros(1), np.ones(1), layer)
-        # Gates sit at sigmoid(0) = 0.5 and the candidate at tanh(0) = 0.
-        np.testing.assert_allclose(c, [0.5])
-        np.testing.assert_allclose(h, [0.5 * math.tanh(0.5)])
+        layer.b[gate_rows(1, "g")] = 20.0
+        h, c = cell_states(layer, np.ones((1, 2, 1)))
+        np.testing.assert_allclose(c[:, 0, 0], [0.5, 0.75])
+        np.testing.assert_allclose(h[:, 0, 0], [0.5 * math.tanh(0.5), 0.5 * math.tanh(0.75)])
 
     def test_matches_scalar_oracle(self):
-        # Independent step-by-step evaluation of the gate equations.
+        # Independent step-by-step evaluation of the gate equations over a
+        # two-step window; the second step reads a nonzero h and c.
         rng = np.random.default_rng(3)
         layer = LstmLayerParams(*(rng.normal(size=s) for s in [(8, 2), (8, 2), (8,)]))
-        x, h_prev, c_prev = rng.normal(size=2), rng.normal(size=2), rng.normal(size=2)
+        windows = rng.normal(size=(3, 2, 2))
 
         def sig(a):
             return 1.0 / (1.0 + math.exp(-a))
 
-        expect_h, expect_c = [], []
-        for r in range(2):
-            pre = {}
-            for name in "ifog":
-                rows = gate_rows(2, name)
-                w, u, b = layer.W[rows], layer.U[rows], layer.b[rows]
-                pre[name] = sum(w[r][col] * x[col] for col in range(2)) \
-                    + sum(u[r][col] * h_prev[col] for col in range(2)) + b[r]
-            i, f, o, g = sig(pre["i"]), sig(pre["f"]), sig(pre["o"]), math.tanh(pre["g"])
-            c = f * c_prev[r] + i * g
-            expect_c.append(c)
-            expect_h.append(o * math.tanh(c))
+        expect_h, expect_c = np.empty((2, 3, 2)), np.empty((2, 3, 2))
+        for n, window in enumerate(windows):
+            h_prev, c_prev = [0.0, 0.0], [0.0, 0.0]
+            for t, x in enumerate(window):
+                for r in range(2):
+                    pre = {}
+                    for name in "ifog":
+                        rows = gate_rows(2, name)
+                        w, u, b = layer.W[rows], layer.U[rows], layer.b[rows]
+                        pre[name] = sum(w[r][col] * x[col] for col in range(2)) \
+                            + sum(u[r][col] * h_prev[col] for col in range(2)) + b[r]
+                    i, f, o, g = sig(pre["i"]), sig(pre["f"]), sig(pre["o"]), math.tanh(pre["g"])
+                    expect_c[t, n, r] = f * c_prev[r] + i * g
+                    expect_h[t, n, r] = o * math.tanh(expect_c[t, n, r])
+                h_prev, c_prev = expect_h[t, n], expect_c[t, n]
 
-        h, c = lstm_cell_step(x, h_prev, c_prev, layer)
+        h, c = cell_states(layer, windows)
         np.testing.assert_allclose(h, expect_h, rtol=1e-12)
         np.testing.assert_allclose(c, expect_c, rtol=1e-12)
-
-    def test_shape_mismatch(self):
-        layer = zero_layer(3, 2)
-        with pytest.raises(ValueError):
-            lstm_cell_step(np.ones(5), np.zeros(3), np.zeros(3), layer)
 
 
 class TestForward:
