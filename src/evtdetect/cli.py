@@ -124,11 +124,12 @@ def parse_config(doc: dict) -> RunConfig:
             geometry = preset(preset_name)
 
         train_doc = dict(doc.pop("training", {}) or {})
+        sizes = train_doc.get("hidden_sizes", [])
+        if not isinstance(sizes, list):
+            raise ConfigError(f"training.hidden_sizes must be a list of whole numbers, got {sizes!r}")
         for key in ("hidden_sizes", "dropout_rate", "learning_rate"):
             if key in geometry and key not in train_doc:
                 train_doc[key] = geometry[key]
-        if "hidden_sizes" in train_doc:
-            train_doc["hidden_sizes"] = tuple(train_doc["hidden_sizes"])
         train = TrainConfig(**train_doc)
 
         look_back = doc.pop("look_back", geometry.get("look_back", defaults.look_back))

@@ -176,8 +176,45 @@ def _noting_lines(rows, reader, lines: list[int]):
         yield row
 
 
+def _first_gap(timestamps: np.ndarray, period: float | None) -> int | None:
+    """Index of the first step of ``timestamps`` that is not ``period``, or None."""
+    if period is None:
+        return None
+    bad = np.nonzero(np.abs(np.diff(timestamps) - period) > 1e-9 * period)[0]
+    return int(bad[0]) if bad.size else None
+
+
+def _read_columns(path: Path, skip: int, width: int, ts_at: int, value_at: int, label_at: int | None):
+    """The timestamp, value and label columns past ``skip`` lines, parsed by one
+    ``np.loadtxt`` call; None where the row loop must read the file instead: a
+    cell loadtxt rejects, a label not "0" or "1", a NUL, two columns on one cell."""
+    fields = {ts_at: ("t", "f8"), value_at: ("v", "f8")}
+    if label_at is not None:
+        fields[label_at] = ("l", "U2")  # as "i8", "+1" and "00" would pass
+    # A string cell drops trailing NULs, so "1\0" would read as "1".
+    if len(fields) < 2 + (label_at is not None) or b"\0" in path.read_bytes():
+        return None
+    fields.setdefault(width - 1, ("w", "U1"))  # usecols alone lets a short row through
+    cols = sorted(fields)
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            table = np.loadtxt(path, delimiter=",", quotechar='"', comments=None, ndmin=1,
+                               encoding="utf-8", skiprows=skip, usecols=cols,
+                               dtype=[fields[k] for k in cols])
+    except ValueError:
+        return None
+    labels = None if label_at is None else table["l"] == "1"
+    if labels is not None and not np.all(labels | (table["l"] == "0")):
+        return None
+    return np.ascontiguousarray(table["t"]), np.ascontiguousarray(table["v"]), labels
+
+
 def load_series(path: str | Path, schema: CsvSchema = CsvSchema()) -> LabeledSeries:
     """Load a labeled series from a headered CSV file.
+
+    Well-formed numeric files are parsed in one ``np.loadtxt`` call; others go
+    through a row loop that gives the same result or names the file's line.
 
     Raises FileNotFoundError for a missing file, ValueError for cells that do
     not parse, NonMonotonicTimestamps for out-of-order timestamps, and
@@ -205,6 +242,11 @@ def load_series(path: str | Path, schema: CsvSchema = CsvSchema()) -> LabeledSer
         label_at = None if schema.label_column is None else column[schema.label_column]
         width = len(header)
 
+        # line_num: a quoted header cell may span lines
+        fast = _read_columns(path, reader.line_num, width, ts_at, value_at, label_at)
+        if fast is not None and _first_gap(fast[0], schema.sampling_period) is None:
+            return LabeledSeries(*fast)
+
         # Blank lines are skipped; rows are numbered by the file's lines (the
         # last line of a record with quoted line breaks), blank ones included.
         rows = filter(None, reader)
@@ -228,14 +270,12 @@ def load_series(path: str | Path, schema: CsvSchema = CsvSchema()) -> LabeledSer
                 labels.append(raw == "1")
 
     ts = np.asarray(timestamps)
-    if schema.sampling_period is not None and len(ts) > 1:
-        gaps = np.diff(ts)
-        bad = np.nonzero(np.abs(gaps - schema.sampling_period) > 1e-9 * schema.sampling_period)[0]
-        if bad.size:
-            raise MissingSamples(
-                f"{path}: gap of {gaps[bad[0]]} at row {lines[bad[0]]}, "
-                f"expected sampling period {schema.sampling_period}"
-            )
+    bad = _first_gap(ts, schema.sampling_period)
+    if bad is not None:
+        raise MissingSamples(
+            f"{path}: gap of {ts[bad + 1] - ts[bad]} at row {lines[bad]}, "
+            f"expected sampling period {schema.sampling_period}"
+        )
 
     return LabeledSeries(
         timestamps=ts,

@@ -32,7 +32,9 @@ class NoThresholdEstimate(ValueError):
 
 def whole(name: str, value) -> int:
     """``value`` as an int; ValueError naming ``name`` unless it is a whole
-    number (an integer, or a float with no fractional part)."""
+    number (an integer other than a bool, or a float with no fractional part)."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
     if isinstance(value, float) and value.is_integer():
         return int(value)
     try:

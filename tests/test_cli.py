@@ -133,6 +133,28 @@ class TestConfigHandling:
         assert err["message"].startswith(f"{key.split('.')[-1]} must be a whole number, got ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("look_back", "true"), ("training.epochs", "true"), ("training.hidden_sizes", "[true]"),
+    ])
+    def test_boolean_count_exits_2(self, tmp_path, config_doc, capsys, key, value):
+        # JSON true is not the count 1
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, config_doc, output_dir=str(out))
+        assert main(["train", "--config", cfg, "--set", f"{key}={value}"]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["message"] == f"{key.split('.')[-1]} must be a whole number, got True"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["8", '"16"', "16x", '{"a": 8}'])
+    def test_hidden_sizes_must_be_a_list(self, tmp_path, config_doc, capsys, value):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, config_doc, output_dir=str(out))
+        assert main(["train", "--config", cfg, "--set", f"training.hidden_sizes={value}"]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert (err["kind"], err["type"]) == ("config", "ConfigError")
+        assert err["message"].startswith("training.hidden_sizes must be a list of whole numbers, got ")
+        assert not out.exists()
+
     def test_integral_float_counts_work(self, tmp_path, config_doc):
         out = tmp_path / "out"
         cfg = write_config(tmp_path, config_doc, output_dir=str(out))

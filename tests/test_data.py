@@ -1,10 +1,12 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evtdetect import data
 from evtdetect.data import (
     AnomalyInTrainWarning,
     CsvSchema,
@@ -111,6 +113,130 @@ class TestLoadSeries:
         loaded = load_series(p, CsvSchema("timestamp", "value", "label"))
         for field in ("timestamps", "values", "labels"):
             assert np.array_equal(getattr(loaded, field), getattr(source, field)), field
+
+
+def loaded(path, schema):
+    """What ``load_series`` gives: each array's dtype, shape and bytes, or the
+    error's type and message. A warning counts as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            s = load_series(path, schema)
+        except ValueError as exc:
+            return type(exc), str(exc)
+    return [None if a is None else (a.dtype.str, a.shape, a.tobytes())
+            for a in (s.timestamps, s.values, s.labels)]
+
+
+def by_both_paths(path, schema):
+    """``loaded`` as the loader runs it, then with the row loop alone."""
+    fast = loaded(path, schema)
+    with mock.patch.object(data, "_read_columns", return_value=None):
+        return fast, loaded(path, schema)
+
+
+T_V, T_V_L = CsvSchema("t", "v"), CsvSchema("t", "v", "l")
+PERIOD_1 = CsvSchema("t", "v", "l", sampling_period=1.0)
+FLOAT_SPELLINGS = [
+    "0.10000000000000001", "2.2250738585072014e-308", "1.7976931348623157e+308", "4.9e-324",
+    "2.225073858507201e-309", "1e5", "1E-5", "-2.5e+3", "1e400", "-1e400", "nan", "-nan", "NaN",
+    "inf", "-inf", "infinity", "-Infinity", "-0.0", "+.5", "5.", " 7 ", "\t7", "\xa07", "1_000",
+    "0x10", "1d5", "", "1#2", "--1", "1e", "١",
+]
+LOADER_CORPUS = {
+    **{f"value {c!r}": (f"t,v\n0,{c}\n1,2\n", T_V) for c in FLOAT_SPELLINGS},
+    **{f"timestamp {c!r}": (f"t,v\n{c},1\n", T_V) for c in FLOAT_SPELLINGS},
+    "timestamps from -inf to inf": ("t,v\n-inf,1\n0,2\ninf,3\n", T_V),
+    **{f"label {c!r}": (f"t,v,l\n0,1,0\n1,2,{c}\n", T_V_L)
+       for c in ["+1", "00", "01", "-0", " 1 ", "1 ", "1.0", "1e0", "yes", "True", "", "1\0", "\x001"]},
+    "labels": ("t,v,l\n0,1,0\n1,2,1\n2,3,0\n", T_V_L),
+    "quoted label": ('t,v,l\n0,1,"1"\n', T_V_L),
+    "label on the value's cell": ("t,v\n0,1\n1,0\n", CsvSchema("t", "v", "v")),
+    "timestamp and value on one cell": ("t,v\n1,9\n2,9\n", CsvSchema("t", "t")),
+    "repeated header name": ("t,v,t\n1,2,3\n", T_V),
+    "header only": ("t,v,l\n", T_V_L),
+    "header only, no line end": ("t,v", T_V),
+    "short row": ("t,v,l\n0,1,0\n1,2\n", T_V_L),
+    "row short of a column past the schema's": ("t,v,x\n0,1,a\n1,2\n", T_V),
+    "empty last cell": ("t,v,x\n0,1,\n", T_V),
+    "rows longer than the header": ("t,v\n0,1,2,3\n1,2,\n", T_V),
+    "quoted cells": ('t,v\n"0","1.5"\n"1",2\n', T_V),
+    "quoted cell with a line break": ('t,v\n0,"1.5\n"\n1,"2\r\n"\n', T_V),
+    "quoted header cell with a line break": ('t,"v\nw"\n0,1\n1,2\n', CsvSchema("t", "v\nw")),
+    "text after a closing quote": ('t,v\n0,"1"5\n', T_V),
+    "space after a closing quote": ('t,v\n0,"1" \n', T_V),
+    "space before an opening quote": ('t,v\n0, "1"\n', T_V),
+    "doubled quote": ('t,v\n0,"1""5"\n', T_V),
+    "unclosed quote": ('t,v\n0,"1\n1,2\n', T_V),
+    "CRLF": ("t,v,l\r\n0,1,0\r\n1,2,1\r\n", T_V_L),
+    "bare CR": ("t,v,l\r0,1,0\r1,2,1\r", T_V_L),
+    "mixed line ends": ("t,v\n0,1\r\n1,2\r2,3", T_V),
+    "blank lines": ("t,v\n\n0,1\n\n\n1,2\n\n", T_V),
+    "whitespace-only line": ("t,v\n0,1\n  \n1,2\n", T_V),
+    "tab-only line": ("t,v\n0,1\n\t\n", T_V),
+    "comma-only line": ("t,v\n0,1\n,\n", T_V),
+    "ISO timestamps": ("t,v\n2015-09-08 00:00:00,1\n2015-09-08T00:05:00,2\n", T_V),
+    "non-monotonic timestamps": ("t,v\n1,1\n0,2\n", T_V),
+    "non-finite value": ("t,v\n0,nan\n", T_V),
+    "sampling period kept": ("t,v,l\n0,1,0\n1,2,0\n\n2,3,1\n", PERIOD_1),
+    "sampling period gap": ("t,v,l\n0,1,0\n\n1,2,0\n3,3,1\n", PERIOD_1),
+    "sampling period gap, ISO timestamps": ("t,v\n2015-09-08 00:00:00,1\n2015-09-08 00:00:02,2\n",
+                                            CsvSchema("t", "v", sampling_period=1.0)),
+    "invalid UTF-8": (b"t,v\n0,1\n1,\xff\n", T_V),
+}
+
+
+@pytest.mark.parametrize("text, schema", LOADER_CORPUS.values(), ids=list(LOADER_CORPUS))
+def test_loader_paths_agree_on_corpus(tmp_path, text, schema):
+    # loadtxt gives the row loop's arrays bit for bit, or hands the file to it
+    p = tmp_path / "s.csv"
+    p.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+    fast, rows = by_both_paths(p, schema)
+    assert fast == rows
+
+
+TIMESTAMP_SPELLINGS = ["{}", "{}.0", " {} ", '"{}"', "{}e0", "{}.00000000000000001"]
+FINITE_SPELLINGS = ["3", "-1.25", '"0.5"', "7.000000000000001", "0.10000000000000001", "4.9e-324",
+                    "-0.0", "+.5", "5.", " 7 ", "1e5", "1E-5", "2.2250738585072014e-308"]
+CLEAN_LABELS = ["0", "1", '"1"']
+
+
+@st.composite
+def csv_texts(draw):
+    """A t,v,l file whose timestamps count up by one, with cells and line ends
+    drawn from spellings either loader may trip on. A clean file draws only
+    cells both loaders accept, so that about half the files load."""
+    clean = draw(st.booleans())
+    values = FINITE_SPELLINGS if clean else FINITE_SPELLINGS + FLOAT_SPELLINGS
+    labels = CLEAN_LABELS if clean else CLEAN_LABELS + [" 1", "+1", "00", "1.0", "1\0", ""]
+    header = draw(st.sampled_from(["t,v,l", "t,v,l,x", '"t",v,l']))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    lines = [header]
+    for i in range(draw(st.integers(0, 6))):
+        cells = [draw(st.sampled_from(TIMESTAMP_SPELLINGS)).format(i),
+                 draw(st.sampled_from(values)), draw(st.sampled_from(labels)), "9"]
+        lines.append(",".join(cells[:draw(st.sampled_from([4] if clean else [2, 3, 4]))]))
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from([""] if clean else ["", " ", "#"])))
+    return end.join(lines) + draw(st.sampled_from([end, ""]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=csv_texts(), labelled=st.booleans(), period=st.sampled_from([None, 1.0]))
+def test_loader_paths_agree_on_generated_files(tmp_path_factory, text, labelled, period):
+    p = tmp_path_factory.mktemp("csv") / "s.csv"
+    p.write_text(text, encoding="utf-8", newline="")
+    fast, rows = by_both_paths(p, CsvSchema("t", "v", "l" if labelled else None, period))
+    assert fast == rows
+
+
+def test_numeric_files_take_the_fast_path(tmp_path):
+    p = tmp_path / "s.csv"
+    source = make_spike_series(seed=4)
+    write_csv(source, p)
+    ts, values, labels = data._read_columns(p, 1, 3, 0, 1, 2)
+    for got, field in ((ts, "timestamps"), (values, "values"), (labels, "labels")):
+        assert np.array_equal(got, getattr(source, field)), field
 
 
 class TestNormalize:

@@ -35,6 +35,12 @@ SMALL = dict(hidden_sizes=(10,), batch_size=32, learning_rate=5e-3,
              dropout_rate=0.0, weight_decay=0.0, patience=10, seed=3)
 
 
+@pytest.mark.parametrize("name", ["epochs", "batch_size", "patience", "seed"])
+def test_config_rejects_boolean_counts(name):
+    with pytest.raises(ValueError, match=f"^{name} must be a whole number, got True$"):
+        TrainConfig(**{"epochs": 1, "threshold_update_period": 1, name: True})
+
+
 class TestForecaster:
     def test_constant_series_learned(self):
         train = windows_from(np.full(80, 0.7))
