@@ -15,7 +15,7 @@ import os
 import sys
 import time
 import zipfile
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -249,7 +249,7 @@ def cmd_train(config: RunConfig) -> int:
     if model.loss_kind != "mse":
         spec = LossSpec(model.loss_kind, weight_decay=train.weight_decay,
                         center=model.center, threshold=model.threshold)
-    save_network(out / "model.npz", model.network, spec)
+    save_network(out / "model.npz", model.network, spec, config.pipeline.look_back)
     if model.predictions is not None:
         model_bytes = (out / "model.npz").read_bytes()
         _write_errors(out / ERRORS_FILE, model_bytes, train_w, val_w, model.predictions)
@@ -262,11 +262,24 @@ def cmd_train(config: RunConfig) -> int:
     return EXIT_OK
 
 
+def _require_geometry(p: BenchmarkConfig, look_back: int | None, look_ahead: int) -> None:
+    """Refuse windows other than those the model was trained on. A model
+    file that does not record its look_back is checked on look_ahead, its
+    output size, alone."""
+    if look_ahead != p.look_ahead or look_back not in (None, p.look_back):
+        trained = f"look_back {look_back}, " if look_back is not None else ""
+        raise ConfigError(
+            f"the model was trained on windows of {trained}look_ahead {look_ahead}; "
+            f"the config has look_back {p.look_back}, look_ahead {p.look_ahead}"
+        )
+
+
 def _calibrated_detection(config: RunConfig, model_path: str):
     """Calibrate the selected rule and run detection on the test split."""
     series, splits, windows, offsets = _prepared_splits(config)
     model_bytes = Path(model_path).read_bytes()
-    network, loss_spec = load_network(io.BytesIO(model_bytes))
+    network, loss_spec, look_back = load_network(io.BytesIO(model_bytes))
+    _require_geometry(config.pipeline, look_back, network.output_size)
     if config.rule == "evt-lstm":  # the model file carries its own detection threshold
         if loss_spec is None or loss_spec.get("threshold") is None:
             raise ConfigError("model file has no detection threshold (evt or svdd objective)")
@@ -357,17 +370,7 @@ def cmd_evaluate(config: RunConfig, detections_path: str) -> int:
     metrics = compute_metrics(confusion(flags, series.labels[indices]))
 
     out = Path(config.output_dir)
-    report = {
-        "rule": config.rule,
-        "points_scored": len(indices),
-        "metrics": {
-            "tp": metrics.tp, "fp": metrics.fp, "fn": metrics.fn, "tn": metrics.tn,
-            "precision": metrics.precision, "recall": metrics.recall, "f1": metrics.f1,
-            "precision_defined": metrics.precision_defined,
-            "recall_defined": metrics.recall_defined,
-            "f1_defined": metrics.f1_defined,
-        },
-    }
+    report = {"rule": config.rule, "points_scored": len(indices), "metrics": asdict(metrics)}
     atomic_write_json(out / "metrics.json", report)
     print(
         f"precision={metrics.precision:.4f} recall={metrics.recall:.4f} f1={metrics.f1:.4f} "

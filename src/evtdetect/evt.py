@@ -21,6 +21,13 @@ exponential-like samples) until it is pure rounding noise, whose sign changes
 are not roots. The search leaves out the band |theta * mean| <= (4 eps)^(1/3),
 about 1e-5, where that noise can outweigh the function; the exponential
 candidate stands for the band (derivation in :func:`fit_gpd`).
+
+Most grid rows lie where |theta| * x_max <= 0.6. There u and v are power
+series in theta * x_max whose coefficients are the moments of x / x_max; a
+row whose series value, widened by bounds on its truncation and rounding
+errors, lies beyond +-1e-12 takes its sign from it without the O(m) work of
+``_u_v``. The signs, and so every bracket and fit, are those of computing
+every row (derivation in :func:`fit_gpd`).
 """
 from __future__ import annotations
 
@@ -44,8 +51,29 @@ _GRID_SUBINTERVALS = 1000
 # Half-width of the band next to theta = 0, in units of theta * mean(x), that
 # the root search leaves out: u * v - 1 is rounding noise inside it (fit_gpd).
 _ZERO_BAND = float(np.cbrt(4.0 * np.finfo(float).eps))
+# The sign certificate next to theta = 0 (module docstring): series terms
+# summed, and the largest |theta| * x_max at which it is tried. At 0.6 the
+# remainder after 24 terms is at most 0.6^25 / 0.4 < 1e-5 times mu_25, which
+# is about 1/m for a sample with one largest value, so nearly every row the
+# certificate tries is decided; beyond it the remainder and the terms grow
+# quickly while the rows left are only those next to -1/x_max and far out.
+_SERIES_TERMS = 24
+_SERIES_RADIUS = 0.6
+# Rows are decided only where the certified interval of u*v - 1 lies beyond
+# +-_SIGN_MARGIN. A computed row is off the exact value by about 4 eps and by
+# under 1e-13 at worst, so the margin, over 4,000 eps, makes the computed
+# row's sign the interval's and never 0; it also absorbs the few roundings of
+# forming the interval itself.
+_SIGN_MARGIN = 1e-12
 _CHUNK_ELEMENTS = 1 << 16
 _BISECT_TOL = 1e-12
+# The bisection's tolerance is absolute in theta, whose scale is 1 / mean(x):
+# in units of theta * mean(x) it is at most 2.6e-10 while the mean is below
+# 2**8. A sample whose mean lies outside [2**-9, 2**8), a binary exponent
+# beyond +-_SCALE_EXPONENT, is scaled by a power of two to a mean in [0.5, 1)
+# before the search, which scales every product and quotient of the search
+# exactly. Samples inside are searched as they are.
+_SCALE_EXPONENT = 8
 _CDF_CLAMP = 1e-12
 
 
@@ -171,11 +199,14 @@ def _w_at(theta: float, x: np.ndarray, s: np.ndarray, r: np.ndarray) -> float:
 
 
 def _bisect(x: np.ndarray, lo: float, hi: float, w_lo: float) -> float:
-    # w changes sign on [lo, hi]; plain bisection to an interval <= _BISECT_TOL.
+    # w changes sign on [lo, hi]; plain bisection to an interval <= _BISECT_TOL,
+    # or to adjacent floats where the tolerance is below theta's resolution.
     s = np.empty_like(x)
     r = np.empty_like(x)
     while hi - lo > _BISECT_TOL:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         w_mid = _w_at(mid, x, s, r)
         if (w_mid < 0) == (w_lo < 0):
             lo, w_lo = mid, w_mid
@@ -184,9 +215,71 @@ def _bisect(x: np.ndarray, lo: float, hi: float, w_lo: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _roots_on_grid(x: np.ndarray, grid: np.ndarray) -> list[float]:
-    u, v = _u_v(grid, x)
-    w = u * v - 1.0
+def _powers(b: np.ndarray, n: int) -> np.ndarray:
+    # Rows b^1 .. b^n of a vector b, by doubling: the rows already made times
+    # the highest of them. Power k goes through k - 1 roundings, as in a
+    # running product, in a handful of whole-array multiplies.
+    p = np.empty((n, b.size))
+    p[0] = b
+    have = 1
+    while have < n:
+        step = min(have, n - have)
+        np.multiply(p[:step], p[have - 1], out=p[have : have + step])
+        have += step
+    return p
+
+
+def _moments(x: np.ndarray) -> np.ndarray:
+    # mu[k] = mean((x / x_max)^k) for k = 0 .. _SERIES_TERMS + 1; the
+    # normalisation keeps every power within [0, 1]. Blocks of samples keep
+    # the powers at about _CHUNK_ELEMENTS, as in _u_v.
+    z = x / x.max()
+    cols = _CHUNK_ELEMENTS // (_SERIES_TERMS + 1)
+    sums = np.zeros(_SERIES_TERMS + 1)
+    for lo in range(0, z.size, cols):
+        sums += _powers(z[lo : lo + cols], _SERIES_TERMS + 1).sum(axis=1)
+    mu = np.ones(_SERIES_TERMS + 2)
+    mu[1:] = sums / z.size
+    return mu
+
+
+def _series_w(y: np.ndarray, mu: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    # u*v - 1 at y = theta * x_max, |y| <= _SERIES_RADIUS, from the series of
+    # the module docstring, and the half-width of an interval around it that
+    # holds the exact value: truncation remainder plus rounding. u and v
+    # exceed 0.6 and 0.08 there, so no absolute values are needed for them.
+    k = np.arange(1.0, _SERIES_TERMS + 2)
+    powers = _powers(-y, _SERIES_TERMS + 1)
+    coef = np.stack([mu[1:-1], mu[1:-1] / k[:-1]])
+    sums = coef @ powers[:-1]
+    sizes = coef @ np.abs(powers[:-1])
+    tail = np.abs(powers[-1]) * (mu[-1] / (1.0 - np.abs(y)))
+    tails = np.stack([tail, tail / k[-1]])  # remainders of u and of v
+    rounding = (m + 5 * _SERIES_TERMS + 8) * np.finfo(float).eps
+    half_u, half_v = tails + rounding * (1.0 + sizes + tails)
+    u = 1.0 + sums[0]
+    v = 1.0 - sums[1]
+    return u * v - 1.0, u * half_v + v * half_u + half_u * half_v
+
+
+def _grid_w(x: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    # w = u*v - 1 on the grid, with the sign of a one-call _u_v at every row:
+    # rows the certificate decides keep its value, the rest come from _u_v.
+    y = grid * x.max()
+    near = np.flatnonzero(np.abs(y) <= _SERIES_RADIUS)
+    w_near, half = _series_w(y[near], _moments(x), x.size)
+    sure = np.abs(w_near) - half > _SIGN_MARGIN
+    w = np.empty_like(grid)
+    w[near[sure]] = w_near[sure]
+    rest = np.ones(grid.size, dtype=bool)
+    rest[near[sure]] = False
+    u, v = _u_v(grid[rest], x)
+    w[rest] = u * v - 1.0
+    return w
+
+
+def _roots_on_grid(x: np.ndarray, grid: np.ndarray, w: np.ndarray) -> list[float]:
+    # w holds u*v - 1 at the grid's rows, with the signs _u_v gives them.
     roots = []
     sign_change = np.nonzero(np.signbit(w[:-1]) != np.signbit(w[1:]))[0]
     for i in sign_change:
@@ -229,6 +322,40 @@ def fit_gpd(
     (gamma = mean(log(1 + theta*x)) is close to t), which the exponential
     candidate (gamma = 0) stands for. Outside the band the grid points are those of
     the full grids, so the search density per decade is unchanged.
+
+    Grid rows with |theta| * x_max <= 0.6 take their sign from a
+    certificate when it can decide it; only the others are computed. With
+    y = theta * x_max and mu_k = mean((x / x_max)^k) <= 1,
+
+        u = sum_{k>=0} (-y)^k mu_k,    v = 1 - sum_{k>=1} (-y)^k mu_k / k.
+
+    ``_series_w`` sums the terms up to k = K = 24 from moments computed once
+    per fit, O(K) work per row. Since x / x_max <= 1, mu_k never grows with
+    k, so the terms left out sum to at most |y|^(K+1) mu_(K+1) / (1 - |y|)
+    for u, and that divided by K + 1 for v. Each computed term goes through
+    at most m + 5K + 8 roundings: the m - 1 additions and one division of a
+    moment's mean, 2k - 1 for the k-th power of the rounded x / x_max and
+    as many for the rounded y, and the divisions, products and K - 1
+    additions of the series, in whatever order they are done. So
+    (m + 5K + 8) eps times the sum of the terms' magnitudes (plus 1 and the
+    remainder) bounds the rounding for any summation order, BLAS's
+    included; powers that underflow add less than 1e-300. With half-widths
+    h_u and h_v, |u v - u^ v^| <= u^ h_v + v^ h_u + h_u h_v (u > 0.6 and
+    v > 0.08 at |y| <= 0.6), an interval that holds the exact u*v - 1. A
+    row is decided when the interval lies beyond +-1e-12
+    (``_SIGN_MARGIN``), over 4,000 eps. The row ``_u_v`` computes is off the
+    exact value by the few roundings derived above, about 4 eps; even at
+    worst, with numpy's pairwise sums of at most about 60 roundings each,
+    on u <= 2.5 and |v - 1| <= 0.92, it is off by a few hundred eps, under
+    1e-13. So the decided sign is the one ``_u_v`` gives, and never 0. The
+    grid, the bisection midpoints and the candidates are unchanged, and so
+    is every fit.
+
+    A sample whose mean lies outside [2**-9, 2**8) is first scaled by a power
+    of two to a mean in [0.5, 1), which changes no rounding of the search,
+    and sigma is scaled back, because the bisection's tolerance is absolute
+    in theta. Where that tolerance is below theta's resolution, the
+    bisection stops at adjacent floats.
     """
     x = np.asarray(excesses, dtype=float)
     if not np.all(np.isfinite(x)):
@@ -238,6 +365,21 @@ def fit_gpd(
     if np.any(x <= 0):
         raise ValueError("excesses must be strictly positive")
 
+    exponent = int(np.frexp(x.mean())[1])
+    if abs(exponent) <= _SCALE_EXPONENT:
+        exponent = 0
+    gamma, sigma = _mle(np.ldexp(x, -exponent) if exponent else x)
+    return GpdFit(
+        gamma=gamma,
+        sigma=float(np.ldexp(sigma, exponent)),
+        threshold=threshold,
+        total_count=int(total_count) if total_count is not None else x.size,
+        peak_count=x.size,
+    )
+
+
+def _mle(x: np.ndarray) -> tuple[float, float]:
+    # (gamma, sigma) of the best candidate for a validated sample (fit_gpd).
     x_max = float(x.max())
     x_mean = float(x.mean())
 
@@ -247,16 +389,18 @@ def fit_gpd(
     grid_start = 1e-8 / x_mean
     band = _ZERO_BAND / x_mean
 
+    mags = np.geomspace(-theta_min, grid_start, _GRID_SUBINTERVALS + 1)
+    negative = -mags[mags > band]  # ascending from theta_min
+    positive = np.geomspace(grid_start, theta_max, _GRID_SUBINTERVALS + 1)
+    positive = positive[positive > band]
+    w = _grid_w(x, np.concatenate([negative, positive]))
     # The left endpoint enters as a candidate of its own: for short-tailed
     # samples (true gamma <= -1) the profile likelihood increases monotonically
     # toward the singular point -1/x_max and u*v = 1 has no interior root, so
     # the constrained maximum sits at the endpoint offset.
-    roots: list[float] = [theta_min]
-    if -theta_min > band:
-        mags = np.geomspace(-theta_min, grid_start, _GRID_SUBINTERVALS + 1)
-        roots += _roots_on_grid(x, -mags[mags > band])  # ascending from theta_min
-    grid = np.geomspace(grid_start, theta_max, _GRID_SUBINTERVALS + 1)
-    roots += _roots_on_grid(x, grid[grid > band])
+    roots = [theta_min]
+    roots += _roots_on_grid(x, negative, w[: negative.size])
+    roots += _roots_on_grid(x, positive, w[negative.size :])
 
     # theta = 0 solves u*v = 1 identically; it enters as the exponential candidate.
     candidates: list[tuple[float, float]] = [(0.0, x_mean)]
@@ -276,15 +420,7 @@ def fit_gpd(
             continue
         if ll > best_ll + 1e-12 or (abs(ll - best_ll) <= 1e-12 and abs(gamma) < abs(best[0])):
             best, best_ll = (gamma, sigma), max(ll, best_ll)
-
-    gamma, sigma = best
-    return GpdFit(
-        gamma=gamma,
-        sigma=sigma,
-        threshold=threshold,
-        total_count=int(total_count) if total_count is not None else x.size,
-        peak_count=x.size,
-    )
+    return best
 
 
 def fit_tail(errors: np.ndarray, level: float = 0.98) -> GpdFit:
@@ -375,8 +511,9 @@ def anderson_darling(
     p-value comes from a parametric bootstrap: draw from the fitted GPD,
     refit, recompute the statistic, and report the fraction of bootstrap
     statistics at least as large as the observed one. The refits run on a
-    thread pool with one worker per CPU this process may run on; the
-    statistic and p-value do not depend on the number of workers.
+    thread pool with one worker per CPU this process may run on (per CPU of
+    the machine where the platform cannot tell); the statistic and p-value
+    do not depend on the number of workers.
     """
     x = np.asarray(excesses, dtype=float)
     if x.size < MIN_EXCESSES:
@@ -387,7 +524,11 @@ def anderson_darling(
         raise ValueError("bootstrap_reps must be positive")
     observed = _ad_statistic(x, fit.gamma, fit.sigma)
     rng = np.random.default_rng(seed)
-    workers = min(len(os.sched_getaffinity(0)), bootstrap_reps)
+    if hasattr(os, "sched_getaffinity"):  # not on macOS or Windows
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    workers = min(cpus, bootstrap_reps)
     exceed = 0
     # This thread draws every resample from rng in rep order, so the draws and
     # the order-free count do not depend on the worker count. At most two

@@ -372,9 +372,9 @@ def backward(
     return grads
 
 
-def save_network(path, network: Network, loss_spec=None) -> None:
-    """Serialize a network (and optionally its training loss spec) to .npz,
-    written atomically.
+def save_network(path, network: Network, loss_spec=None, look_back: int | None = None) -> None:
+    """Serialize a network (and optionally its training loss spec and the
+    window length it was trained on) to .npz, written atomically.
 
     The format is versioned and round-trips bit-exactly; all matrices are
     stored row-major.
@@ -386,6 +386,7 @@ def save_network(path, network: Network, loss_spec=None) -> None:
         "input_size": network.lstm_layers[0].input_size,
         "output_size": network.output_size,
         "loss_spec": None if loss_spec is None else loss_spec.to_dict(),
+        "look_back": look_back,
     }
     arrays = {}
     for li, layer in enumerate(network.lstm_layers):
@@ -400,7 +401,9 @@ def save_network(path, network: Network, loss_spec=None) -> None:
 
 
 def load_network(path):
-    """Inverse of :func:`save_network`. Returns (network, loss_spec_dict)."""
+    """Inverse of :func:`save_network`. Returns (network, loss_spec_dict,
+    look_back); look_back is None when the file does not record it, as in
+    files written before it was recorded."""
     with np.load(path) as data:
         meta = json.loads(bytes(data["meta"]).decode())
         version = meta["format_version"]
@@ -412,4 +415,4 @@ def load_network(path):
             layers.append(LstmLayerParams(W, U, b))
         dense = DenseParams(data["dense_weights"], data["dense_biases"])
         network = Network(layers, dense, meta["dropout_rate"])
-    return network, meta["loss_spec"]
+    return network, meta["loss_spec"], meta.get("look_back")

@@ -388,6 +388,18 @@ def _missing_array(tmp_path, cfg, dirs):
     return cfg, (tmp_path / "partial.npz").read_bytes(), ()
 
 
+def _without_look_back(model: Path, path: Path) -> Path:
+    """A copy of a model file whose meta has no look_back field, as in files
+    written before it was recorded."""
+    with np.load(model) as saved:
+        arrays = {name: saved[name] for name in saved.files}
+    meta = json.loads(bytes(arrays["meta"]).decode())
+    del meta["look_back"]
+    arrays["meta"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
+    np.savez(path, **arrays)
+    return path
+
+
 def _dataset_byte(tmp_path, cfg, dirs):
     doc = json.loads(Path(cfg).read_text())
     lines = Path(doc["dataset"]["path"]).read_text().splitlines()
@@ -400,10 +412,6 @@ def _dataset_byte(tmp_path, cfg, dirs):
     return write_config(tmp_path, doc), (dirs[0] / "errors.npz").read_bytes(), ()
 
 
-def _look_back(tmp_path, cfg, dirs):
-    return cfg, (dirs[0] / "errors.npz").read_bytes(), ("--set", "look_back=12")
-
-
 class TestErrorsFile:
     """``detect`` reads the training and validation errors from the errors.npz
     that ``train`` wrote next to the model when its key matches, and predicts
@@ -414,14 +422,13 @@ class TestErrorsFile:
         (lambda tmp_path, cfg, dirs: (cfg, (dirs[0] / "errors.npz").read_bytes(), ()), True),
         (_other_seed, False),
         (_dataset_byte, False),
-        (_look_back, False),
         (_truncated, False),
         (lambda tmp_path, cfg, dirs: (cfg, b"", ()), False),
         (lambda tmp_path, cfg, dirs: (cfg, b"not an npz file", ()), False),
         (_npy, False),
         (_missing_array, False),
-    ], ids=["present", "other-seed", "dataset-byte", "look-back", "truncated", "empty", "garbage",
-            "npy", "missing-array"])
+    ], ids=["present", "other-seed", "dataset-byte", "truncated", "empty", "garbage", "npy",
+            "missing-array"])
     def test_outputs_do_not_depend_on_the_file(self, tmp_path, monkeypatch, evt_models, rule, case, hit):
         cfg, dirs = evt_models
         cfg, errors_bytes, extra = case(tmp_path, cfg, dirs)
@@ -442,6 +449,37 @@ class TestErrorsFile:
             assert sum(counted) == scored  # only the test windows
         else:
             assert sum(counted) == forwarded_on_miss > scored
+
+    @pytest.mark.parametrize("rule", ["gaussian", "tukey", "evt", "evt-lstm"])
+    @pytest.mark.parametrize("setting, recorded", [
+        ("look_back=12", True), ("look_ahead=2", True), ("look_ahead=2", False),
+    ], ids=["look-back", "look-ahead", "look-ahead-unrecorded-look-back"])
+    def test_other_window_geometry_exits_2(self, tmp_path, capsys, evt_models, rule, setting,
+                                           recorded):
+        """``detect`` refuses windows other than the model's, and writes
+        nothing. A model file that does not record its look_back (as those
+        written before it was recorded) is checked on look_ahead alone."""
+        cfg, dirs = evt_models
+        model = dirs[0] / "model.npz"
+        if not recorded:
+            model = _without_look_back(model, tmp_path / "model.npz")
+        out = tmp_path / "out"
+        assert main(["detect", "--config", cfg, "--model", str(model), "--rule", rule,
+                     "--output-dir", str(out), "--set", setting]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["kind"] == "config"
+        trained = "look_back 10, look_ahead 1" if recorded else "look_ahead 1"
+        wanted = "look_back 12, look_ahead 1" if setting == "look_back=12" else "look_back 10, look_ahead 2"
+        assert err["message"] == (f"the model was trained on windows of {trained}; "
+                                  f"the config has {wanted}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rule", ["gaussian", "evt-lstm"])
+    def test_unrecorded_look_back_is_not_checked(self, tmp_path, evt_models, rule):
+        cfg, dirs = evt_models
+        model = _without_look_back(dirs[0] / "model.npz", tmp_path / "model.npz")
+        assert main(["detect", "--config", cfg, "--model", str(model), "--rule", rule,
+                     "--output-dir", str(tmp_path / "out"), "--set", "look_back=12"]) == 0
 
     @pytest.mark.parametrize("objective, training", [
         # at lr 0.3 the best validation epoch comes before the last, so the
@@ -464,7 +502,7 @@ class TestErrorsFile:
         p = config.pipeline
         _, windows, _ = prepare(load_series(config.dataset_path, config.schema),
                                 p.split, p.look_back, p.look_ahead)
-        network, _ = load_network(out / "model.npz")
+        network, _, _ = load_network(out / "model.npz")
         with np.load(out / "errors.npz") as saved:
             assert sorted(saved.files) == ["key", "train", "val"]
             for name, w in zip(("train", "val"), windows):

@@ -254,6 +254,17 @@ class TestAndersonDarling:
         assert threading.get_ident() not in threads
         assert 1 <= len(threads) <= min(cpus, reps)
 
+    @pytest.mark.parametrize("cpu_count", [2, None])
+    def test_pool_without_sched_getaffinity(self, monkeypatch, cpu_count):
+        # macOS and Windows have no os.sched_getaffinity; the pool is then
+        # sized by os.cpu_count, or one worker when that is unknown too.
+        x = gpd_inverse_cdf_samples(np.random.default_rng(11), 0.2, 1.0, 150)
+        fit = evt.fit_gpd(x)
+        expected = evt.anderson_darling(x, fit, bootstrap_reps=7, seed=3)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        assert evt.anderson_darling(x, fit, bootstrap_reps=7, seed=3) == expected
+
     def test_failing_refit_surfaces(self, monkeypatch):
         # A refit's exception is stored in its future and must be raised.
         x = evt.sample_gpd(np.random.default_rng(4), 0.1, 1.0, 100)

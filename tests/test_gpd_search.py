@@ -5,8 +5,12 @@
 * A brute-force likelihood grid: the fit must reach the grid's best
   log-likelihood, which catches a missed root.
 * A work count: rows of ``evt._u_v`` and refined brackets per fit.
+* The sign certificate next to theta = 0: the signs it decides are those
+  ``evt._u_v`` computes, and its intervals hold the exact u*v - 1.
 """
 import json
+import warnings
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -152,7 +156,8 @@ def test_bisection_step_matches_one_row_u_v(gamma, m):
 def test_search_work_per_fit(monkeypatch):
     """Rows of u, v evaluated and brackets refined per m = 1000 fit, on the
     three samples of the gpd-compliance benchmark workload at seed 1. Noise
-    brackets near theta = 0 would each add a bisection of about 40 rows."""
+    brackets near theta = 0 would each add a bisection of about 40 rows.
+    Without the sign certificate every grid row, 1,310 to 1,343, is one."""
     rows, brackets = [0], [0]
     u_v, bisect = evt._u_v, evt._bisect
 
@@ -170,5 +175,116 @@ def test_search_work_per_fit(monkeypatch):
         u = np.random.default_rng([1, k]).uniform(size=1000)
         rows[0] = brackets[0] = 0
         evt.fit_gpd(np.expm1(-gamma * np.log1p(-u)) / gamma)
-        assert rows[0] < 1600, f"gamma={gamma}: {rows[0]} rows of u, v"
+        assert rows[0] < 600, f"gamma={gamma}: {rows[0]} rows of u, v"
         assert brackets[0] <= 2, f"gamma={gamma}: {brackets[0]} brackets refined"
+
+
+def certificate_corpus():
+    """gamma x m x 6 seeds, plus criterion 8's mixture."""
+    for gamma in (-0.8, -0.4, -0.1, 1e-4, 0.1, 0.3, 0.8):
+        for m in (30, 50, 200, 1000):
+            for seed in range(6):
+                yield golden_sample(gamma, m, 200 + seed)
+    yield mixture_sample()
+
+
+def search_grid(monkeypatch, x: np.ndarray) -> np.ndarray:
+    """Both sides of the grid fit_gpd searches for x, as one array."""
+    grids = []
+    grid_w = evt._grid_w
+
+    def recording(x, grid):
+        grids.append(grid)
+        return grid_w(x, grid)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(evt, "_grid_w", recording)
+        evt.fit_gpd(x)
+    (grid,) = grids
+    return grid
+
+
+def test_certified_signs_are_those_of_u_v(monkeypatch):
+    """Every row the certificate decides has the sign u*v - 1 has as _u_v
+    computes it, and is not 0; the rows it leaves are _u_v's bit for bit."""
+    rows = decided = 0
+    for x in certificate_corpus():
+        grid = search_grid(monkeypatch, x)
+        u, v = evt._u_v(grid, x)
+        computed = u * v - 1.0
+        y = grid * x.max()
+        near = np.abs(y) <= evt._SERIES_RADIUS
+        w, half = evt._series_w(y[near], evt._moments(x), x.size)
+        sure = np.abs(w) - half > evt._SIGN_MARGIN
+        np.testing.assert_array_equal(np.signbit(w[sure]), np.signbit(computed[near][sure]))
+        assert np.all(computed[near][sure] != 0.0)
+
+        w = evt._grid_w(x, grid)
+        np.testing.assert_array_equal(np.signbit(w), np.signbit(computed))
+        left = np.ones(grid.size, dtype=bool)
+        left[np.flatnonzero(near)[sure]] = False
+        np.testing.assert_array_equal(w[left], computed[left])
+        rows += grid.size
+        decided += int(sure.sum())
+    assert decided > 0.6 * rows, f"{decided} of {rows} rows decided"
+
+
+def exact_w(theta: float, x: np.ndarray) -> Decimal:
+    """u*v - 1 at theta to 40 digits, for the float theta and samples given."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        t = Decimal(theta)
+        s = [1 + t * Decimal(xi) for xi in x.tolist()]
+        u = sum(1 / si for si in s) / len(s)
+        v = 1 + sum(si.ln() for si in s) / len(s)
+        return u * v - 1
+
+
+def test_certified_interval_holds_exact_w():
+    """At m <= 50 the interval the certificate gives holds u*v - 1 computed
+    in decimal at 40 digits, over every seventh row of |theta| x_max <= 0.6
+    on both sides; and _u_v's computed row is within a few eps of it, far
+    inside the margin."""
+    eps = np.finfo(float).eps
+    for gamma in (-0.8, -0.4, -0.1, 1e-4, 0.1, 0.3, 0.8):
+        for m in (30, 50):
+            for seed in (200, 201):
+                x = golden_sample(gamma, m, seed)
+                theta = np.concatenate([
+                    -np.geomspace(1.0 - 1e-8, 1e-5, 300) / x.max(),
+                    np.geomspace(1e-5, 1e4, 300) / x.mean(),
+                ])
+                theta = theta[np.abs(theta * x.max()) <= evt._SERIES_RADIUS][::7]
+                w, half = evt._series_w(theta * x.max(), evt._moments(x), x.size)
+                u, v = evt._u_v(theta, x)
+                for t, center, h, computed in zip(theta, w, half, u * v - 1.0):
+                    exact = exact_w(float(t), x)
+                    assert Decimal(center) - Decimal(h) <= exact <= Decimal(center) + Decimal(h), t
+                    assert abs(Decimal(computed) - exact) <= Decimal(8 * eps), t
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e150])
+def test_fit_at_extreme_scales(scale):
+    """Scaling the excesses scales sigma and leaves gamma: powers of the
+    sample near 1e150 would overflow without the moments' x / x_max, and
+    the bisection's absolute tolerance in theta would stop short (or never)
+    without the power-of-two scaling to unit mean."""
+    x = golden_sample(0.1, 1000, 7)
+    unscaled = evt.fit_gpd(x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        fit = evt.fit_gpd(x * scale)
+    assert fit.gamma == pytest.approx(unscaled.gamma, rel=1e-9, abs=0)
+    assert fit.sigma / scale == pytest.approx(unscaled.sigma, rel=1e-9, abs=0)
+
+
+def test_bisection_stops_at_theta_resolution():
+    """A root at theta near 1e4 lies where one ulp of theta exceeds the
+    bisection's absolute tolerance, so it ends at adjacent floats; this
+    GPD(2, 1e-4) sample of mean 0.38 used to loop for ever."""
+    u = np.random.default_rng(5).uniform(size=200)
+    x = np.expm1(-2.0 * np.log1p(-u)) / 2.0
+    fit = evt.fit_gpd(x * 1e-4)
+    reference = evt.fit_gpd(x * 1e-2)
+    assert fit.gamma == pytest.approx(reference.gamma, rel=1e-9, abs=0)
+    assert fit.sigma * 1e2 == pytest.approx(reference.sigma, rel=1e-9, abs=0)

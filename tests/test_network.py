@@ -175,8 +175,9 @@ class TestSerialization:
         net = init_network((7, 3), output_size=2, dropout_rate=0.25, seed=21)
         spec = LossSpec("evt", weight_decay=1e-4, threshold=0.321)
         path = tmp_path / "model.npz"
-        save_network(path, net, spec)
-        loaded, spec_dict = load_network(path)
+        save_network(path, net, spec, look_back=6)
+        loaded, spec_dict, look_back = load_network(path)
+        assert look_back == 6
         assert loaded.dropout_rate == net.dropout_rate
         for a, b in zip(net.parameters(), loaded.parameters()):
             assert a.dtype == b.dtype
@@ -190,8 +191,9 @@ class TestSerialization:
         net = init_network((4,), output_size=1, seed=2)
         path = tmp_path / "m.npz"
         save_network(path, net)
-        loaded, spec_dict = load_network(path)
+        loaded, spec_dict, look_back = load_network(path)
         assert spec_dict is None
+        assert look_back is None
         np.testing.assert_array_equal(loaded.dense.weights, net.dense.weights)
 
     @pytest.mark.skipif(sys.platform == "win32", reason="needs RLIMIT_FSIZE")
