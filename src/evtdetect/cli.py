@@ -9,12 +9,10 @@ are written atomically (temp file plus rename). Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import sys
 import time
-import zipfile
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -57,10 +55,6 @@ EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 
 RULES = ("gaussian", "tukey", "evt", "evt-lstm")
-
-# Written by ``train`` next to model.npz: the model's errors on the training
-# and validation windows, so that ``detect`` predicts only the test split.
-ERRORS_FILE = "errors.npz"
 
 
 class ConfigError(ValueError):
@@ -142,7 +136,7 @@ def parse_config(doc: dict) -> RunConfig:
         if objective not in ("mse", "evt", "svdd"):
             raise ConfigError(f"objective must be mse, evt, or svdd, got {objective!r}")
 
-        risk_grid = tuple(doc.pop("risk_grid", defaults.risk_grid))
+        risk_grid = doc.pop("risk_grid", defaults.risk_grid)
         output_dir = doc.pop("output_dir", None) or os.environ.get(OUTPUT_DIR_ENV, ".")
         config = RunConfig(
             dataset_path=dataset_path,
@@ -191,47 +185,26 @@ def _prepared_splits(config: RunConfig):
     return (series, *prepare(series, p.split, p.look_back, p.look_ahead))
 
 
-def _errors_key(model_bytes: bytes, train: WindowedDataset, val: WindowedDataset) -> str:
-    """sha256 over a model file's bytes and the shape and bytes of each
-    training and validation window's inputs and targets."""
+def _errors_key(train: WindowedDataset, val: WindowedDataset) -> str:
+    """sha256 over the shape and bytes of each training and validation
+    window's inputs and targets."""
     import hashlib  # here, not at module import, where it adds about 4 ms to every command
 
-    digest = hashlib.sha256(model_bytes)
+    digest = hashlib.sha256()
     for array in (train.inputs, train.targets, val.inputs, val.targets):
         digest.update(repr(array.shape).encode())
         digest.update(np.ascontiguousarray(array))
     return digest.hexdigest()
 
 
-def _write_errors(path: Path, model_bytes: bytes, train: WindowedDataset, val: WindowedDataset,
-                  predictions: tuple[np.ndarray, np.ndarray]) -> None:
-    """Save the first-horizon errors of the training and validation windows
-    under the key that ties them to one model file and those windows."""
-    buf = io.BytesIO()
-    np.savez(
-        buf,
-        key=np.array(_errors_key(model_bytes, train, val)),
-        train=first_horizon_errors(predictions[0], train).errors,
-        val=first_horizon_errors(predictions[1], val).errors,
-    )
-    atomic_write_bytes(path, buf.getvalue())
-
-
-def _calibration_errors(network, model_bytes: bytes, errors_path: Path,
-                        train: WindowedDataset, val: WindowedDataset) -> tuple[PredictionErrors, ...]:
-    """The network's errors on the training and validation windows: read
-    from ``errors_path`` when its key matches, otherwise predicted. A missing,
-    unreadable or stale file only costs the prediction."""
-    key = _errors_key(model_bytes, train, val)
-    try:
-        # NpzFile, not np.load, which returns a bare array for .npy content
-        with open(errors_path, "rb") as fh, np.lib.npyio.NpzFile(fh) as saved:
-            cached = (saved["train"], saved["val"]) if str(saved["key"]) == key else None
-    except (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile):
-        cached = None
-    if cached is None:
+def _calibration_errors(network, saved, train: WindowedDataset,
+                        val: WindowedDataset) -> tuple[PredictionErrors, ...]:
+    """The network's errors on the training and validation windows: those
+    ``saved`` in its model file when their key matches these windows,
+    otherwise predicted."""
+    if saved is None or saved[0] != _errors_key(train, val):
         return tuple(prediction_errors(network, w) for w in (train, val))
-    return tuple(PredictionErrors(e, w.target_indices) for e, w in zip(cached, (train, val)))
+    return tuple(PredictionErrors(e, w.target_indices) for e, w in zip(saved[1:], (train, val)))
 
 
 def cmd_train(config: RunConfig) -> int:
@@ -249,10 +222,12 @@ def cmd_train(config: RunConfig) -> int:
     if model.loss_kind != "mse":
         spec = LossSpec(model.loss_kind, weight_decay=train.weight_decay,
                         center=model.center, threshold=model.threshold)
-    save_network(out / "model.npz", model.network, spec, config.pipeline.look_back)
-    if model.predictions is not None:
-        model_bytes = (out / "model.npz").read_bytes()
-        _write_errors(out / ERRORS_FILE, model_bytes, train_w, val_w, model.predictions)
+    errors = None
+    if model.predictions is not None:  # so that ``detect`` predicts only the test split
+        train_pred, val_pred = model.predictions
+        errors = (_errors_key(train_w, val_w), first_horizon_errors(train_pred, train_w).errors,
+                  first_horizon_errors(val_pred, val_w).errors)
+    save_network(out / "model.npz", model.network, spec, config.pipeline.look_back, errors)
     manifest = run_manifest(model, train, wall_clock_seconds=round(seconds, 3))
     manifest["objective"] = config.objective
     atomic_write_json(out / "manifest.json", manifest)
@@ -277,18 +252,16 @@ def _require_geometry(p: BenchmarkConfig, look_back: int | None, look_ahead: int
 def _calibrated_detection(config: RunConfig, model_path: str):
     """Calibrate the selected rule and run detection on the test split."""
     series, splits, windows, offsets = _prepared_splits(config)
-    model_bytes = Path(model_path).read_bytes()
-    network, loss_spec, look_back = load_network(io.BytesIO(model_bytes))
+    network, loss_spec, look_back, saved = load_network(model_path)
     _require_geometry(config.pipeline, look_back, network.output_size)
     if config.rule == "evt-lstm":  # the model file carries its own detection threshold
-        if loss_spec is None or loss_spec.get("threshold") is None:
+        if loss_spec is None or loss_spec.threshold is None:
             raise ConfigError("model file has no detection threshold (evt or svdd objective)")
         test_errs = prediction_errors(network, windows[2])
-        det = threshold_decisions(test_errs, loss_spec["threshold"])
-        return series, test_errs, det, {"threshold": loss_spec["threshold"]}, offsets[2]
+        det = threshold_decisions(test_errs, loss_spec.threshold)
+        return series, test_errs, det, {"threshold": loss_spec.threshold}, offsets[2]
 
-    errors_path = Path(model_path).with_name(ERRORS_FILE)
-    errs = (*_calibration_errors(network, model_bytes, errors_path, windows[0], windows[1]),
+    errs = (*_calibration_errors(network, saved, windows[0], windows[1]),
             prediction_errors(network, windows[2]))
     labels = None if series.labels is None else tuple(s.labels[e.indices] for s, e in zip(splits, errs))
     p = config.pipeline

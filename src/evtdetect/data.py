@@ -169,13 +169,6 @@ def _parse_timestamp(cell: str, row: int) -> float:
         raise ValueError(f"row {row}: cannot parse timestamp {cell!r}") from None
 
 
-def _noting_lines(rows, reader, lines: list[int]):
-    """Yield ``rows``, appending the reader's line number for each to ``lines``."""
-    for row in rows:
-        lines.append(reader.line_num)
-        yield row
-
-
 def _first_gap(timestamps: np.ndarray, period: float | None) -> int | None:
     """Index of the first step of ``timestamps`` that is not ``period``, or None."""
     if period is None:
@@ -249,12 +242,10 @@ def load_series(path: str | Path, schema: CsvSchema = CsvSchema()) -> LabeledSer
 
         # Blank lines are skipped; rows are numbered by the file's lines (the
         # last line of a record with quoted line breaks), blank ones included.
-        rows = filter(None, reader)
-        lines: list[int] = []  # each sample's row, kept only for the gap check
-        if schema.sampling_period is not None:
-            rows = _noting_lines(rows, reader, lines)
-        for row in rows:
+        lines: list[int] = []  # each sample's row, for the gap check
+        for row in filter(None, reader):
             i = reader.line_num
+            lines.append(i)
             if len(row) < width:
                 raise ValueError(f"row {i}: {len(row)} of {width} cells")
             timestamps.append(_parse_timestamp(row[ts_at], i))

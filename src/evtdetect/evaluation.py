@@ -1,7 +1,9 @@
 """Confusion counting, precision/recall/F1, and the rule-comparison benchmark."""
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, replace
+from numbers import Real
 
 import numpy as np
 
@@ -108,6 +110,11 @@ class BenchmarkConfig:
     def __post_init__(self):
         for name in ("look_back", "look_ahead"):
             object.__setattr__(self, name, whole(name, getattr(self, name)))
+        grid = self.risk_grid
+        if not (isinstance(grid, Sequence) and grid and all(
+                isinstance(r, Real) and not isinstance(r, bool) and 0 < r < 1 for r in grid)):
+            raise ValueError(f"risk_grid must be a non-empty list of numbers in (0, 1), got {grid!r}")
+        object.__setattr__(self, "risk_grid", tuple(grid))
 
 
 def _pool_errors(parts) -> PredictionErrors:

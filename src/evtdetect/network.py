@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import atomic_write_bytes
+from .losses import LossSpec
 
 SERIAL_FORMAT_VERSION = 2
 
@@ -372,9 +373,11 @@ def backward(
     return grads
 
 
-def save_network(path, network: Network, loss_spec=None, look_back: int | None = None) -> None:
-    """Serialize a network (and optionally its training loss spec and the
-    window length it was trained on) to .npz, written atomically.
+def save_network(path, network: Network, loss_spec=None, look_back: int | None = None,
+                 errors: tuple[str, np.ndarray, np.ndarray] | None = None) -> None:
+    """Serialize a network (and optionally its training loss spec, the
+    window length it was trained on, and ``errors``: a key with the network's
+    errors on the training and validation windows) to .npz, written atomically.
 
     The format is versioned and round-trips bit-exactly; all matrices are
     stored row-major.
@@ -387,6 +390,7 @@ def save_network(path, network: Network, loss_spec=None, look_back: int | None =
         "output_size": network.output_size,
         "loss_spec": None if loss_spec is None else loss_spec.to_dict(),
         "look_back": look_back,
+        "errors_key": None if errors is None else errors[0],
     }
     arrays = {}
     for li, layer in enumerate(network.lstm_layers):
@@ -394,6 +398,8 @@ def save_network(path, network: Network, loss_spec=None, look_back: int | None =
             arrays[f"layer{li}_{name}"] = np.ascontiguousarray(arr)
     arrays["dense_weights"] = np.ascontiguousarray(network.dense.weights)
     arrays["dense_biases"] = np.ascontiguousarray(network.dense.biases)
+    if errors is not None:
+        arrays["train_errors"], arrays["val_errors"] = errors[1:]
     arrays["meta"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
     buf = io.BytesIO()
     np.savez(buf, **arrays)
@@ -401,9 +407,10 @@ def save_network(path, network: Network, loss_spec=None, look_back: int | None =
 
 
 def load_network(path):
-    """Inverse of :func:`save_network`. Returns (network, loss_spec_dict,
-    look_back); look_back is None when the file does not record it, as in
-    files written before it was recorded."""
+    """Inverse of :func:`save_network`. Returns (network, loss_spec,
+    look_back, errors); look_back is None when the file does not record it,
+    as in files written before it was recorded, and errors is None when the
+    file holds none."""
     with np.load(path) as data:
         meta = json.loads(bytes(data["meta"]).decode())
         version = meta["format_version"]
@@ -415,4 +422,7 @@ def load_network(path):
             layers.append(LstmLayerParams(W, U, b))
         dense = DenseParams(data["dense_weights"], data["dense_biases"])
         network = Network(layers, dense, meta["dropout_rate"])
-    return network, meta["loss_spec"], meta.get("look_back")
+        key = meta.get("errors_key")
+        errors = None if key is None else (key, data["train_errors"], data["val_errors"])
+    spec = None if meta["loss_spec"] is None else LossSpec.from_dict(meta["loss_spec"])
+    return network, spec, meta.get("look_back"), errors

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import LabeledSeries
+from .data import LabeledSeries, atomic_write_bytes
 
 
 def make_spike_series(
@@ -62,8 +62,7 @@ def make_spike_series(
 
 def write_csv(series: LabeledSeries, path) -> None:
     """Persist a labeled series in the loader's CSV format."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("timestamp,value,label\n")
-        labels = series.labels if series.labels is not None else np.zeros(len(series), dtype=bool)
-        for ts, v, lab in zip(series.timestamps, series.values, labels):
-            fh.write(f"{ts:.6f},{float(v)!r},{int(lab)}\n")
+    labels = series.labels if series.labels is not None else np.zeros(len(series), dtype=bool)
+    rows = "".join(f"{ts:.6f},{float(v)!r},{int(lab)}\n"
+                   for ts, v, lab in zip(series.timestamps, series.values, labels))
+    atomic_write_bytes(path, ("timestamp,value,label\n" + rows).encode("utf-8"))

@@ -1,3 +1,5 @@
+import hashlib
+import io
 import json
 import shutil
 from pathlib import Path
@@ -8,7 +10,7 @@ import pytest
 from evtdetect.cli import load_config, main, parse_config
 from evtdetect.data import SplitSpec, load_series, prepare
 from evtdetect.detectors import prediction_errors
-from evtdetect.network import load_network
+from evtdetect.network import load_network, save_network
 from evtdetect.synthetic import make_spike_series, write_csv
 from infer_counting import count_infer_windows
 
@@ -153,6 +155,19 @@ class TestConfigHandling:
         err = json.loads(capsys.readouterr().err)["error"]
         assert (err["kind"], err["type"]) == ("config", "ConfigError")
         assert err["message"].startswith("training.hidden_sizes must be a list of whole numbers, got ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["[]", '["a"]', "[0]", "[2]", "[-1e-3]", "0.001", "[true]"],
+                             ids=["empty", "string", "zero", "two", "negative", "scalar", "bool"])
+    def test_bad_risk_grid_exits_2(self, tmp_path, capsys, evt_models, value):
+        cfg, dirs = evt_models
+        out = tmp_path / "out"
+        assert main(["detect", "--config", cfg, "--model", str(dirs[0] / "model.npz"), "--rule", "evt",
+                     "--output-dir", str(out), "--set", f"risk_grid={value}"]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert (err["kind"], err["type"]) == ("config", "ConfigError")
+        assert err["message"] == ("risk_grid must be a non-empty list of numbers in (0, 1), "
+                                  f"got {json.loads(value)!r}")
         assert not out.exists()
 
     def test_integral_float_counts_work(self, tmp_path, config_doc):
@@ -345,16 +360,15 @@ class TestEvaluateInput:
         assert not (out / "metrics.json").exists()
 
 
-def _detect_outputs(cfg, model, rule, out, extra=()):
+def _detect_outputs(cfg, model, rule, out):
     assert main(["detect", "--config", cfg, "--model", str(model), "--rule", rule,
-                 "--output-dir", str(out), *extra]) == 0
+                 "--output-dir", str(out)]) == 0
     return (out / "detections.csv").read_bytes(), (out / "detection_summary.json").read_bytes()
 
 
 @pytest.fixture(scope="module")
 def evt_models(tmp_path_factory, config_doc):
-    """Two evt models (seeds 0 and 1), each trained into its own directory
-    next to its errors.npz."""
+    """Two evt models (seeds 0 and 1), each trained into its own directory."""
     root = tmp_path_factory.mktemp("evt_models")
     # quantile 0.95 leaves the re-estimates enough excesses
     doc = {**config_doc, "training": {**config_doc["training"], "init_quantile": 0.95}}
@@ -368,36 +382,48 @@ def evt_models(tmp_path_factory, config_doc):
     return cfg, dirs
 
 
-def _other_seed(tmp_path, cfg, dirs):
-    return cfg, (dirs[1] / "errors.npz").read_bytes(), ()
-
-
-def _truncated(tmp_path, cfg, dirs):
-    saved = (dirs[0] / "errors.npz").read_bytes()
-    return cfg, saved[: len(saved) // 2], ()
-
-
-def _npy(tmp_path, cfg, dirs):
-    np.save(tmp_path / "errors.npy", np.zeros(3))
-    return cfg, (tmp_path / "errors.npy").read_bytes(), ()
-
-
-def _missing_array(tmp_path, cfg, dirs):
-    with np.load(dirs[0] / "errors.npz") as saved:
-        np.savez(tmp_path / "partial.npz", key=saved["key"], train=saved["train"])
-    return cfg, (tmp_path / "partial.npz").read_bytes(), ()
-
-
-def _without_look_back(model: Path, path: Path) -> Path:
-    """A copy of a model file whose meta has no look_back field, as in files
-    written before it was recorded."""
+def _copy_without(model: Path, path: Path, meta_keys, arrays=()) -> Path:
+    """A copy of a model file without the given meta fields and arrays, as in
+    files written before those were recorded."""
     with np.load(model) as saved:
-        arrays = {name: saved[name] for name in saved.files}
-    meta = json.loads(bytes(arrays["meta"]).decode())
-    del meta["look_back"]
-    arrays["meta"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
-    np.savez(path, **arrays)
+        kept = {name: saved[name] for name in saved.files if name not in arrays}
+    meta = json.loads(bytes(kept["meta"]).decode())
+    for key in meta_keys:
+        del meta[key]
+    kept["meta"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    np.savez(path, **kept)
     return path
+
+
+def _without_errors(model: Path, path: Path) -> Path:
+    """A copy of a model file in the format of files written before it held
+    its calibration errors."""
+    return _copy_without(model, path, ["errors_key"], ["train_errors", "val_errors"])
+
+
+def _sidecar(model: Path, cfg: str) -> bytes:
+    """A valid errors.npz as ``train`` once wrote it next to ``model``: the
+    model's errors on the training and validation windows under a sha256 key
+    over the model file's bytes and those windows."""
+    config = load_config(cfg, [])
+    p = config.pipeline
+    _, windows, _ = prepare(load_series(config.dataset_path, config.schema),
+                            p.split, p.look_back, p.look_ahead)
+    digest = hashlib.sha256(model.read_bytes())
+    for w in windows[:2]:
+        for array in (w.inputs, w.targets):
+            digest.update(repr(array.shape).encode())
+            digest.update(np.ascontiguousarray(array))
+    network = load_network(model)[0]
+    buf = io.BytesIO()
+    np.savez(buf, key=np.array(digest.hexdigest()),
+             **{name: prediction_errors(network, w).errors for name, w in zip(("train", "val"), windows)})
+    return buf.getvalue()
+
+
+def _as_trained(tmp_path, cfg, dirs):
+    return cfg, dirs[0] / "model.npz", None
 
 
 def _dataset_byte(tmp_path, cfg, dirs):
@@ -409,46 +435,90 @@ def _dataset_byte(tmp_path, cfg, dirs):
     changed = tmp_path / "changed.csv"
     changed.write_text("\n".join(lines) + "\n")
     doc["dataset"]["path"] = str(changed)
-    return write_config(tmp_path, doc), (dirs[0] / "errors.npz").read_bytes(), ()
+    return write_config(tmp_path, doc), dirs[0] / "model.npz", None
+
+
+def _saved_without_errors(tmp_path, cfg, dirs):
+    model = tmp_path / "saved" / "model.npz"
+    save_network(model, *load_network(dirs[0] / "model.npz")[:3])
+    return cfg, model, None
+
+
+def _beside_an_older_model(tmp_path, cfg, dirs):
+    model = _without_errors(dirs[0] / "model.npz", tmp_path / "older" / "model.npz")
+    return cfg, model, _sidecar(model, cfg)
+
+
+def _stray(make_bytes):
+    """A case whose errors.npz, made by ``make_bytes(tmp_path, cfg, dirs)``,
+    lies next to the model as trained."""
+    return lambda tmp_path, cfg, dirs: (cfg, dirs[0] / "model.npz", make_bytes(tmp_path, cfg, dirs))
+
+
+def _other_seed(tmp_path, cfg, dirs):
+    return _sidecar(_without_errors(dirs[1] / "model.npz", tmp_path / "seed1" / "model.npz"), cfg)
+
+
+def _truncated(tmp_path, cfg, dirs):
+    saved = _other_seed(tmp_path, cfg, dirs)
+    return saved[: len(saved) // 2]
+
+
+def _npy(tmp_path, cfg, dirs):
+    np.save(tmp_path / "errors.npy", np.zeros(3))
+    return (tmp_path / "errors.npy").read_bytes()
+
+
+def _missing_array(tmp_path, cfg, dirs):
+    with np.load(io.BytesIO(_other_seed(tmp_path, cfg, dirs))) as saved:
+        np.savez(tmp_path / "partial.npz", key=saved["key"], train=saved["train"])
+    return (tmp_path / "partial.npz").read_bytes()
 
 
 class TestErrorsFile:
-    """``detect`` reads the training and validation errors from the errors.npz
-    that ``train`` wrote next to the model when its key matches, and predicts
-    them otherwise. Either way its outputs are the same bytes."""
+    """``train`` stores the model's errors on the training and validation
+    windows in model.npz, keyed to those windows. ``detect`` uses them when
+    the key matches the windows it built, and predicts them otherwise; either
+    way its outputs are the same bytes. An errors.npz next to the model, as
+    ``train`` once wrote, is never read."""
 
     @pytest.mark.parametrize("rule", ["gaussian", "tukey", "evt", "evt-lstm"])
     @pytest.mark.parametrize("case, hit", [
-        (lambda tmp_path, cfg, dirs: (cfg, (dirs[0] / "errors.npz").read_bytes(), ()), True),
-        (_other_seed, False),
+        (_as_trained, True),
         (_dataset_byte, False),
-        (_truncated, False),
-        (lambda tmp_path, cfg, dirs: (cfg, b"", ()), False),
-        (lambda tmp_path, cfg, dirs: (cfg, b"not an npz file", ()), False),
-        (_npy, False),
-        (_missing_array, False),
-    ], ids=["present", "other-seed", "dataset-byte", "truncated", "empty", "garbage", "npy",
-            "missing-array"])
+        (_saved_without_errors, False),
+        (_beside_an_older_model, False),
+        (_stray(_other_seed), True),
+        (_stray(_truncated), True),
+        (_stray(lambda tmp_path, cfg, dirs: b""), True),
+        (_stray(lambda tmp_path, cfg, dirs: b"not an npz file"), True),
+        (_stray(_npy), True),
+        (_stray(_missing_array), True),
+    ], ids=["present", "dataset-byte", "without-errors", "beside-an-older-model", "other-seed",
+            "truncated", "empty", "garbage", "npy", "missing-array"])
     def test_outputs_do_not_depend_on_the_file(self, tmp_path, monkeypatch, evt_models, rule, case, hit):
         cfg, dirs = evt_models
-        cfg, errors_bytes, extra = case(tmp_path, cfg, dirs)
-        without, with_file = tmp_path / "without", tmp_path / "with"
-        for d in (without, with_file):
-            d.mkdir()
-            shutil.copy(dirs[0] / "model.npz", d / "model.npz")
-        (with_file / "errors.npz").write_bytes(errors_bytes)
+        cfg, model, errors_bytes = case(tmp_path, cfg, dirs)
+        reference = _without_errors(dirs[0] / "model.npz", tmp_path / "reference" / "model.npz")
+        run = tmp_path / "run"
+        run.mkdir()
+        shutil.copy(model, run / "model.npz")
+        if errors_bytes is not None:
+            (run / "errors.npz").write_bytes(errors_bytes)
 
         counted = count_infer_windows(monkeypatch)
-        expected = _detect_outputs(cfg, without / "model.npz", rule, without / "out", extra)
+        expected = _detect_outputs(cfg, reference, rule, tmp_path / "reference" / "out")
         forwarded_on_miss = sum(counted)
         counted.clear()
-        assert _detect_outputs(cfg, with_file / "model.npz", rule, with_file / "out", extra) == expected
+        assert _detect_outputs(cfg, run / "model.npz", rule, run / "out") == expected
 
         scored = json.loads(expected[1])["points_scored"]
         if hit or rule == "evt-lstm":
             assert sum(counted) == scored  # only the test windows
         else:
             assert sum(counted) == forwarded_on_miss > scored
+        if errors_bytes is not None:
+            assert (run / "errors.npz").read_bytes() == errors_bytes
 
     @pytest.mark.parametrize("rule", ["gaussian", "tukey", "evt", "evt-lstm"])
     @pytest.mark.parametrize("setting, recorded", [
@@ -462,7 +532,7 @@ class TestErrorsFile:
         cfg, dirs = evt_models
         model = dirs[0] / "model.npz"
         if not recorded:
-            model = _without_look_back(model, tmp_path / "model.npz")
+            model = _copy_without(model, tmp_path / "model.npz", ["look_back"])
         out = tmp_path / "out"
         assert main(["detect", "--config", cfg, "--model", str(model), "--rule", rule,
                      "--output-dir", str(out), "--set", setting]) == 2
@@ -477,7 +547,7 @@ class TestErrorsFile:
     @pytest.mark.parametrize("rule", ["gaussian", "evt-lstm"])
     def test_unrecorded_look_back_is_not_checked(self, tmp_path, evt_models, rule):
         cfg, dirs = evt_models
-        model = _without_look_back(dirs[0] / "model.npz", tmp_path / "model.npz")
+        model = _copy_without(dirs[0] / "model.npz", tmp_path / "model.npz", ["look_back"])
         assert main(["detect", "--config", cfg, "--model", str(model), "--rule", rule,
                      "--output-dir", str(tmp_path / "out"), "--set", "look_back=12"]) == 0
 
@@ -502,11 +572,10 @@ class TestErrorsFile:
         p = config.pipeline
         _, windows, _ = prepare(load_series(config.dataset_path, config.schema),
                                 p.split, p.look_back, p.look_ahead)
-        network, _, _ = load_network(out / "model.npz")
-        with np.load(out / "errors.npz") as saved:
-            assert sorted(saved.files) == ["key", "train", "val"]
-            for name, w in zip(("train", "val"), windows):
-                assert saved[name].tobytes() == prediction_errors(network, w).errors.tobytes()
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "model.npz"]
+        network, _, _, saved = load_network(out / "model.npz")
+        for errors, w in zip(saved[1:], windows):
+            assert errors.tobytes() == prediction_errors(network, w).errors.tobytes()
 
 
 class TestBenchmarkCommand:

@@ -1,4 +1,6 @@
+import ast
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -113,6 +115,10 @@ class TestLoadSeries:
         loaded = load_series(p, CsvSchema("timestamp", "value", "label"))
         for field in ("timestamps", "values", "labels"):
             assert np.array_equal(getattr(loaded, field), getattr(source, field)), field
+        # the bytes a row-by-row write gives
+        rows = [f"{ts:.6f},{float(v)!r},{int(lab)}\n"
+                for ts, v, lab in zip(source.timestamps, source.values, source.labels)]
+        assert p.read_bytes() == ("timestamp,value,label\n" + "".join(rows)).encode()
 
 
 def loaded(path, schema):
@@ -382,3 +388,64 @@ def test_atomic_write_gets_the_mode_of_a_plain_write(tmp_path):
     atomic_write_bytes(tmp_path / "atomic", b"x")
     assert (tmp_path / "atomic").stat().st_mode == (tmp_path / "plain").stat().st_mode
     assert sorted(p.name for p in tmp_path.iterdir()) == ["atomic", "plain"]
+
+
+def _file_writes(tree: ast.AST) -> list[int]:
+    """Lines of the calls in ``tree`` that write a file other than inside
+    ``atomic_write_bytes``: ``open``, ``Path.open`` or ``os.fdopen`` in a
+    mode that writes (or one that is not a literal), ``os.open``,
+    ``write_text``, ``write_bytes``, and ``np.save*`` to anything but a name
+    bound to a ``BytesIO()`` in the same function."""
+    found: list[int] = []
+
+    def names(call):
+        """(module or object name, function name) of a call: ("os", "open"), (None, "open")."""
+        func = call.func
+        if isinstance(func, ast.Attribute):
+            return getattr(func.value, "id", None), func.attr
+        return None, getattr(func, "id", None)
+
+    def writes(call, buffers):
+        owner, name = names(call)
+        if name in ("write_text", "write_bytes") or (owner, name) == ("os", "open"):
+            return True
+        if name in ("open", "fdopen"):
+            at = 0 if isinstance(call.func, ast.Attribute) and owner not in ("io", "os") else 1
+            mode = next((k.value for k in call.keywords if k.arg == "mode"),
+                        call.args[at] if len(call.args) > at else ast.Constant("r"))
+            return not isinstance(mode, ast.Constant) or bool(set(str(mode.value)) & set("wax+"))
+        if owner in ("np", "numpy") and name.startswith("save"):
+            return not (call.args and isinstance(call.args[0], ast.Name) and call.args[0].id in buffers)
+        return False
+
+    def visit(node, allowed, buffers):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            allowed = allowed or node.name == "atomic_write_bytes"
+            buffers = {t.id for n in ast.walk(node)
+                       if isinstance(n, ast.Assign) and isinstance(n.value, ast.Call)
+                       and names(n.value)[1] == "BytesIO" for t in n.targets if isinstance(t, ast.Name)}
+        if isinstance(node, ast.Call) and not allowed and writes(node, buffers):
+            found.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, allowed, buffers)
+
+    visit(tree, False, set())
+    return found
+
+
+@pytest.mark.parametrize("code, lines", [
+    ("open(p)\nopen(p, encoding='utf-8')\np.open(newline='')\nopen(p, 'rb')", []),
+    ("open(p, 'w')\nopen(p, mode='ab')\nopen(p, m)\np.open('r+')\nos.fdopen(fd, 'wb')\nos.open(p, f)",
+     [1, 2, 3, 4, 5, 6]),
+    ("p.write_text(s)\np.write_bytes(b)\nnp.save(p, a)\nnp.savez(str(p), a=a)", [1, 2, 3, 4]),
+    ("def f():\n    buf = io.BytesIO()\n    np.savez(buf, a=a)\n    np.savez(other, a=a)", [4]),
+    ("def atomic_write_bytes(p, b):\n    os.open(p, f)\n    os.fdopen(fd, 'wb')", []),
+], ids=["reads", "write-modes", "path-writes", "buffer", "inside-atomic-write"])
+def test_file_write_finder(code, lines):
+    assert _file_writes(ast.parse(code)) == lines
+
+
+def test_every_file_write_goes_through_atomic_write_bytes():
+    found = [f"{path.name}:{line}" for path in sorted(Path(data.__file__).parent.glob("*.py"))
+             for line in _file_writes(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == []

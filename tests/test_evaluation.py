@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -148,6 +149,13 @@ class TestBenchmark:
         short = TrainConfig(hidden_sizes=(4,), epochs=1, threshold_update_period=1, seed=0)
         with pytest.raises(ValueError, match="injected bug"):
             benchmark(series, BenchmarkConfig(split=config.split, look_back=10, train=short))
+
+    @pytest.mark.parametrize("grid", [(), ("a",), (0,), (2,), (-1e-3,), 1e-3, (True,), (float("nan"),)],
+                             ids=["empty", "string", "zero", "two", "negative", "scalar", "bool", "nan"])
+    def test_risk_grid_must_hold_risks(self, tiny_benchmark, grid):
+        series, config, _ = tiny_benchmark
+        with pytest.raises(ValueError, match=r"^risk_grid must be a non-empty list of numbers in \(0, 1\)"):
+            benchmark(series, replace(config, risk_grid=grid))
 
 
 # sha256 of json.dumps(report, sort_keys=True) for the configuration below,

@@ -174,15 +174,19 @@ class TestSerialization:
     def test_round_trip_bit_exact(self, tmp_path):
         net = init_network((7, 3), output_size=2, dropout_rate=0.25, seed=21)
         spec = LossSpec("evt", weight_decay=1e-4, threshold=0.321)
+        errors = ("key", np.random.default_rng(0).exponential(size=9), np.linspace(0.0, 1.0, 4))
         path = tmp_path / "model.npz"
-        save_network(path, net, spec, look_back=6)
-        loaded, spec_dict, look_back = load_network(path)
+        save_network(path, net, spec, look_back=6, errors=errors)
+        loaded, loaded_spec, look_back, loaded_errors = load_network(path)
         assert look_back == 6
         assert loaded.dropout_rate == net.dropout_rate
         for a, b in zip(net.parameters(), loaded.parameters()):
             assert a.dtype == b.dtype
             np.testing.assert_array_equal(a, b)
-        assert spec_dict == spec.to_dict()
+        assert loaded_spec == spec
+        assert loaded_errors[0] == "key"
+        for a, b in zip(errors[1:], loaded_errors[1:]):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         out_a, _ = forward(net, np.linspace(0, 1, 6))
         out_b, _ = forward(loaded, np.linspace(0, 1, 6))
         np.testing.assert_array_equal(out_a, out_b)
@@ -191,9 +195,10 @@ class TestSerialization:
         net = init_network((4,), output_size=1, seed=2)
         path = tmp_path / "m.npz"
         save_network(path, net)
-        loaded, spec_dict, look_back = load_network(path)
-        assert spec_dict is None
+        loaded, spec, look_back, errors = load_network(path)
+        assert spec is None
         assert look_back is None
+        assert errors is None
         np.testing.assert_array_equal(loaded.dense.weights, net.dense.weights)
 
     @pytest.mark.skipif(sys.platform == "win32", reason="needs RLIMIT_FSIZE")
