@@ -22,7 +22,6 @@ from . import evt
 from .data import CsvSchema, WindowedDataset, atomic_write_bytes, load_series, prepare
 from .detectors import (
     PredictionErrors,
-    detect,
     first_horizon_errors,
     prediction_errors,
     threshold_decisions,
@@ -148,7 +147,7 @@ def parse_config(doc: dict) -> RunConfig:
         )
     except ConfigError:
         raise
-    except (TypeError, ValueError, KeyError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     unknown = set(doc) - {"comment"}
     if unknown:
@@ -217,7 +216,6 @@ def cmd_train(config: RunConfig) -> int:
     require_threshold_estimate(model, train, len(train_w))  # before anything is written
 
     out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     spec = None
     if model.loss_kind != "mse":
         spec = LossSpec(model.loss_kind, weight_decay=train.weight_decay,
@@ -249,37 +247,29 @@ def _require_geometry(p: BenchmarkConfig, look_back: int | None, look_ahead: int
         )
 
 
-def _calibrated_detection(config: RunConfig, model_path: str):
-    """Calibrate the selected rule and run detection on the test split."""
+def cmd_detect(config: RunConfig, model_path: str) -> int:
     series, splits, windows, offsets = _prepared_splits(config)
     network, loss_spec, look_back, saved = load_network(model_path)
     _require_geometry(config.pipeline, look_back, network.output_size)
+    if config.rule == "evt-lstm" and (loss_spec is None or loss_spec.threshold is None):
+        raise ConfigError("model file has no detection threshold (evt or svdd objective)")
+    test_errs = prediction_errors(network, windows[2])
     if config.rule == "evt-lstm":  # the model file carries its own detection threshold
-        if loss_spec is None or loss_spec.threshold is None:
-            raise ConfigError("model file has no detection threshold (evt or svdd objective)")
-        test_errs = prediction_errors(network, windows[2])
         det = threshold_decisions(test_errs, loss_spec.threshold)
-        return series, test_errs, det, {"threshold": loss_spec.threshold}, offsets[2]
+        params = {"threshold": loss_spec.threshold}
+    else:
+        errs = (*_calibration_errors(network, saved, windows[0], windows[1]), test_errs)
+        labels = None if series.labels is None else tuple(s.labels[e.indices] for s, e in zip(splits, errs))
+        p = config.pipeline
+        try:
+            det, params = calibrate(config.rule, errs, labels, p.risk_grid, p.train.init_quantile)
+        except LabelsRequired as exc:
+            raise ConfigError(str(exc)) from exc
 
-    errs = (*_calibration_errors(network, saved, windows[0], windows[1]),
-            prediction_errors(network, windows[2]))
-    labels = None if series.labels is None else tuple(s.labels[e.indices] for s, e in zip(splits, errs))
-    p = config.pipeline
-    try:
-        rule, params = calibrate(config.rule, errs, labels, p.risk_grid, p.train.init_quantile)
-    except LabelsRequired as exc:
-        raise ConfigError(str(exc)) from exc
-    return series, errs[2], detect(errs[2], rule), params, offsets[2]
-
-
-def cmd_detect(config: RunConfig, model_path: str) -> int:
-    series, test_errs, det, params, test_offset = _calibrated_detection(config, model_path)
     out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     lines = ["index,timestamp,error,score,flag"]
     for i, score, flag, err in zip(det.indices, det.scores, det.flags, test_errs.errors):
-        absolute = test_offset + int(i)
+        absolute = offsets[2] + int(i)
         ts = series.timestamps[absolute]
         lines.append(f"{absolute},{float(ts)!r},{float(err)!r},{float(score)!r},{int(flag)}")
     atomic_write_text(out / "detections.csv", "\n".join(lines) + "\n")
@@ -302,6 +292,7 @@ def _read_detections(path: str, series_length: int) -> tuple[np.ndarray, np.ndar
     flag other than 0 or 1."""
     indices: list[int] = []
     flags: list[bool] = []
+    linenos: list[int] = []
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         for name in ("index", "flag"):
@@ -325,13 +316,12 @@ def _read_detections(path: str, series_length: int) -> tuple[np.ndarray, np.ndar
                 raise ValueError(f"{path}, line {lineno}: flag {cells[flag_col]!r} is not 0 or 1")
             indices.append(index)
             flags.append(cells[flag_col] == "1")
+            linenos.append(lineno)
     idx = np.asarray(indices, dtype=int)
     _, first = np.unique(idx, return_index=True)
-    if first.size < idx.size:  # find the line only now, off the common path
+    if first.size < idx.size:
         row = np.setdiff1d(np.arange(idx.size), first)[0]
-        with open(path, encoding="utf-8") as fh:
-            lines = [n for n, line in enumerate(fh, start=1) if n > 1 and line.strip()]
-        raise ValueError(f"{path}, line {lines[row]}: index {idx[row]} repeats an earlier row's")
+        raise ValueError(f"{path}, line {linenos[row]}: index {idx[row]} repeats an earlier row's")
     return idx, np.asarray(flags, dtype=bool)
 
 
@@ -353,6 +343,9 @@ def cmd_evaluate(config: RunConfig, detections_path: str) -> int:
 
 
 def cmd_fit_gpd(input_path: str, level: float, risk: float) -> int:
+    for flag, value in (("--level", level), ("--risk", risk)):
+        if not 0 < value < 1:  # NaN fails too
+            raise ConfigError(f"{flag} must lie in (0, 1), got {value!r}")
     values = []
     with open(input_path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):

@@ -12,7 +12,7 @@ and differ in how the flagging threshold is derived:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -200,25 +200,21 @@ def calibrate_risk(
         raise ValueError("labels must align with errors")
     fit = evt.fit_tail(init_errors.errors, level=level)
 
-    full_recall: list[tuple[float, float]] = []
-    scored: list[tuple[float, float, float]] = []
+    # no early return: a grid risk the tail cannot reach must still raise RiskTooHigh
+    full_recall = best = None
+    best_f1 = -1.0
     for risk in sorted(grid):
-        threshold = evt.pot_threshold(fit, risk)
-        flagged = threshold_decisions(init_errors, threshold).flags
+        rule = EvtRule(fit=fit, risk=risk, threshold=evt.pot_threshold(fit, risk))
+        flagged = threshold_decisions(init_errors, rule.threshold).flags
         tp = int(np.sum(flagged & labels))
         fp = int(np.sum(flagged & ~labels))
         fn = int(np.sum(~flagged & labels))
-        recall = 1.0 if (tp + fn) == 0 else tp / (tp + fn)
         f1 = 2.0 * tp / (2.0 * tp + fp + fn) if tp else 0.0
-        if recall == 1.0:
-            full_recall.append((risk, threshold))
-        scored.append((f1, -risk, threshold))
-    if full_recall:
-        risk, threshold = min(full_recall)
-    else:
-        f1, neg_risk, threshold = max(scored)
-        risk = -neg_risk
-    return EvtRule(fit=fit, risk=risk, threshold=threshold)
+        if fn == 0 and full_recall is None:
+            full_recall = rule
+        if f1 > best_f1:  # ties keep the smaller risk
+            best, best_f1 = rule, f1
+    return best if full_recall is None else full_recall
 
 
 def detect(errors: PredictionErrors, rule) -> DetectionResult:
@@ -250,8 +246,3 @@ def threshold_decisions(errors: PredictionErrors, threshold: float) -> Detection
     flagged. This is the tie rule of the evt and evt-lstm rules."""
     scores = errors.errors - threshold
     return DetectionResult(indices=errors.indices.copy(), scores=scores, flags=scores >= 0.0)
-
-
-def with_threshold(fit: GaussianFit, logpd_threshold: float) -> GaussianFit:
-    """Attach a calibrated threshold to a Gaussian fit."""
-    return replace(fit, logpd_threshold=float(logpd_threshold))

@@ -19,7 +19,6 @@ from .detectors import (
     gaussian_logpd,
     prediction_errors,
     tukey_threshold,
-    with_threshold,
 )
 from .training import (
     NoThresholdEstimate,
@@ -124,11 +123,12 @@ def _pool_errors(parts) -> PredictionErrors:
 
 
 def calibrate(rule: str, errs, labels, risk_grid: tuple[float, ...], level: float):
-    """Fit one error rule from the train, validation and test errors ``errs``.
+    """Fit one error rule from the train, validation and test errors ``errs``
+    and detect with it on the test errors ``errs[2]``.
 
     ``labels`` holds each split's labels aligned with its errors, or is None
-    for an unlabeled series. Returns the fitted rule, ready for :func:`detect`
-    on the test errors, and its parameters as a JSON-ready dict:
+    for an unlabeled series. Returns the :class:`DetectionResult` on the test
+    errors and the fitted rule's parameters as a JSON-ready dict:
 
     * gaussian: fit on the training errors, log-density threshold calibrated
       on the validation scores;
@@ -144,25 +144,27 @@ def calibrate(rule: str, errs, labels, risk_grid: tuple[float, ...], level: floa
             raise LabelsRequired("gaussian calibration needs a labeled validation split")
         gfit = fit_gaussian(errs[0])
         threshold = calibrate_gaussian_threshold(gaussian_logpd(errs[1].errors, gfit), labels[1])
-        fitted = with_threshold(gfit, threshold)
-        return fitted, {"mu": fitted.mu, "sigma2": fitted.sigma2, "logpd_threshold": fitted.logpd_threshold}
-    if rule == "tukey":
-        fence = tukey_threshold(_pool_errors(errs))
-        return fence, {"q1": fence.q1, "q3": fence.q3, "fence": fence.fence}
-    if rule == "evt":
+        fitted = replace(gfit, logpd_threshold=threshold)
+        params = asdict(fitted)
+    elif rule == "tukey":
+        fitted = tukey_threshold(_pool_errors(errs))
+        params = asdict(fitted)
+    elif rule == "evt":
         if labels is None:
             raise LabelsRequired("evt risk calibration needs a labeled series")
         fitted = calibrate_risk(
             _pool_errors(errs[:2]), np.concatenate(labels[:2]), grid=risk_grid, level=level
         )
-        return fitted, {
+        params = {
             "risk": fitted.risk,
             "threshold": fitted.threshold,
             "gamma": fitted.fit.gamma,
             "sigma": fitted.fit.sigma,
             "initial_threshold": fitted.fit.threshold,
         }
-    raise ValueError(f"unknown error rule {rule!r}")
+    else:
+        raise ValueError(f"unknown error rule {rule!r}")
+    return detect(errs[2], fitted), params
 
 
 # The typed failures by which each rule's calibration rejects the data; the
@@ -210,11 +212,11 @@ def benchmark(series: LabeledSeries, config: BenchmarkConfig) -> dict:
     }
     for name, failures in _CALIBRATION_FAILURES.items():
         try:
-            rule, params = calibrate(name, errs, labels, config.risk_grid, config.train.init_quantile)
+            det, params = calibrate(name, errs, labels, config.risk_grid, config.train.init_quantile)
         except failures as exc:
             report["rules"][name] = {"error": str(exc)}
             continue
-        report["rules"][name] = {"params": params, **_metrics_row(detect(errs[2], rule), labels[2])}
+        report["rules"][name] = {"params": params, **_metrics_row(det, labels[2])}
 
     evt_risk = report["rules"]["evt"].get("params", {}).get("risk", config.train.risk)
     end_to_end = train_evt_lstm(

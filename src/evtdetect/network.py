@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import io
 import json
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +24,8 @@ SERIAL_FORMAT_VERSION = 2
 
 
 class UnsupportedModelFormat(ValueError):
-    """A model file carries a format version this reader does not know."""
+    """A model file this reader cannot read: not an .npz archive, of a format
+    version it does not know, or lacking its meta, a meta field or an array."""
 
 
 @dataclass
@@ -410,19 +412,29 @@ def load_network(path):
     """Inverse of :func:`save_network`. Returns (network, loss_spec,
     look_back, errors); look_back is None when the file does not record it,
     as in files written before it was recorded, and errors is None when the
-    file holds none."""
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["meta"]).decode())
+    file holds none. Raises UnsupportedModelFormat naming what is wrong."""
+    try:
+        data = np.load(path)  # never with allow_pickle: unpickling a file can run its code
+    except (ValueError, EOFError, zipfile.BadZipFile):
+        data = None
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise UnsupportedModelFormat(f"{path} is not an .npz archive of arrays")
+    with data:
+        arrays = {name: data[name] for name in data.files}
+    try:
+        meta = json.loads(bytes(arrays["meta"]).decode())
         version = meta["format_version"]
         if version != SERIAL_FORMAT_VERSION:
             raise UnsupportedModelFormat(f"unsupported model format version {version}")
         layers = []
         for li in range(len(meta["hidden_sizes"])):
-            W, U, b = (data[f"layer{li}_{name}"] for name in "WUb")
+            W, U, b = (arrays[f"layer{li}_{name}"] for name in "WUb")
             layers.append(LstmLayerParams(W, U, b))
-        dense = DenseParams(data["dense_weights"], data["dense_biases"])
+        dense = DenseParams(arrays["dense_weights"], arrays["dense_biases"])
         network = Network(layers, dense, meta["dropout_rate"])
         key = meta.get("errors_key")
-        errors = None if key is None else (key, data["train_errors"], data["val_errors"])
-    spec = None if meta["loss_spec"] is None else LossSpec.from_dict(meta["loss_spec"])
+        errors = None if key is None else (key, arrays["train_errors"], arrays["val_errors"])
+        spec = None if meta["loss_spec"] is None else LossSpec.from_dict(meta["loss_spec"])
+    except KeyError as exc:
+        raise UnsupportedModelFormat(f"model file has no {exc.args[0]!r}") from None
     return network, spec, meta.get("look_back"), errors

@@ -40,5 +40,5 @@ PRESETS: dict[str, dict] = {
 
 def preset(name: str) -> dict:
     if name not in PRESETS:
-        raise KeyError(f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}")
+        raise ValueError(f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}")
     return dict(PRESETS[name])

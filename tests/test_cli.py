@@ -69,6 +69,26 @@ class TestFitGpd:
         assert err["message"] == f"{values}, line 4: 'abc' is not a number"
 
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--level", "2"), ("--level", "0"), ("--level", "nan"),
+        ("--risk", "1"), ("--risk", "-1e-3"), ("--risk", "nan"),
+    ])
+    def test_argument_outside_the_unit_interval_exits_2(self, tmp_path, capsys, flag, value):
+        never_read = tmp_path / "missing.txt"  # the flags are checked before the input is read
+        assert main(["fit-gpd", "--input", str(never_read), f"{flag}={value}"]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"kind": "config", "type": "ConfigError",
+                       "message": f"{flag} must lie in (0, 1), got {float(value)!r}"}
+
+    def test_risk_the_tail_cannot_reach_exits_1(self, tmp_path, capsys):
+        values = tmp_path / "values.txt"
+        values.write_text("\n".join(repr(float(v)) for v in np.random.default_rng(0).exponential(1.0, 3000)))
+        # inside (0, 1), but above the 2% of points over the initial threshold
+        assert main(["fit-gpd", "--input", str(values), "--risk", "0.5"]) == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert (err["kind"], err["type"]) == ("runtime", "RiskTooHigh")
+
+
 class TestConfigHandling:
     def test_malformed_config_exits_2_without_outputs(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -96,6 +116,16 @@ class TestConfigHandling:
         err = json.loads(capsys.readouterr().err)["error"]
         assert (err["kind"], err["type"]) == ("config", "ConfigError")
         assert key in err["message"]
+
+    def test_unknown_preset_exits_2_with_its_message(self, tmp_path, config_doc, capsys):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, config_doc, output_dir=str(out))
+        assert main(["train", "--config", cfg, "--set", 'preset="nope"']) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"kind": "config", "type": "ConfigError",
+                       "message": "unknown preset 'nope'; available: bengaluru-taxi, bitcoin, ecg, "
+                                  "nyc-taxi, travel-time, vehicle-occupancy, vehicular-speed"}
+        assert not out.exists()
 
     def test_split_defaults(self):
         assert parse_config({}).pipeline.split == SplitSpec(0.8, 0.1, 0.1)
@@ -576,6 +606,67 @@ class TestErrorsFile:
         network, _, _, saved = load_network(out / "model.npz")
         for errors, w in zip(saved[1:], windows):
             assert errors.tobytes() == prediction_errors(network, w).errors.tobytes()
+
+
+def _meta_only(tmp_path, model):
+    path = tmp_path / "meta-only.npz"
+    np.savez(path, meta=np.frombuffer(json.dumps({"format_version": 2}).encode(), dtype=np.uint8))
+    return path
+
+
+def _no_meta(tmp_path, model):
+    path = tmp_path / "no-meta.npz"
+    with np.load(model) as saved:
+        np.savez(path, **{name: saved[name] for name in saved.files if name != "meta"})
+    return path
+
+
+def _bytes_of(name, make_bytes):
+    """A case whose model file, named ``name``, holds ``make_bytes(model)``."""
+    def case(tmp_path, model):
+        path = tmp_path / name
+        path.write_bytes(make_bytes(model))
+        return path
+    return case
+
+
+def _npy_model(tmp_path, model):
+    np.save(tmp_path / "model.npy", np.zeros(3))
+    return tmp_path / "model.npy"
+
+
+_NOT_AN_ARCHIVE = "{path} is not an .npz archive of arrays"
+
+
+class TestUnreadableModelFile:
+    """``detect`` refuses a model file it cannot read with exit 1, one JSON
+    error naming what is wrong, and no output; it never unpickles the file."""
+
+    @pytest.mark.parametrize("case, message", [
+        (_meta_only, "model file has no 'hidden_sizes'"),
+        (_no_meta, "model file has no 'meta'"),
+        (lambda tmp_path, model: _copy_without(model, tmp_path / "m.npz", ["dropout_rate"]),
+         "model file has no 'dropout_rate'"),
+        (lambda tmp_path, model: _copy_without(model, tmp_path / "m.npz", [], ["dense_biases"]),
+         "model file has no 'dense_biases'"),
+        (lambda tmp_path, model: _copy_without(model, tmp_path / "m.npz", [], ["train_errors"]),
+         "model file has no 'train_errors'"),
+        (_bytes_of("model.npz", lambda model: model.read_bytes()[: model.stat().st_size // 2]), _NOT_AN_ARCHIVE),
+        (_npy_model, _NOT_AN_ARCHIVE),
+        (_bytes_of("model.npz", lambda model: b"not a model file\n"), _NOT_AN_ARCHIVE),
+        (_bytes_of("model.npz", lambda model: b""), _NOT_AN_ARCHIVE),
+    ], ids=["meta-only-version", "no-meta", "no-meta-field", "no-array", "no-errors-array",
+            "truncated", "npy", "text", "empty"])
+    def test_exits_1_without_output(self, tmp_path, capsys, evt_models, case, message):
+        cfg, dirs = evt_models
+        model = case(tmp_path, dirs[0] / "model.npz")
+        out = tmp_path / "out"
+        assert main(["detect", "--config", cfg, "--model", str(model), "--rule", "tukey",
+                     "--output-dir", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"kind": "runtime", "type": "UnsupportedModelFormat",
+                       "message": message.format(path=model)}
+        assert not out.exists()
 
 
 class TestBenchmarkCommand:

@@ -449,3 +449,20 @@ def test_every_file_write_goes_through_atomic_write_bytes():
     found = [f"{path.name}:{line}" for path in sorted(Path(data.__file__).parent.glob("*.py"))
              for line in _file_writes(ast.parse(path.read_text(encoding="utf-8")))]
     assert found == []
+
+
+def _pickle_loads(tree: ast.AST) -> list[int]:
+    """Lines of the calls in ``tree`` that pass ``allow_pickle`` anything but
+    a literal False."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+            for k in node.keywords if k.arg == "allow_pickle"
+            and not (isinstance(k.value, ast.Constant) and k.value.value is False)]
+
+
+def test_no_file_is_loaded_with_allow_pickle():
+    # unpickling a file can run code in it, and model and data files come from outside
+    code = "np.load(p)\nnp.load(p, allow_pickle=False)\nnp.load(p, allow_pickle=True)\nload(p, allow_pickle=f)"
+    assert _pickle_loads(ast.parse(code)) == [3, 4]
+    found = [f"{path.name}:{line}" for path in sorted(Path(data.__file__).parent.glob("*.py"))
+             for line in _pickle_loads(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == []

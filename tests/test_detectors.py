@@ -20,7 +20,6 @@ from evtdetect.detectors import (
     gaussian_logpd,
     prediction_errors,
     tukey_threshold,
-    with_threshold,
 )
 from evtdetect.network import DenseParams, Network, init_network
 from tests.test_network import zero_layer
@@ -216,6 +215,66 @@ class TestCalibrateRisk:
         rule = calibrate_risk(stream, labels)
         assert rule.risk == 1e-5
 
+    @staticmethod
+    def with_thresholds(monkeypatch, thresholds):
+        """Make the detection threshold of each grid risk the one given."""
+        monkeypatch.setattr(evt, "pot_threshold", lambda fit, risk: thresholds[risk])
+
+    def test_equal_f1_goes_to_the_smallest_risk(self, monkeypatch):
+        stream, labels = self.stream([4.0, 6.0])
+        # 1e-3 and 1e-4 flag only the anomaly at 6.0 (F1 2/3), 1e-5 flags nothing
+        self.with_thresholds(monkeypatch, {1e-3: 5.0, 1e-4: 5.5, 1e-5: 100.0})
+        rule = calibrate_risk(stream, labels)
+        assert (rule.risk, rule.threshold) == (1e-4, 5.5)
+
+    def test_full_recall_takes_the_smallest_risk_that_reaches_it(self, monkeypatch):
+        stream, labels = self.stream([4.0, 6.0])
+        # 1e-3 and 1e-4 catch both anomalies among many false alarms; 1e-5
+        # misses one but has the best F1
+        self.with_thresholds(monkeypatch, {1e-3: 0.01, 1e-4: 0.2, 1e-5: 5.0})
+        rule = calibrate_risk(stream, labels, grid=(1e-5, 1e-3, 1e-4))
+        assert (rule.risk, rule.threshold) == (1e-4, 0.2)
+
+    def test_unreachable_risk_raises_beside_an_admissible_one(self):
+        stream, labels = self.stream([3.0, 3.2], size=10000)
+        assert calibrate_risk(stream, labels, grid=(1e-5,)).risk == 1e-5
+        # 0.5 exceeds the 2% of points above the initial threshold
+        with pytest.raises(evt.RiskTooHigh):
+            calibrate_risk(stream, labels, grid=(1e-5, 0.5))
+
+    def test_matches_the_two_list_selection(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        stream, labels = self.stream([3.0, 4.0, 6.0])
+        grid = (1e-2, 1e-3, 1e-4, 1e-5)
+        for _ in range(20):
+            # few distinct thresholds, so that F1 ties and repeated full recall are common
+            thresholds = dict(zip(grid, rng.choice([0.2, 3.5, 4.5, 5.0, 100.0], len(grid))))
+            self.with_thresholds(monkeypatch, thresholds)
+            rule = calibrate_risk(stream, labels, grid=grid)
+            assert (rule.risk, rule.threshold) == _two_list_selection(stream, labels, grid, thresholds)
+
+
+def _two_list_selection(stream, labels, grid, thresholds):
+    """(risk, threshold) as calibrate_risk once chose them: every full-recall
+    risk in one list and every F1 in another, then the smallest of the first
+    or else the best of the second."""
+    full_recall, scored = [], []
+    for risk in sorted(grid):
+        threshold = thresholds[risk]
+        flagged = stream.errors - threshold >= 0.0
+        tp = int(np.sum(flagged & labels))
+        fp = int(np.sum(flagged & ~labels))
+        fn = int(np.sum(~flagged & labels))
+        recall = 1.0 if (tp + fn) == 0 else tp / (tp + fn)
+        f1 = 2.0 * tp / (2.0 * tp + fp + fn) if tp else 0.0
+        if recall == 1.0:
+            full_recall.append((risk, threshold))
+        scored.append((f1, -risk, threshold))
+    if full_recall:
+        return min(full_recall)
+    f1, neg_risk, threshold = max(scored)
+    return -neg_risk, threshold
+
 
 class TestDetect:
     def test_evt_zero_flags_below_initial_threshold(self):
@@ -273,7 +332,7 @@ class TestDetect:
     def test_gaussian_flag_set_is_distance_ball(self):
         fit = GaussianFit(mu=1.0, sigma2=4.0, logpd_threshold=-3.0)
         e = np.linspace(-5, 8, 200)
-        det = detect(errs(np.abs(e)), with_threshold(fit, -3.0))
+        det = detect(errs(np.abs(e)), fit)
         # scores decrease monotonically in |e - mu|, so the flagged set is
         # exactly {|e - mu| > radius} for the induced radius
         scores = gaussian_logpd(np.abs(e), fit)

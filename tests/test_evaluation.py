@@ -7,6 +7,16 @@ import pytest
 
 from evtdetect import evaluation
 from evtdetect.data import LabeledSeries, SplitSpec, prepare
+from evtdetect.detectors import (
+    DEFAULT_RISK_GRID,
+    PredictionErrors,
+    calibrate_gaussian_threshold,
+    calibrate_risk,
+    detect,
+    fit_gaussian,
+    gaussian_logpd,
+    tukey_threshold,
+)
 from evtdetect.evaluation import (
     BenchmarkConfig,
     ConfusionCounts,
@@ -105,6 +115,49 @@ def tiny_benchmark():
                           patience=14, seed=0),
     )
     return series, config, benchmark(series, config)
+
+
+def _pooled(parts) -> PredictionErrors:
+    errors = np.concatenate([p.errors for p in parts])
+    return PredictionErrors(errors, np.arange(errors.size))
+
+
+class TestCalibrate:
+    @pytest.fixture(scope="class")
+    def split_errors(self):
+        """Train, validation and test errors, each with three labeled spikes."""
+        rng = np.random.default_rng(3)
+        errs, labels = [], []
+        for n in (2000, 300, 300):
+            e = rng.exponential(0.05, n)
+            spikes = np.zeros(n, dtype=bool)
+            spikes[rng.choice(n, 3, replace=False)] = True
+            e[spikes] += 2.0
+            errs.append(PredictionErrors(e, np.arange(n)))
+            labels.append(spikes)
+        return tuple(errs), tuple(labels)
+
+    @pytest.mark.parametrize("rule", ["gaussian", "tukey", "evt"])
+    def test_returns_the_fitted_rules_detections_on_the_test_errors(self, split_errors, rule):
+        errs, labels = split_errors
+        det, params = evaluation.calibrate(rule, errs, labels, DEFAULT_RISK_GRID, 0.98)
+        if rule == "gaussian":
+            gfit = fit_gaussian(errs[0])
+            fitted = replace(gfit, logpd_threshold=calibrate_gaussian_threshold(
+                gaussian_logpd(errs[1].errors, gfit), labels[1]))
+            expected = {"mu": fitted.mu, "sigma2": fitted.sigma2, "logpd_threshold": fitted.logpd_threshold}
+        elif rule == "tukey":
+            fitted = tukey_threshold(_pooled(errs))
+            expected = {"q1": fitted.q1, "q3": fitted.q3, "fence": fitted.fence}
+        else:
+            fitted = calibrate_risk(_pooled(errs[:2]), np.concatenate(labels[:2]))
+            expected = {"risk": fitted.risk, "threshold": fitted.threshold, "gamma": fitted.fit.gamma,
+                        "sigma": fitted.fit.sigma, "initial_threshold": fitted.fit.threshold}
+        reference = detect(errs[2], fitted)
+        assert det.flags.any()
+        for name in ("indices", "scores", "flags"):
+            np.testing.assert_array_equal(getattr(det, name), getattr(reference, name))
+        assert params == expected
 
 
 class TestBenchmark:
