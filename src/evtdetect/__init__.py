@@ -22,7 +22,6 @@ from .detectors import (
     DetectionResult,
     EvtRule,
     GaussianFit,
-    PredictionErrors,
     TukeyFit,
     calibrate_gaussian_threshold,
     calibrate_risk,

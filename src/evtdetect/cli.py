@@ -20,12 +20,7 @@ import numpy as np
 
 from . import evt
 from .data import CsvSchema, WindowedDataset, atomic_write_bytes, load_series, prepare
-from .detectors import (
-    PredictionErrors,
-    first_horizon_errors,
-    prediction_errors,
-    threshold_decisions,
-)
+from .detectors import first_horizon_errors, prediction_errors, threshold_decisions
 from .evaluation import (
     BenchmarkConfig,
     LabelsRequired,
@@ -36,7 +31,7 @@ from .evaluation import (
     format_report,
 )
 from .losses import LossSpec
-from .network import load_network, save_network
+from .network import UnsupportedModelFormat, load_network, save_network
 from .presets import preset
 from .training import (
     TrainConfig,
@@ -197,17 +192,22 @@ def _errors_key(train: WindowedDataset, val: WindowedDataset) -> str:
 
 
 def _calibration_errors(network, saved, train: WindowedDataset,
-                        val: WindowedDataset) -> tuple[PredictionErrors, ...]:
+                        val: WindowedDataset) -> tuple[np.ndarray, ...]:
     """The network's errors on the training and validation windows: those
     ``saved`` in its model file when their key matches these windows,
-    otherwise predicted."""
+    otherwise predicted. Raises UnsupportedModelFormat for a saved array
+    that is not one non-negative float64 per window."""
     if saved is None or saved[0] != _errors_key(train, val):
         return tuple(prediction_errors(network, w) for w in (train, val))
-    return tuple(PredictionErrors(e, w.target_indices) for e, w in zip(saved[1:], (train, val)))
+    for name, e, w in zip(("train_errors", "val_errors"), saved[1:], (train, val)):
+        if e.dtype != np.float64 or e.shape != (len(w),) or np.any(e < 0):
+            raise UnsupportedModelFormat(
+                f"model file's {name!r} is not one non-negative float64 per window")
+    return saved[1:]
 
 
 def cmd_train(config: RunConfig) -> int:
-    _, _, (train_w, val_w, _), _ = _prepared_splits(config)
+    _, (train_w, val_w, _), _, _ = _prepared_splits(config)
     trainers = {"mse": train_forecaster, "evt": train_evt_lstm, "svdd": train_svdd}
     train = config.pipeline.train
     start = time.perf_counter()
@@ -223,8 +223,8 @@ def cmd_train(config: RunConfig) -> int:
     errors = None
     if model.predictions is not None:  # so that ``detect`` predicts only the test split
         train_pred, val_pred = model.predictions
-        errors = (_errors_key(train_w, val_w), first_horizon_errors(train_pred, train_w).errors,
-                  first_horizon_errors(val_pred, val_w).errors)
+        errors = (_errors_key(train_w, val_w), first_horizon_errors(train_pred, train_w),
+                  first_horizon_errors(val_pred, val_w))
     save_network(out / "model.npz", model.network, spec, config.pipeline.look_back, errors)
     manifest = run_manifest(model, train, wall_clock_seconds=round(seconds, 3))
     manifest["objective"] = config.objective
@@ -248,7 +248,7 @@ def _require_geometry(p: BenchmarkConfig, look_back: int | None, look_ahead: int
 
 
 def cmd_detect(config: RunConfig, model_path: str) -> int:
-    series, splits, windows, offsets = _prepared_splits(config)
+    series, windows, labels, offsets = _prepared_splits(config)
     network, loss_spec, look_back, saved = load_network(model_path)
     _require_geometry(config.pipeline, look_back, network.output_size)
     if config.rule == "evt-lstm" and (loss_spec is None or loss_spec.threshold is None):
@@ -259,7 +259,6 @@ def cmd_detect(config: RunConfig, model_path: str) -> int:
         params = {"threshold": loss_spec.threshold}
     else:
         errs = (*_calibration_errors(network, saved, windows[0], windows[1]), test_errs)
-        labels = None if series.labels is None else tuple(s.labels[e.indices] for s, e in zip(splits, errs))
         p = config.pipeline
         try:
             det, params = calibrate(config.rule, errs, labels, p.risk_grid, p.train.init_quantile)
@@ -268,10 +267,9 @@ def cmd_detect(config: RunConfig, model_path: str) -> int:
 
     out = Path(config.output_dir)
     lines = ["index,timestamp,error,score,flag"]
-    for i, score, flag, err in zip(det.indices, det.scores, det.flags, test_errs.errors):
-        absolute = offsets[2] + int(i)
-        ts = series.timestamps[absolute]
-        lines.append(f"{absolute},{float(ts)!r},{float(err)!r},{float(score)!r},{int(flag)}")
+    indices = offsets[2] + windows[2].target_indices
+    for i, score, flag, err in zip(indices, det.scores, det.flags, test_errs):
+        lines.append(f"{i},{float(series.timestamps[i])!r},{float(err)!r},{float(score)!r},{int(flag)}")
     atomic_write_text(out / "detections.csv", "\n".join(lines) + "\n")
 
     summary = {
@@ -286,13 +284,11 @@ def cmd_detect(config: RunConfig, model_path: str) -> int:
 
 
 def _read_detections(path: str, series_length: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``index`` and ``flag`` columns of a detections.csv. Raises
-    ValueError naming the line for a missing column, a short row, an index
-    that is not a point of the series or that an earlier row listed, or a
-    flag other than 0 or 1."""
-    indices: list[int] = []
-    flags: list[bool] = []
-    linenos: list[int] = []
+    """The ``index`` and ``flag`` columns of a detections.csv, read in one
+    pass. Raises ValueError naming the first faulty line: a missing column, a
+    short row, an index that is not a point of the series or that an earlier
+    row listed, or a flag other than 0 or 1."""
+    rows: dict[int, bool] = {}  # each index's flag, in file order
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         for name in ("index", "flag"):
@@ -314,15 +310,10 @@ def _read_detections(path: str, series_length: int) -> tuple[np.ndarray, np.ndar
                                  f"of the {series_length}-point series")
             if cells[flag_col] not in ("0", "1"):
                 raise ValueError(f"{path}, line {lineno}: flag {cells[flag_col]!r} is not 0 or 1")
-            indices.append(index)
-            flags.append(cells[flag_col] == "1")
-            linenos.append(lineno)
-    idx = np.asarray(indices, dtype=int)
-    _, first = np.unique(idx, return_index=True)
-    if first.size < idx.size:
-        row = np.setdiff1d(np.arange(idx.size), first)[0]
-        raise ValueError(f"{path}, line {linenos[row]}: index {idx[row]} repeats an earlier row's")
-    return idx, np.asarray(flags, dtype=bool)
+            if index in rows:
+                raise ValueError(f"{path}, line {lineno}: index {index} repeats an earlier row's")
+            rows[index] = cells[flag_col] == "1"
+    return np.asarray(list(rows), dtype=int), np.asarray(list(rows.values()), dtype=bool)
 
 
 def cmd_evaluate(config: RunConfig, detections_path: str) -> int:

@@ -353,16 +353,20 @@ def make_windows(series: LabeledSeries, look_back: int, look_ahead: int) -> Wind
 
 def prepare(
     series: LabeledSeries, spec: SplitSpec, look_back: int, look_ahead: int
-) -> tuple[tuple[LabeledSeries, ...], tuple[WindowedDataset, ...], tuple[int, int, int]]:
+) -> tuple[tuple[WindowedDataset, ...], tuple[np.ndarray, ...] | None, tuple[int, int, int]]:
     """Split ``series``, min-max normalize every part with the training
     part's range, and window each part.
 
-    Returns the normalized (train, val, test) parts, their windows, and the
-    offset of each part's first point in ``series``.
+    Returns the (train, val, test) windows, each part's labels of its
+    windows' first targets (None for an unlabeled series), and the offset of
+    each part's first point in ``series``: window ``i`` of part ``k``
+    forecasts point ``offsets[k] + windows[k].target_indices[i]``.
     """
     parts = split_series(series, spec, look_back, look_ahead)
     norm = fit_norm_params(parts[0])
-    splits = tuple(normalize(s, norm) for s in parts)
-    windows = tuple(make_windows(s, look_back, look_ahead) for s in splits)
+    windows = tuple(make_windows(normalize(s, norm), look_back, look_ahead) for s in parts)
+    labels = None
+    if series.labels is not None:
+        labels = tuple(s.labels[w.target_indices] for s, w in zip(parts, windows))
     offsets = (0, len(parts[0]), len(parts[0]) + len(parts[1]))
-    return splits, windows, offsets
+    return windows, labels, offsets

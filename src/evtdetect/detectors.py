@@ -34,25 +34,6 @@ class RuleNotCalibrated(ValueError):
 
 
 @dataclass(frozen=True)
-class PredictionErrors:
-    """Absolute prediction errors aligned to indices of the source series."""
-
-    errors: np.ndarray
-    indices: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "errors", np.asarray(self.errors, dtype=float))
-        object.__setattr__(self, "indices", np.asarray(self.indices, dtype=int))
-        if len(self.errors) != len(self.indices):
-            raise ValueError("errors and indices must align")
-        if np.any(self.errors < 0):
-            raise ValueError("absolute errors cannot be negative")
-
-    def __len__(self) -> int:
-        return len(self.errors)
-
-
-@dataclass(frozen=True)
 class GaussianFit:
     """MLE mean/variance of errors plus the calibrated log-density threshold."""
 
@@ -91,44 +72,41 @@ class EvtRule:
 
 @dataclass(frozen=True)
 class DetectionResult:
-    """Per-timestamp anomaly flags and rule-specific scores."""
+    """Per-window anomaly flags and rule-specific scores."""
 
-    indices: np.ndarray
     scores: np.ndarray
     flags: np.ndarray
 
     def __post_init__(self):
-        if not (len(self.indices) == len(self.scores) == len(self.flags)):
-            raise ValueError("indices, scores, and flags must align")
+        if len(self.scores) != len(self.flags):
+            raise ValueError("scores and flags must align")
 
     def __len__(self) -> int:
         return len(self.flags)
 
 
-def first_horizon_errors(preds: np.ndarray, data: WindowedDataset) -> PredictionErrors:
-    """Absolute one-step-ahead errors |prediction - target| per target index,
-    from predictions (n, look_ahead) already made for ``data``.
+def first_horizon_errors(preds: np.ndarray, data: WindowedDataset) -> np.ndarray:
+    """Absolute one-step-ahead errors |prediction - target|, one per window
+    of ``data``, from predictions (n, look_ahead) already made for it.
 
     For look-ahead > 1 only the first horizon component is used: it is the
     forecast made from the most recent window for that timestamp.
     """
-    errors = np.abs(preds[:, 0] - data.targets[:, 0])
-    return PredictionErrors(errors=errors, indices=data.target_indices.copy())
+    return np.abs(preds[:, 0] - data.targets[:, 0])
 
 
-def prediction_errors(network: Network, data: WindowedDataset) -> PredictionErrors:
+def prediction_errors(network: Network, data: WindowedDataset) -> np.ndarray:
     """:func:`first_horizon_errors` of the network's predictions for ``data``.
     Inference runs with dropout disabled and is deterministic."""
     return first_horizon_errors(predict(network, data.inputs), data)
 
 
-def fit_gaussian(train_errors: PredictionErrors) -> GaussianFit:
+def fit_gaussian(train_errors: np.ndarray) -> GaussianFit:
     """MLE Gaussian fit: sample mean and biased (divide by N) variance."""
-    e = train_errors.errors
-    if len(e) < 2:
+    if len(train_errors) < 2:
         raise DegenerateErrors("need at least two errors to fit")
-    mu = float(e.mean())
-    sigma2 = float(np.mean((e - mu) ** 2))
+    mu = float(train_errors.mean())
+    sigma2 = float(np.mean((train_errors - mu) ** 2))
     if sigma2 == 0.0:
         raise DegenerateErrors("all errors are equal; variance is zero")
     return GaussianFit(mu=mu, sigma2=sigma2)
@@ -169,13 +147,12 @@ def calibrate_gaussian_threshold(val_scores, val_labels) -> float:
     return float(candidates[np.argmax(f1)])  # the first maximum: ties go to the lowest threshold
 
 
-def tukey_threshold(all_errors: PredictionErrors) -> TukeyFit:
+def tukey_threshold(all_errors: np.ndarray) -> TukeyFit:
     """Quartile fence over the pooled train, validation, and test errors."""
-    e = all_errors.errors
-    if len(e) == 0:
+    if len(all_errors) == 0:
         raise ValueError("cannot compute quartiles of an empty sample")
-    q1 = float(np.quantile(e, 0.25))
-    q3 = float(np.quantile(e, 0.75))
+    q1 = float(np.quantile(all_errors, 0.25))
+    q3 = float(np.quantile(all_errors, 0.75))
     return TukeyFit(q1=q1, q3=q3, fence=q3 + 3.0 * (q3 - q1))
 
 
@@ -183,7 +160,7 @@ DEFAULT_RISK_GRID = (1e-3, 1e-4, 1e-5)
 
 
 def calibrate_risk(
-    init_errors: PredictionErrors,
+    init_errors: np.ndarray,
     init_labels: np.ndarray,
     grid: tuple[float, ...] = DEFAULT_RISK_GRID,
     level: float = 0.98,
@@ -196,9 +173,9 @@ def calibrate_risk(
     recall, the value with the best F1 wins.
     """
     labels = np.asarray(init_labels, dtype=bool)
-    if labels.shape != init_errors.errors.shape:
+    if labels.shape != init_errors.shape:
         raise ValueError("labels must align with errors")
-    fit = evt.fit_tail(init_errors.errors, level=level)
+    fit = evt.fit_tail(init_errors, level=level)
 
     # no early return: a grid risk the tail cannot reach must still raise RiskTooHigh
     full_recall = best = None
@@ -217,7 +194,7 @@ def calibrate_risk(
     return best if full_recall is None else full_recall
 
 
-def detect(errors: PredictionErrors, rule) -> DetectionResult:
+def detect(errors: np.ndarray, rule) -> DetectionResult:
     """Apply a calibrated rule to errors, yielding flags and scores.
 
     Gaussian rules flag log densities below the calibrated threshold, Tukey
@@ -229,20 +206,20 @@ def detect(errors: PredictionErrors, rule) -> DetectionResult:
     if isinstance(rule, GaussianFit):
         if rule.logpd_threshold is None:
             raise RuleNotCalibrated("gaussian rule has no calibrated threshold")
-        scores = gaussian_logpd(errors.errors, rule)
+        scores = gaussian_logpd(errors, rule)
         flags = scores < rule.logpd_threshold
     elif isinstance(rule, TukeyFit):
-        scores = errors.errors.copy()
+        scores = errors.copy()
         flags = scores > rule.fence
     elif isinstance(rule, EvtRule):
         return threshold_decisions(errors, rule.threshold)
     else:
         raise TypeError(f"unknown rule type {type(rule).__name__}")
-    return DetectionResult(indices=errors.indices.copy(), scores=scores, flags=flags)
+    return DetectionResult(scores=scores, flags=flags)
 
 
-def threshold_decisions(errors: PredictionErrors, threshold: float) -> DetectionResult:
+def threshold_decisions(errors: np.ndarray, threshold: float) -> DetectionResult:
     """Decision scores ``s = error - threshold``; points with ``s >= 0`` are
     flagged. This is the tie rule of the evt and evt-lstm rules."""
-    scores = errors.errors - threshold
-    return DetectionResult(indices=errors.indices.copy(), scores=scores, flags=scores >= 0.0)
+    scores = errors - threshold
+    return DetectionResult(scores=scores, flags=scores >= 0.0)

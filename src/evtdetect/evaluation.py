@@ -11,7 +11,6 @@ from . import detectors, evt
 from .data import LabeledSeries, SplitSpec, prepare
 from .detectors import (
     DEFAULT_RISK_GRID,
-    PredictionErrors,
     calibrate_gaussian_threshold,
     calibrate_risk,
     detect,
@@ -108,18 +107,15 @@ class BenchmarkConfig:
 
     def __post_init__(self):
         for name in ("look_back", "look_ahead"):
-            object.__setattr__(self, name, whole(name, getattr(self, name)))
+            value = whole(name, getattr(self, name))
+            if value < 1:
+                raise ValueError(f"{name} must be positive, got {value}")
+            object.__setattr__(self, name, value)
         grid = self.risk_grid
         if not (isinstance(grid, Sequence) and grid and all(
                 isinstance(r, Real) and not isinstance(r, bool) and 0 < r < 1 for r in grid)):
             raise ValueError(f"risk_grid must be a non-empty list of numbers in (0, 1), got {grid!r}")
         object.__setattr__(self, "risk_grid", tuple(grid))
-
-
-def _pool_errors(parts) -> PredictionErrors:
-    errors = np.concatenate([p.errors for p in parts])
-    indices = np.arange(errors.size)  # identity only matters within one split
-    return PredictionErrors(errors=errors, indices=indices)
 
 
 def calibrate(rule: str, errs, labels, risk_grid: tuple[float, ...], level: float):
@@ -143,17 +139,17 @@ def calibrate(rule: str, errs, labels, risk_grid: tuple[float, ...], level: floa
         if labels is None:
             raise LabelsRequired("gaussian calibration needs a labeled validation split")
         gfit = fit_gaussian(errs[0])
-        threshold = calibrate_gaussian_threshold(gaussian_logpd(errs[1].errors, gfit), labels[1])
+        threshold = calibrate_gaussian_threshold(gaussian_logpd(errs[1], gfit), labels[1])
         fitted = replace(gfit, logpd_threshold=threshold)
         params = asdict(fitted)
     elif rule == "tukey":
-        fitted = tukey_threshold(_pool_errors(errs))
+        fitted = tukey_threshold(np.concatenate(errs))
         params = asdict(fitted)
     elif rule == "evt":
         if labels is None:
             raise LabelsRequired("evt risk calibration needs a labeled series")
         fitted = calibrate_risk(
-            _pool_errors(errs[:2]), np.concatenate(labels[:2]), grid=risk_grid, level=level
+            np.concatenate(errs[:2]), np.concatenate(labels[:2]), grid=risk_grid, level=level
         )
         params = {
             "risk": fitted.risk,
@@ -198,10 +194,9 @@ def benchmark(series: LabeledSeries, config: BenchmarkConfig) -> dict:
     if series.labels is None:
         raise LabelsRequired("benchmark needs a labeled series")
 
-    splits, windows, _ = prepare(series, config.split, config.look_back, config.look_ahead)
+    windows, labels, _ = prepare(series, config.split, config.look_back, config.look_ahead)
     forecaster = train_forecaster(config.train, windows[0], windows[1], record_train_loss=False)
     errs = tuple(prediction_errors(forecaster.network, w) for w in windows)
-    labels = tuple(s.labels[e.indices] for s, e in zip(splits, errs))
 
     report: dict = {
         "look_back": config.look_back,

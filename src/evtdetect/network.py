@@ -25,7 +25,8 @@ SERIAL_FORMAT_VERSION = 2
 
 class UnsupportedModelFormat(ValueError):
     """A model file this reader cannot read: not an .npz archive, of a format
-    version it does not know, or lacking its meta, a meta field or an array."""
+    version it does not know, lacking its meta, a meta field or an array, or
+    holding one of the wrong type or shape."""
 
 
 @dataclass
@@ -408,6 +409,22 @@ def save_network(path, network: Network, loss_spec=None, look_back: int | None =
     atomic_write_bytes(path, buf.getvalue())
 
 
+def _positive_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+# Each meta field that load_network reads: what it must be, and the test of
+# it. A missing field is reported where it is read.
+_META_TYPES = (
+    ("hidden_sizes", "a non-empty list of whole numbers >= 1",
+     lambda v: isinstance(v, list) and v and all(map(_positive_int, v))),
+    ("dropout_rate", "a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
+    ("look_back", "null or a whole number >= 1", lambda v: v is None or _positive_int(v)),
+    ("loss_spec", "null or an object", lambda v: v is None or isinstance(v, dict)),
+    ("errors_key", "null or a string", lambda v: v is None or isinstance(v, str)),
+)
+
+
 def load_network(path):
     """Inverse of :func:`save_network`. Returns (network, loss_spec,
     look_back, errors); look_back is None when the file does not record it,
@@ -423,9 +440,14 @@ def load_network(path):
         arrays = {name: data[name] for name in data.files}
     try:
         meta = json.loads(bytes(arrays["meta"]).decode())
+        if not isinstance(meta, dict):
+            raise UnsupportedModelFormat("model file's meta is not a JSON object")
         version = meta["format_version"]
         if version != SERIAL_FORMAT_VERSION:
             raise UnsupportedModelFormat(f"unsupported model format version {version}")
+        for name, wanted, ok in _META_TYPES:
+            if name in meta and not ok(meta[name]):
+                raise UnsupportedModelFormat(f"model file's {name!r} is not {wanted}: {meta[name]!r}")
         layers = []
         for li in range(len(meta["hidden_sizes"])):
             W, U, b = (arrays[f"layer{li}_{name}"] for name in "WUb")

@@ -76,7 +76,14 @@ class TrainConfig:
         if not 0.0 < self.init_quantile < 1.0:
             raise ValueError("init_quantile must lie in (0, 1)")
         hidden_sizes = tuple(whole("hidden_sizes", h) for h in self.hidden_sizes)
+        if not hidden_sizes or min(hidden_sizes) < 1:
+            raise ValueError(
+                f"hidden_sizes must be a non-empty list of sizes >= 1, got {list(hidden_sizes)}")
         object.__setattr__(self, "hidden_sizes", hidden_sizes)
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ValueError(f"dropout_rate must lie in [0, 1), got {self.dropout_rate!r}")
+        if not self.weight_decay >= 0.0:
+            raise ValueError(f"weight_decay must be non-negative, got {self.weight_decay!r}")
 
 
 @dataclass
@@ -268,7 +275,7 @@ def train_evt_lstm(
         nonlocal flat_epochs, prev_obj
         record["threshold"] = spec.threshold
         if record["epoch"] % config.threshold_update_period == 0:
-            errors = first_horizon_errors(preds, train).errors
+            errors = first_horizon_errors(preds, train)
             new_threshold, info = _update_threshold(errors, config, spec.threshold)
             spec = spec.with_threshold(new_threshold)
             record["threshold_update"] = info
@@ -311,7 +318,7 @@ def train_svdd(
         return spec, False
 
     history, _, predictions = _train_epochs(network, spec, config, train, val, rng, after_epoch)
-    errors = first_horizon_errors(predictions[0], train).errors
+    errors = first_horizon_errors(predictions[0], train)
     threshold, _ = _update_threshold(errors, config, previous=None)
     return TrainedModel(
         network=network,

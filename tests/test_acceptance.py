@@ -14,7 +14,7 @@ import pytest
 
 from evtdetect import evt
 from evtdetect.cli import main
-from evtdetect.data import SplitSpec, fit_norm_params, make_windows, normalize, split_series
+from evtdetect.data import SplitSpec, prepare
 from evtdetect.detectors import prediction_errors
 from evtdetect.evaluation import (
     BenchmarkConfig,
@@ -277,10 +277,7 @@ def test_criterion_7_hypersphere_negative_result(spike_benchmark):
     """The hypersphere objective shrinks prediction magnitudes and floods the
     decision rule with false positives compared to the end-to-end model."""
     series, config, report, _ = spike_benchmark
-    train_s, val_s, test_s = split_series(series, config.split, config.look_back, config.look_ahead)
-    norm = fit_norm_params(train_s)
-    wins = [make_windows(normalize(s, norm), config.look_back, config.look_ahead)
-            for s in (train_s, val_s, test_s)]
+    wins, labels, _ = prepare(series, config.split, config.look_back, config.look_ahead)
 
     # seed chosen so the initial network has near-zero-mean predictions: the
     # magnitude collapse is invisible when every initial prediction already
@@ -299,8 +296,7 @@ def test_criterion_7_hypersphere_negative_result(spike_benchmark):
     # calibrated by peaks over threshold
     tau = report["rules"]["evt_lstm"]["params"]["threshold"]
     errs = prediction_errors(svdd.network, wins[2])
-    labels = normalize(test_s, norm).labels[errs.indices]
-    svdd_fp = int(np.sum((errs.errors - tau >= 0) & ~labels))
+    svdd_fp = int(np.sum((errs - tau >= 0) & ~labels[2]))
     lstm_fp = report["rules"]["evt_lstm"]["metrics"]["fp"]
     assert svdd_fp > lstm_fp, f"hypersphere fp {svdd_fp} vs end-to-end fp {lstm_fp}"
     announce(7, f"mean|pred| {initial:.4f} -> {final:.4f}; fp {svdd_fp} > {lstm_fp}")

@@ -10,7 +10,8 @@ import pytest
 from evtdetect.cli import load_config, main, parse_config
 from evtdetect.data import SplitSpec, load_series, prepare
 from evtdetect.detectors import prediction_errors
-from evtdetect.network import load_network, save_network
+from evtdetect.losses import LossSpec
+from evtdetect.network import init_network, load_network, save_network
 from evtdetect.synthetic import make_spike_series, write_csv
 from infer_counting import count_infer_windows
 
@@ -185,6 +186,23 @@ class TestConfigHandling:
         err = json.loads(capsys.readouterr().err)["error"]
         assert (err["kind"], err["type"]) == ("config", "ConfigError")
         assert err["message"].startswith("training.hidden_sizes must be a list of whole numbers, got ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("training.hidden_sizes", "[]", "hidden_sizes must be a non-empty list of sizes >= 1, got []"),
+        ("training.hidden_sizes", "[0]", "hidden_sizes must be a non-empty list of sizes >= 1, got [0]"),
+        ("training.dropout_rate", "1.5", "dropout_rate must lie in [0, 1), got 1.5"),
+        ("training.weight_decay", "-1", "weight_decay must be non-negative, got -1"),
+        ("look_back", "0", "look_back must be positive, got 0"),
+        ("look_ahead", "-1", "look_ahead must be positive, got -1"),
+    ], ids=["no-hidden-size", "zero-hidden-size", "dropout-past-1", "negative-weight-decay",
+            "zero-look-back", "negative-look-ahead"])
+    def test_value_out_of_range_exits_2(self, tmp_path, config_doc, capsys, key, value, message):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, config_doc, output_dir=str(out))
+        assert main(["train", "--config", cfg, "--set", f"{key}={value}"]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"kind": "config", "type": "ConfigError", "message": message}
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["[]", '["a"]', "[0]", "[2]", "[-1e-3]", "0.001", "[true]"],
@@ -376,8 +394,10 @@ class TestEvaluateInput:
         ("index,timestamp,error,score,flag\n1795,1.0,0.1\n", "line 2: 3 of 5 cells"),
         ("index,timestamp,error,score,flag\n1795,1.0,0.1,0.1,0\n1796,1.0,0.1,0.1,1\n\n"
          "1795,1.0,0.1,0.1,0\n", "line 5: index 1795 repeats an earlier row's"),
+        ("index,timestamp,error,score,flag\n1795,1.0,0.1,0.1,0\n1795,1.0,0.1,0.1,0\n"
+         "1796,1.0,0.1,0.1,yes\n", "line 3: index 1795 repeats an earlier row's"),
     ], ids=["no-index-column", "index-past-the-series", "negative-index", "bad-flag", "short-row",
-            "repeated-index"])
+            "repeated-index", "first-fault-in-file-order"])
     def test_bad_detections_exit_1_without_metrics(self, tmp_path, config_doc, capsys, text, message):
         detections = tmp_path / "detections.csv"
         detections.write_text(text)
@@ -438,7 +458,7 @@ def _sidecar(model: Path, cfg: str) -> bytes:
     over the model file's bytes and those windows."""
     config = load_config(cfg, [])
     p = config.pipeline
-    _, windows, _ = prepare(load_series(config.dataset_path, config.schema),
+    windows, _, _ = prepare(load_series(config.dataset_path, config.schema),
                             p.split, p.look_back, p.look_ahead)
     digest = hashlib.sha256(model.read_bytes())
     for w in windows[:2]:
@@ -448,7 +468,7 @@ def _sidecar(model: Path, cfg: str) -> bytes:
     network = load_network(model)[0]
     buf = io.BytesIO()
     np.savez(buf, key=np.array(digest.hexdigest()),
-             **{name: prediction_errors(network, w).errors for name, w in zip(("train", "val"), windows)})
+             **{name: prediction_errors(network, w) for name, w in zip(("train", "val"), windows)})
     return buf.getvalue()
 
 
@@ -574,6 +594,22 @@ class TestErrorsFile:
                                   f"the config has {wanted}")
         assert not out.exists()
 
+    @pytest.mark.parametrize("damage", [lambda e: e[:-1], lambda e: np.concatenate([[-1.0], e[1:]])],
+                             ids=["one-short", "negative"])
+    def test_damaged_saved_errors_exit_1_without_output(self, tmp_path, capsys, evt_models, damage):
+        """Saved errors whose key matches the windows but that are not one
+        absolute error per window stop ``detect``."""
+        cfg, dirs = evt_models
+        with np.load(dirs[0] / "model.npz") as saved:
+            arrays = {name: saved[name] for name in saved.files}
+        arrays["val_errors"] = damage(arrays["val_errors"])
+        np.savez(tmp_path / "model.npz", **arrays)
+        out = tmp_path / "out"
+        assert main(["detect", "--config", cfg, "--model", str(tmp_path / "model.npz"), "--rule", "tukey",
+                     "--output-dir", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"]["kind"] == "runtime"
+        assert not out.exists()
+
     @pytest.mark.parametrize("rule", ["gaussian", "evt-lstm"])
     def test_unrecorded_look_back_is_not_checked(self, tmp_path, evt_models, rule):
         cfg, dirs = evt_models
@@ -600,12 +636,12 @@ class TestErrorsFile:
 
         config = load_config(cfg, [])
         p = config.pipeline
-        _, windows, _ = prepare(load_series(config.dataset_path, config.schema),
+        windows, _, _ = prepare(load_series(config.dataset_path, config.schema),
                                 p.split, p.look_back, p.look_ahead)
         assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "model.npz"]
         network, _, _, saved = load_network(out / "model.npz")
         for errors, w in zip(saved[1:], windows):
-            assert errors.tobytes() == prediction_errors(network, w).errors.tobytes()
+            assert errors.tobytes() == prediction_errors(network, w).tobytes()
 
 
 def _meta_only(tmp_path, model):
@@ -627,6 +663,19 @@ def _bytes_of(name, make_bytes):
         path = tmp_path / name
         path.write_bytes(make_bytes(model))
         return path
+    return case
+
+
+def _edited_meta(edit):
+    """A case whose model file is the trained one with its meta replaced by
+    ``edit(meta)``."""
+    def case(tmp_path, model):
+        with np.load(model) as saved:
+            arrays = {name: saved[name] for name in saved.files}
+        meta = edit(json.loads(bytes(arrays["meta"]).decode()))
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        np.savez(tmp_path / "m.npz", **arrays)
+        return tmp_path / "m.npz"
     return case
 
 
@@ -655,8 +704,22 @@ class TestUnreadableModelFile:
         (_npy_model, _NOT_AN_ARCHIVE),
         (_bytes_of("model.npz", lambda model: b"not a model file\n"), _NOT_AN_ARCHIVE),
         (_bytes_of("model.npz", lambda model: b""), _NOT_AN_ARCHIVE),
+        (_edited_meta(lambda meta: [2]), "model file's meta is not a JSON object"),
+        (_edited_meta(lambda meta: {**meta, "hidden_sizes": 3}),
+         "model file's 'hidden_sizes' is not a non-empty list of whole numbers >= 1: 3"),
+        (_edited_meta(lambda meta: {**meta, "hidden_sizes": []}),
+         "model file's 'hidden_sizes' is not a non-empty list of whole numbers >= 1: []"),
+        (_edited_meta(lambda meta: {**meta, "dropout_rate": "x"}),
+         "model file's 'dropout_rate' is not a number: 'x'"),
+        (_edited_meta(lambda meta: {**meta, "look_back": "12"}),
+         "model file's 'look_back' is not null or a whole number >= 1: '12'"),
+        (_edited_meta(lambda meta: {**meta, "loss_spec": [1]}),
+         "model file's 'loss_spec' is not null or an object: [1]"),
+        (_edited_meta(lambda meta: {**meta, "errors_key": 5}),
+         "model file's 'errors_key' is not null or a string: 5"),
     ], ids=["meta-only-version", "no-meta", "no-meta-field", "no-array", "no-errors-array",
-            "truncated", "npy", "text", "empty"])
+            "truncated", "npy", "text", "empty", "meta-not-an-object", "hidden-sizes-type",
+            "no-hidden-sizes", "dropout-rate-type", "look-back-type", "loss-spec-type", "errors-key-type"])
     def test_exits_1_without_output(self, tmp_path, capsys, evt_models, case, message):
         cfg, dirs = evt_models
         model = case(tmp_path, dirs[0] / "model.npz")
@@ -667,6 +730,55 @@ class TestUnreadableModelFile:
         assert err == {"kind": "runtime", "type": "UnsupportedModelFormat",
                        "message": message.format(path=model)}
         assert not out.exists()
+
+
+# sha256 of each rule's detections.csv, detection_summary.json and
+# metrics.json from the model below.
+DETECT_SHA256 = {
+    "gaussian": (
+        "23aae5d1b2752bcb8f8e52fdf995ada418e504af87c22aca6fc62dd46204c15d",
+        "ef04f408698538e1be5550c72e2165f9a06b9143658d5569f96e3ac73dde860c",
+        "529ae334c75425d3abce507aa0bc33b5c692a8fd3fda2719874584c0636c8881",
+    ),
+    "tukey": (
+        "b3bf24af09289cfe65f73096dcb47691570b56d21942b4a088e2030d04dbd7df",
+        "5a2bc4a4ee39f7b03683444cf2bc1aac08fb51fd9e45ba61388ae5f2aaf3c8d5",
+        "646f8ad7d04ee673461dbe27127d1504262fea20f199dd9691a3ccf6b5d6cd42",
+    ),
+    "evt": (
+        "9a9f5b4fcfcfad9abfaf7cc1bbba83cc132d61ec9cd841a7d18e4eca940e84dc",
+        "b4824cfad385074b4cc1be6d97f1a11261c2ab06eac0837b872a2269094b898b",
+        "646f8ad7d04ee673461dbe27127d1504262fea20f199dd9691a3ccf6b5d6cd42",
+    ),
+    "evt-lstm": (
+        "172689502d5fc151a81784a0270f11d06e96d894be0050317e75fa34a3853143",
+        "184b6514f34e0312dfa8ab739b80547a7c86475c723296b45f7432de823463f4",
+        "529ae334c75425d3abce507aa0bc33b5c692a8fd3fda2719874584c0636c8881",
+    ),
+}
+
+
+def test_detect_and_evaluate_outputs_keep_their_bytes(tmp_path, config_doc):
+    """The model is set by hand, not trained, so that its outputs do not
+    depend on the BLAS thread count: one LSTM unit that forecasts about the
+    last value of its window."""
+    net = init_network((1,), 1)
+    layer = net.lstm_layers[0]
+    layer.W[:] = [[0.0], [0.0], [0.0], [0.1]]  # gates i, f, o, g: g = tanh(0.1 x)
+    layer.U[:] = 0.0
+    layer.b[:] = [10.0, -10.0, 10.0, 0.0]  # i and o open, f shut
+    net.dense.weights[:] = 10.0
+    model = tmp_path / "model.npz"
+    save_network(model, net, LossSpec("evt", threshold=0.2), config_doc["look_back"])
+    cfg = write_config(tmp_path, config_doc)
+    for rule, digests in DETECT_SHA256.items():
+        out = tmp_path / rule
+        assert main(["detect", "--config", cfg, "--model", str(model), "--rule", rule,
+                     "--output-dir", str(out)]) == 0
+        assert main(["evaluate", "--config", cfg, "--detections", str(out / "detections.csv"),
+                     "--output-dir", str(out)]) == 0
+        files = ("detections.csv", "detection_summary.json", "metrics.json")
+        assert tuple(hashlib.sha256((out / f).read_bytes()).hexdigest() for f in files) == digests, rule
 
 
 class TestBenchmarkCommand:

@@ -370,15 +370,18 @@ class TestWindow:
 
 def test_prepare_normalizes_with_train_range_and_offsets_each_part():
     labels = np.zeros(20, dtype=bool)
-    labels[15] = True
+    labels[18] = True  # the first target of the first test window
     s = series(np.arange(20.0) ** 2, labels)
-    (train, val, test), windows, offsets = prepare(s, SplitSpec(0.5, 0.25, 0.25), 3, 1)
+    windows, window_labels, offsets = prepare(s, SplitSpec(0.5, 0.25, 0.25), 3, 1)
     assert offsets == (0, 10, 15)
-    assert (train.values.min(), train.values.max()) == (0.0, 1.0)
-    np.testing.assert_allclose(test.values, (np.arange(15.0, 20.0) ** 2) / 81.0)
-    assert test.labels.tolist() == [True, False, False, False, False]
     assert [len(w) for w in windows] == [7, 2, 2]
-    np.testing.assert_array_equal(windows[2].inputs[0], test.values[:3])
+    train = np.concatenate([windows[0].inputs.ravel(), windows[0].targets.ravel()])
+    assert (train.min(), train.max()) == (0.0, 1.0)  # points 0 to 9, over the range 0 to 81
+    np.testing.assert_allclose(windows[2].inputs * 81.0, [[225.0, 256.0, 289.0], [256.0, 289.0, 324.0]])
+    np.testing.assert_allclose(windows[2].targets * 81.0, [[324.0], [361.0]])
+    np.testing.assert_array_equal(offsets[2] + windows[2].target_indices, [18, 19])
+    assert [w.tolist() for w in window_labels] == [[False] * 7, [False, False], [True, False]]
+    assert prepare(series(s.values), SplitSpec(0.5, 0.25, 0.25), 3, 1)[1] is None
 
 
 def test_atomic_write_gets_the_mode_of_a_plain_write(tmp_path):

@@ -10,7 +10,6 @@ from evtdetect.detectors import (
     EvtRule,
     GaussianFit,
     NoAnomaliesInValidation,
-    PredictionErrors,
     RuleNotCalibrated,
     TukeyFit,
     calibrate_gaussian_threshold,
@@ -26,8 +25,7 @@ from tests.test_network import zero_layer
 
 
 def errs(values):
-    values = np.asarray(values, dtype=float)
-    return PredictionErrors(values, np.arange(len(values)))
+    return np.asarray(values, dtype=float)
 
 
 class TestPredictionErrors:
@@ -37,8 +35,7 @@ class TestPredictionErrors:
         series = LabeledSeries(np.arange(5.0), np.array([0.5, 0.1, 0.2, 0.2, 0.8]))
         ds = make_windows(series, look_back=2, look_ahead=1)
         pe = prediction_errors(net, ds)
-        np.testing.assert_allclose(pe.errors, [0.2, 0.2, 0.8])
-        np.testing.assert_array_equal(pe.indices, [2, 3, 4])
+        np.testing.assert_allclose(pe, [0.2, 0.2, 0.8])
 
     def test_deterministic(self):
         net = init_network((6,), output_size=1, dropout_rate=0.5, seed=4)
@@ -46,7 +43,7 @@ class TestPredictionErrors:
         ds = make_windows(series, 5, 1)
         a = prediction_errors(net, ds)
         b = prediction_errors(net, ds)
-        np.testing.assert_array_equal(a.errors, b.errors)
+        np.testing.assert_array_equal(a, b)
 
     def test_perfect_predictor_zero_errors(self):
         # On a constant series, a zero network with the constant as its dense
@@ -54,7 +51,7 @@ class TestPredictionErrors:
         net = Network([zero_layer(3, 1)], DenseParams(np.zeros((1, 3)), np.array([0.7])))
         series = LabeledSeries(np.arange(8.0), np.full(8, 0.7))
         pe = prediction_errors(net, make_windows(series, 3, 1))
-        np.testing.assert_allclose(pe.errors, 0.0, atol=1e-15)
+        np.testing.assert_allclose(pe, 0.0, atol=1e-15)
 
     def test_one_step_ahead_component_used(self):
         # With look_ahead 2 the first horizon component defines the error.
@@ -62,7 +59,7 @@ class TestPredictionErrors:
         series = LabeledSeries(np.arange(6.0), np.array([0.1, 0.2, 0.3, 0.4, 0.5, 0.6]))
         ds = make_windows(series, look_back=2, look_ahead=2)
         pe = prediction_errors(net, ds)
-        np.testing.assert_allclose(pe.errors, np.abs(0.3 - series.values[2:5]))
+        np.testing.assert_allclose(pe, np.abs(0.3 - series.values[2:5]))
 
 
 class TestGaussian:
@@ -187,7 +184,7 @@ class TestCalibrateRisk:
 
     def test_only_loosest_admissible(self):
         stream, labels = self.stream([5.0])
-        t_mid = evt.pot_threshold(rule_fit := evt.fit_tail(stream.errors, 0.98), 1e-4)
+        t_mid = evt.pot_threshold(rule_fit := evt.fit_tail(stream, 0.98), 1e-4)
         t_loose = evt.pot_threshold(rule_fit, 1e-3)
         # an anomaly between the loose and middle thresholds
         stream2, labels2 = self.stream([(t_loose + t_mid) / 2.0, 5.0])
@@ -196,15 +193,15 @@ class TestCalibrateRisk:
 
     def test_no_full_recall_takes_best_f1(self):
         # one anomaly below every threshold: recall can never reach 1
-        fit = evt.fit_tail(self.stream([])[0].errors[:3000], 0.98)
+        fit = evt.fit_tail(self.stream([])[0][:3000], 0.98)
         t_strict = evt.pot_threshold(fit, 1e-5)
         stream, labels = self.stream([0.01, t_strict + 1.0])
         rule = calibrate_risk(stream, labels)
         best = max(
-            (2 * np.sum((stream.errors > evt.pot_threshold(rule.fit, r)) & labels)
-             / (2 * np.sum((stream.errors > evt.pot_threshold(rule.fit, r)) & labels)
-                + np.sum((stream.errors > evt.pot_threshold(rule.fit, r)) & ~labels)
-                + np.sum((stream.errors <= evt.pot_threshold(rule.fit, r)) & labels)),
+            (2 * np.sum((stream > evt.pot_threshold(rule.fit, r)) & labels)
+             / (2 * np.sum((stream > evt.pot_threshold(rule.fit, r)) & labels)
+                + np.sum((stream > evt.pot_threshold(rule.fit, r)) & ~labels)
+                + np.sum((stream <= evt.pot_threshold(rule.fit, r)) & labels)),
              r)
             for r in (1e-3, 1e-4, 1e-5)
         )
@@ -261,7 +258,7 @@ def _two_list_selection(stream, labels, grid, thresholds):
     full_recall, scored = [], []
     for risk in sorted(grid):
         threshold = thresholds[risk]
-        flagged = stream.errors - threshold >= 0.0
+        flagged = stream - threshold >= 0.0
         tp = int(np.sum(flagged & labels))
         fp = int(np.sum(flagged & ~labels))
         fn = int(np.sum(~flagged & labels))
@@ -283,7 +280,7 @@ class TestDetect:
         data = errs([0.5, 1.0, 2.0])  # all at or below the initial threshold
         det = detect(data, rule)
         assert det.flags.sum() == 0
-        np.testing.assert_allclose(det.scores, data.errors - rule.threshold)
+        np.testing.assert_allclose(det.scores, data - rule.threshold)
 
     def test_evt_flags_error_equal_to_threshold(self):
         # The paper's tie rule: a decision score error - threshold of exactly 0
@@ -310,7 +307,7 @@ class TestDetect:
     def test_evt_flags_monotone_in_risk(self):
         rng = np.random.default_rng(6)
         data = errs(rng.exponential(1.0, 5000))
-        fit = evt.fit_tail(data.errors, 0.98)
+        fit = evt.fit_tail(data, 0.98)
         previous = None
         # smaller risk -> higher threshold -> flags shrink
         for risk in (1e-3, 1e-4, 1e-5):

@@ -9,7 +9,6 @@ from evtdetect import evaluation
 from evtdetect.data import LabeledSeries, SplitSpec, prepare
 from evtdetect.detectors import (
     DEFAULT_RISK_GRID,
-    PredictionErrors,
     calibrate_gaussian_threshold,
     calibrate_risk,
     detect,
@@ -117,11 +116,6 @@ def tiny_benchmark():
     return series, config, benchmark(series, config)
 
 
-def _pooled(parts) -> PredictionErrors:
-    errors = np.concatenate([p.errors for p in parts])
-    return PredictionErrors(errors, np.arange(errors.size))
-
-
 class TestCalibrate:
     @pytest.fixture(scope="class")
     def split_errors(self):
@@ -133,7 +127,7 @@ class TestCalibrate:
             spikes = np.zeros(n, dtype=bool)
             spikes[rng.choice(n, 3, replace=False)] = True
             e[spikes] += 2.0
-            errs.append(PredictionErrors(e, np.arange(n)))
+            errs.append(e)
             labels.append(spikes)
         return tuple(errs), tuple(labels)
 
@@ -144,18 +138,18 @@ class TestCalibrate:
         if rule == "gaussian":
             gfit = fit_gaussian(errs[0])
             fitted = replace(gfit, logpd_threshold=calibrate_gaussian_threshold(
-                gaussian_logpd(errs[1].errors, gfit), labels[1]))
+                gaussian_logpd(errs[1], gfit), labels[1]))
             expected = {"mu": fitted.mu, "sigma2": fitted.sigma2, "logpd_threshold": fitted.logpd_threshold}
         elif rule == "tukey":
-            fitted = tukey_threshold(_pooled(errs))
+            fitted = tukey_threshold(np.concatenate(errs))
             expected = {"q1": fitted.q1, "q3": fitted.q3, "fence": fitted.fence}
         else:
-            fitted = calibrate_risk(_pooled(errs[:2]), np.concatenate(labels[:2]))
+            fitted = calibrate_risk(np.concatenate(errs[:2]), np.concatenate(labels[:2]))
             expected = {"risk": fitted.risk, "threshold": fitted.threshold, "gamma": fitted.fit.gamma,
                         "sigma": fitted.fit.sigma, "initial_threshold": fitted.fit.threshold}
         reference = detect(errs[2], fitted)
         assert det.flags.any()
-        for name in ("indices", "scores", "flags"):
+        for name in ("scores", "flags"):
             np.testing.assert_array_equal(getattr(det, name), getattr(reference, name))
         assert params == expected
 
@@ -229,7 +223,7 @@ def counted_benchmark():
     with pytest.MonkeyPatch.context() as mp:
         counted = count_infer_windows(mp)
         report = benchmark(series, config)
-    _, windows, _ = prepare(series, config.split, config.look_back, config.look_ahead)
+    windows, _, _ = prepare(series, config.split, config.look_back, config.look_ahead)
     return report, counted, [len(w) for w in windows]
 
 

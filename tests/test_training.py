@@ -129,7 +129,7 @@ def test_last_update_matches_final_network(trained, sine_windows):
     # the τ re-estimate of the last epoch reads the final network's training errors
     cfg, model = trained
     info = model.history[-1]["threshold_update"]
-    errors = prediction_errors(model.network, sine_windows[0]).errors
+    errors = prediction_errors(model.network, sine_windows[0])
     assert info["initial_threshold"] == evt.initial_threshold(errors, cfg.init_quantile)
 
 
@@ -267,7 +267,7 @@ def test_svdd_threshold_from_last_epoch_predictions(monkeypatch, sine_windows):
     cfg = TrainConfig(epochs=4, threshold_update_period=2, risk=1e-3, init_quantile=0.85, **SMALL)
     model = train_svdd(cfg, train, val)
     assert sum(counted) == len(train) + len(model.history) * (len(train) + len(val))
-    errors = prediction_errors(model.network, train).errors
+    errors = prediction_errors(model.network, train)
     expected, info = training._update_threshold(errors, cfg, previous=None)
     assert "retained_previous" not in info
     assert model.threshold == expected
