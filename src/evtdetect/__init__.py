@@ -51,7 +51,7 @@ from .evt import (
     pot_threshold,
     tail_probability,
 )
-from .losses import LossSpec, evt_loss, mse_loss, svdd_loss
+from .losses import LossSpec
 from .network import Network, forward, init_network, load_network, save_network
 from .optim import AdamState, adam_step, init_adam_state
 from .training import (

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import evt
 from .data import CsvSchema, WindowedDataset, atomic_write_bytes, load_series, prepare
-from .detectors import first_horizon_errors, prediction_errors, threshold_decisions
+from .detectors import prediction_errors, threshold_decisions
 from .evaluation import (
     BenchmarkConfig,
     LabelsRequired,
@@ -30,7 +30,6 @@ from .evaluation import (
     confusion,
     format_report,
 )
-from .losses import LossSpec
 from .network import UnsupportedModelFormat, load_network, save_network
 from .presets import preset
 from .training import (
@@ -216,22 +215,17 @@ def cmd_train(config: RunConfig) -> int:
     require_threshold_estimate(model, train, len(train_w))  # before anything is written
 
     out = Path(config.output_dir)
-    spec = None
-    if model.loss_kind != "mse":
-        spec = LossSpec(model.loss_kind, weight_decay=train.weight_decay,
-                        center=model.center, threshold=model.threshold)
+    spec = None if model.spec.kind == "mse" else model.spec
     errors = None
-    if model.predictions is not None:  # so that ``detect`` predicts only the test split
-        train_pred, val_pred = model.predictions
-        errors = (_errors_key(train_w, val_w), first_horizon_errors(train_pred, train_w),
-                  first_horizon_errors(val_pred, val_w))
+    if model.errors is not None:  # so that ``detect`` predicts only the test split
+        errors = (_errors_key(train_w, val_w), *model.errors)
     save_network(out / "model.npz", model.network, spec, config.pipeline.look_back, errors)
     manifest = run_manifest(model, train, wall_clock_seconds=round(seconds, 3))
     manifest["objective"] = config.objective
     atomic_write_json(out / "manifest.json", manifest)
     print(f"trained {config.objective} model for {len(model.history)} epochs -> {out / 'model.npz'}")
-    if model.threshold is not None:
-        print(f"detection threshold: {model.threshold:.6g}")
+    if model.spec.threshold is not None:
+        print(f"detection threshold: {model.spec.threshold:.6g}")
     return EXIT_OK
 
 

@@ -9,10 +9,12 @@ package writes a file.
 from __future__ import annotations
 
 import csv
+import math
 import os
 import warnings
 from dataclasses import dataclass
 from datetime import datetime
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +38,16 @@ class MissingSamples(ValueError):
 
 class AnomalyInTrainWarning(UserWarning):
     """The training split contains labeled anomalies."""
+
+
+def finite_number(value) -> bool:
+    """Whether ``value`` is a real number, not a bool, whose float is finite."""
+    if not isinstance(value, Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 @dataclass(frozen=True)
@@ -87,6 +99,9 @@ class SplitSpec:
 
     def __post_init__(self):
         fracs = (self.train_frac, self.val_frac, self.test_frac)
+        for name, f in zip(("train_frac", "val_frac", "test_frac"), fracs):
+            if not finite_number(f):
+                raise ValueError(f"{name} must be a finite number, got {f!r}")
         if any(not 0.0 < f < 1.0 for f in fracs):
             raise ValueError("split fractions must lie in (0, 1)")
         if abs(sum(fracs) - 1.0) > 1e-9:
@@ -136,6 +151,11 @@ class CsvSchema:
     value_column: str = "value"
     label_column: str | None = None
     sampling_period: float | None = None
+
+    def __post_init__(self):
+        p = self.sampling_period
+        if not (p is None or finite_number(p) and p > 0):
+            raise ValueError(f"sampling_period must be a finite number > 0, got {p!r}")
 
 
 def atomic_write_bytes(path: str | Path, payload: bytes) -> None:

@@ -3,12 +3,11 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, replace
-from numbers import Real
 
 import numpy as np
 
 from . import detectors, evt
-from .data import LabeledSeries, SplitSpec, prepare
+from .data import LabeledSeries, SplitSpec, finite_number, prepare
 from .detectors import (
     DEFAULT_RISK_GRID,
     calibrate_gaussian_threshold,
@@ -113,7 +112,7 @@ class BenchmarkConfig:
             object.__setattr__(self, name, value)
         grid = self.risk_grid
         if not (isinstance(grid, Sequence) and grid and all(
-                isinstance(r, Real) and not isinstance(r, bool) and 0 < r < 1 for r in grid)):
+                finite_number(r) and 0 < r < 1 for r in grid)):
             raise ValueError(f"risk_grid must be a non-empty list of numbers in (0, 1), got {grid!r}")
         object.__setattr__(self, "risk_grid", tuple(grid))
 
@@ -223,7 +222,7 @@ def benchmark(series: LabeledSeries, config: BenchmarkConfig) -> dict:
         report["rules"]["evt_lstm"] = {"error": str(exc)}
         return report
     report["rules"]["evt_lstm"] = {
-        "params": {"risk": evt_risk, "threshold": end_to_end.threshold},
+        "params": {"risk": evt_risk, "threshold": end_to_end.spec.threshold},
         **_metrics_row(decision_scores(end_to_end, windows[2]), labels[2]),
     }
     return report

@@ -11,9 +11,11 @@ that degrades into magnitude shrinking on forecasting data.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
+
+from .data import finite_number
 
 KINDS = ("mse", "svdd", "evt")
 
@@ -36,8 +38,10 @@ class LossSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown loss kind {self.kind!r}")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
+        if not (finite_number(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError(f"weight_decay must be a finite number >= 0, got {self.weight_decay!r}")
+        if not (self.threshold is None or finite_number(self.threshold)):
+            raise ValueError(f"threshold must be None or a finite number, got {self.threshold!r}")
         if (self.center is not None) != (self.kind == "svdd"):
             raise ValueError("center is required exactly for the svdd kind")
         if self.kind == "evt" and self.threshold is None:
@@ -45,10 +49,10 @@ class LossSpec:
         if self.kind == "mse" and self.threshold is not None:
             raise ValueError("the mse kind takes no threshold")
         if self.center is not None:
-            object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-
-    def with_threshold(self, threshold: float) -> "LossSpec":
-        return replace(self, threshold=float(threshold))
+            center = np.asarray(self.center)
+            if center.ndim != 1 or center.dtype.kind not in "iuf" or not np.isfinite(center).all():
+                raise ValueError(f"center must be a 1-D array of finite numbers, got {self.center!r}")
+            object.__setattr__(self, "center", np.asarray(center, dtype=float))
 
     def to_dict(self) -> dict:
         return {
@@ -63,59 +67,34 @@ class LossSpec:
         return cls(
             kind=d["kind"],
             weight_decay=d.get("weight_decay", 0.0),
-            center=None if d.get("center") is None else np.asarray(d["center"]),
+            center=d.get("center"),
             threshold=d.get("threshold"),
         )
 
 
-def decay_term(weights, weight_decay: float) -> float:
-    """(lambda/2) * sum of squared Frobenius norms over weight matrices."""
-    if weight_decay == 0.0:
-        return 0.0
-    return 0.5 * weight_decay * sum(float(np.sum(w * w)) for w in weights)
-
-
-def mse_loss(preds: np.ndarray, targets: np.ndarray) -> float:
-    """Mean of squared component differences."""
-    preds = np.asarray(preds, dtype=float)
-    targets = np.asarray(targets, dtype=float)
-    if preds.shape != targets.shape:
-        raise ValueError(f"shape mismatch: {preds.shape} vs {targets.shape}")
-    return float(np.mean((preds - targets) ** 2))
-
-
-def evt_loss(preds, targets, spec: LossSpec, weights=()) -> float:
-    """mean((|pred - target| - threshold)^2) plus the weight-decay term."""
-    if spec.kind != "evt":
-        raise ValueError("spec.kind must be 'evt'")
-    preds = np.asarray(preds, dtype=float)
-    targets = np.asarray(targets, dtype=float)
-    if preds.shape != targets.shape:
-        raise ValueError(f"shape mismatch: {preds.shape} vs {targets.shape}")
-    err = np.abs(preds - targets) - spec.threshold
-    return float(np.mean(err**2)) + decay_term(weights, spec.weight_decay)
-
-
-def svdd_loss(preds, spec: LossSpec, weights=()) -> float:
-    """Mean squared distance of predictions to the center, plus decay."""
-    if spec.kind != "svdd":
-        raise ValueError("spec.kind must be 'svdd'")
-    preds = np.atleast_2d(np.asarray(preds, dtype=float))
-    if preds.shape[1] != spec.center.shape[0]:
-        raise ValueError(
-            f"center dimension {spec.center.shape[0]} does not match predictions {preds.shape[1]}"
-        )
-    sq = np.sum((preds - spec.center) ** 2, axis=1)
-    return float(np.mean(sq)) + decay_term(weights, spec.weight_decay)
-
-
 def batch_loss(preds, targets, spec: LossSpec, weights=()) -> float:
-    """Dispatch to the objective selected by ``spec.kind``."""
-    if spec.kind == "mse":
-        return mse_loss(preds, targets)
-    if spec.kind == "evt":
-        return evt_loss(preds, targets, spec, weights)
-    return svdd_loss(preds, spec, weights)
+    """The objective selected by ``spec.kind`` on one batch: the mean squared
+    error (mse), mean((|pred - target| - threshold)^2) (evt), or the mean
+    squared distance of the predictions to the center (svdd, which ignores
+    ``targets``); plus the decay term (lambda/2) * sum of squared Frobenius
+    norms over ``weights``."""
+    preds = np.asarray(preds, dtype=float)
+    if spec.kind == "svdd":
+        preds = np.atleast_2d(preds)
+        if preds.shape[1] != spec.center.shape[0]:
+            raise ValueError(
+                f"center dimension {spec.center.shape[0]} does not match predictions {preds.shape[1]}"
+            )
+        data = np.mean(np.sum((preds - spec.center) ** 2, axis=1))
+    else:
+        targets = np.asarray(targets, dtype=float)
+        if preds.shape != targets.shape:
+            raise ValueError(f"shape mismatch: {preds.shape} vs {targets.shape}")
+        err = preds - targets if spec.kind == "mse" else np.abs(preds - targets) - spec.threshold
+        data = np.mean(err**2)
+    if spec.weight_decay == 0.0:
+        return float(data)
+    return float(data) + 0.5 * spec.weight_decay * sum(float(np.sum(w * w)) for w in weights)
 
 
 def loss_grad_wrt_preds(preds, targets, spec: LossSpec) -> np.ndarray:

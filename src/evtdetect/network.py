@@ -456,7 +456,12 @@ def load_network(path):
         network = Network(layers, dense, meta["dropout_rate"])
         key = meta.get("errors_key")
         errors = None if key is None else (key, arrays["train_errors"], arrays["val_errors"])
-        spec = None if meta["loss_spec"] is None else LossSpec.from_dict(meta["loss_spec"])
+        spec = None
+        if meta["loss_spec"] is not None:
+            try:
+                spec = LossSpec.from_dict(meta["loss_spec"])
+            except ValueError as exc:  # LossSpec names the field it rejects
+                raise UnsupportedModelFormat(f"model file's 'loss_spec' is not valid: {exc}") from None
     except KeyError as exc:
         raise UnsupportedModelFormat(f"model file has no {exc.args[0]!r}") from None
     return network, spec, meta.get("look_back"), errors

@@ -12,12 +12,12 @@ reduce to plain error minimization.
 from __future__ import annotations
 
 import operator
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import evt
-from .data import WindowedDataset
+from .data import WindowedDataset, finite_number
 from .detectors import DetectionResult, first_horizon_errors, prediction_errors, threshold_decisions
 from .losses import LossSpec, batch_loss, loss_grad_wrt_preds
 from .network import Network, backward, forward, init_network, predict
@@ -65,6 +65,10 @@ class TrainConfig:
         for name in ("epochs", "batch_size", "threshold_update_period", "patience",
                      "convergence_patience", "seed"):
             object.__setattr__(self, name, whole(name, getattr(self, name)))
+        for name in ("learning_rate", "dropout_rate", "weight_decay", "risk", "init_quantile",
+                     "convergence_tol"):
+            if not finite_number(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
         if self.threshold_update_period > self.epochs:
             raise ValueError("threshold_update_period must not exceed epochs")
         for name in ("epochs", "batch_size", "threshold_update_period",
@@ -82,26 +86,27 @@ class TrainConfig:
         object.__setattr__(self, "hidden_sizes", hidden_sizes)
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError(f"dropout_rate must lie in [0, 1), got {self.dropout_rate!r}")
-        if not self.weight_decay >= 0.0:
-            raise ValueError(f"weight_decay must be non-negative, got {self.weight_decay!r}")
+        for name in ("weight_decay", "convergence_tol"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)!r}")
 
 
 @dataclass
 class TrainedModel:
-    """A trained network with its loss kind, per-epoch history, the final
-    detection threshold (evt, and svdd's closing one) and the svdd center.
+    """A trained network with the loss spec it ended with and its per-epoch
+    history. ``spec.threshold`` is the final detection threshold (evt, and
+    svdd's closing one).
 
-    ``predictions`` holds the (train, validation) predictions that training
-    made with the weights left in ``network``, or None when it made none:
-    without the training-set pass, or when no epoch's weights were kept."""
+    ``errors`` holds the first-horizon errors on the (train, validation)
+    windows of the weights left in ``network``, or None when training did
+    not predict with them: without the training-set pass, or when no epoch's
+    weights were kept."""
 
     network: Network
-    loss_kind: str
-    threshold: float | None = None
+    spec: LossSpec
     history: list[dict] = field(default_factory=list)
     initial_mean_abs_prediction: float | None = None
-    center: np.ndarray | None = None
-    predictions: tuple[np.ndarray, np.ndarray] | None = None
+    errors: tuple[np.ndarray, np.ndarray] | None = None
 
 
 def _sgd_epoch(
@@ -161,9 +166,10 @@ def _train_epochs(
     are restored at the end. Without ``record_train_loss`` the training set
     is not predicted, the records hold only ``epoch`` and ``val_loss``, and
     ``after_epoch`` must be None. Returns the history, the final spec, and
-    the (train, validation) predictions of the weights left in ``network``:
-    the last epoch's, or the restored epoch's, and None without the training
-    pass or when ``restore_best`` kept no epoch (every ``val_loss`` NaN).
+    the first-horizon (train, validation) errors of the weights left in
+    ``network``: the last epoch's, or the restored epoch's, and None without
+    the training pass or when ``restore_best`` kept no epoch (every
+    ``val_loss`` NaN).
     """
     params = network.parameters()
     state = init_adam_state(params)
@@ -204,7 +210,8 @@ def _train_epochs(
     if restore_best:
         for p, b in zip(params, best_params):
             p[...] = b
-    return history, spec, kept
+    errors = None if kept is None else tuple(map(first_horizon_errors, kept, (train, val)))
+    return history, spec, errors
 
 
 def train_forecaster(
@@ -222,9 +229,9 @@ def train_forecaster(
     and records their loss as ``train_loss``; prediction draws no random
     numbers, so the weights are the same either way."""
     network, rng = _start(config, train, val)
-    history, _, predictions = _train_epochs(network, LossSpec("mse"), config, train, val, rng,
-                                            restore_best=True, record_train_loss=record_train_loss)
-    return TrainedModel(network=network, loss_kind="mse", history=history, predictions=predictions)
+    history, spec, errors = _train_epochs(network, LossSpec("mse"), config, train, val, rng,
+                                          restore_best=True, record_train_loss=record_train_loss)
+    return TrainedModel(network=network, spec=spec, history=history, errors=errors)
 
 
 def _update_threshold(
@@ -277,7 +284,7 @@ def train_evt_lstm(
         if record["epoch"] % config.threshold_update_period == 0:
             errors = first_horizon_errors(preds, train)
             new_threshold, info = _update_threshold(errors, config, spec.threshold)
-            spec = spec.with_threshold(new_threshold)
+            spec = replace(spec, threshold=new_threshold)
             record["threshold_update"] = info
             record["threshold_after_update"] = new_threshold
         train_loss = record["train_loss"]
@@ -288,14 +295,8 @@ def train_evt_lstm(
         return spec, flat_epochs >= config.convergence_patience
 
     spec = LossSpec("evt", weight_decay=config.weight_decay, threshold=0.0)
-    history, spec, predictions = _train_epochs(network, spec, config, train, val, rng, after_epoch)
-    return TrainedModel(
-        network=network,
-        loss_kind="evt",
-        threshold=spec.threshold,
-        history=history,
-        predictions=predictions,
-    )
+    history, spec, errors = _train_epochs(network, spec, config, train, val, rng, after_epoch)
+    return TrainedModel(network=network, spec=spec, history=history, errors=errors)
 
 
 def train_svdd(
@@ -317,17 +318,14 @@ def train_svdd(
         record["mean_abs_prediction"] = float(np.mean(np.abs(preds)))
         return spec, False
 
-    history, _, predictions = _train_epochs(network, spec, config, train, val, rng, after_epoch)
-    errors = first_horizon_errors(predictions[0], train)
-    threshold, _ = _update_threshold(errors, config, previous=None)
+    history, spec, errors = _train_epochs(network, spec, config, train, val, rng, after_epoch)
+    threshold, _ = _update_threshold(errors[0], config, previous=None)
     return TrainedModel(
         network=network,
-        loss_kind="svdd",
-        threshold=threshold,
+        spec=replace(spec, threshold=threshold),
         history=history,
         initial_mean_abs_prediction=float(np.mean(np.abs(initial_preds))),
-        center=spec.center,
-        predictions=predictions,
+        errors=errors,
     )
 
 
@@ -335,7 +333,7 @@ def require_threshold_estimate(model: TrainedModel, config: TrainConfig, train_s
     """Raise NoThresholdEstimate for an evt model none of whose threshold
     re-estimates succeeded: its threshold is still the starting 0.0, which
     flags every point. ``train_size`` is the number of training windows."""
-    if model.loss_kind != "evt":
+    if model.spec.kind != "evt":
         return
     updates = [r["threshold_update"] for r in model.history if "threshold_update" in r]
     if all(u.get("retained_previous") for u in updates):
@@ -349,9 +347,9 @@ def require_threshold_estimate(model: TrainedModel, config: TrainConfig, train_s
 def decision_scores(model: TrainedModel, data: WindowedDataset) -> DetectionResult:
     """Score ``|prediction - target| - threshold``; non-negative scores are
     flagged anomalous."""
-    if model.threshold is None:
+    if model.spec.threshold is None:
         raise ValueError("model has no detection threshold; train with the evt or svdd objective")
-    return threshold_decisions(prediction_errors(model.network, data), model.threshold)
+    return threshold_decisions(prediction_errors(model.network, data), model.spec.threshold)
 
 
 def run_manifest(
@@ -366,8 +364,8 @@ def run_manifest(
     """
     manifest = {
         "config": asdict(config),
-        "loss_kind": model.loss_kind,
-        "threshold": model.threshold,
+        "loss_kind": model.spec.kind,
+        "threshold": model.spec.threshold,
         "epochs_run": len(model.history),
         "history": model.history,
     }

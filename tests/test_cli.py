@@ -195,8 +195,24 @@ class TestConfigHandling:
         ("training.weight_decay", "-1", "weight_decay must be non-negative, got -1"),
         ("look_back", "0", "look_back must be positive, got 0"),
         ("look_ahead", "-1", "look_ahead must be positive, got -1"),
+        # a float setting's type is checked before any range test compares it
+        ("training.learning_rate", "x", "learning_rate must be a finite number, got 'x'"),
+        ("training.learning_rate", "true", "learning_rate must be a finite number, got True"),
+        ("training.learning_rate", "1e400", "learning_rate must be a finite number, got inf"),
+        ("training.dropout_rate", "x", "dropout_rate must be a finite number, got 'x'"),
+        ("training.weight_decay", "x", "weight_decay must be a finite number, got 'x'"),
+        ("training.risk", "x", "risk must be a finite number, got 'x'"),
+        ("training.init_quantile", "x", "init_quantile must be a finite number, got 'x'"),
+        ("training.convergence_tol", "x", "convergence_tol must be a finite number, got 'x'"),
+        ("training.convergence_tol", "-1", "convergence_tol must be non-negative, got -1"),
+        ("split.train_frac", "x", "train_frac must be a finite number, got 'x'"),
+        ("dataset.sampling_period", "x", "sampling_period must be a finite number > 0, got 'x'"),
+        ("dataset.sampling_period", "-1", "sampling_period must be a finite number > 0, got -1"),
     ], ids=["no-hidden-size", "zero-hidden-size", "dropout-past-1", "negative-weight-decay",
-            "zero-look-back", "negative-look-ahead"])
+            "zero-look-back", "negative-look-ahead", "learning-rate-string", "learning-rate-bool",
+            "learning-rate-inf", "dropout-rate-string", "weight-decay-string", "risk-string",
+            "init-quantile-string", "convergence-tol-string", "negative-convergence-tol",
+            "train-frac-string", "sampling-period-string", "negative-sampling-period"])
     def test_value_out_of_range_exits_2(self, tmp_path, config_doc, capsys, key, value, message):
         out = tmp_path / "out"
         cfg = write_config(tmp_path, config_doc, output_dir=str(out))
@@ -679,6 +695,11 @@ def _edited_meta(edit):
     return case
 
 
+def _edited_loss_spec(**fields):
+    """A case whose model file's loss_spec has ``fields`` replaced."""
+    return _edited_meta(lambda meta: {**meta, "loss_spec": {**meta["loss_spec"], **fields}})
+
+
 def _npy_model(tmp_path, model):
     np.save(tmp_path / "model.npy", np.zeros(3))
     return tmp_path / "model.npy"
@@ -717,9 +738,20 @@ class TestUnreadableModelFile:
          "model file's 'loss_spec' is not null or an object: [1]"),
         (_edited_meta(lambda meta: {**meta, "errors_key": 5}),
          "model file's 'errors_key' is not null or a string: 5"),
+        (_edited_loss_spec(kind=[1]), "model file's 'loss_spec' is not valid: unknown loss kind [1]"),
+        (_edited_loss_spec(weight_decay="x"),
+         "model file's 'loss_spec' is not valid: weight_decay must be a finite number >= 0, got 'x'"),
+        (_edited_loss_spec(threshold="x"),
+         "model file's 'loss_spec' is not valid: threshold must be None or a finite number, got 'x'"),
+        (_edited_loss_spec(threshold=float("nan")),
+         "model file's 'loss_spec' is not valid: threshold must be None or a finite number, got nan"),
+        (_edited_loss_spec(kind="svdd", center="x"),
+         "model file's 'loss_spec' is not valid: center must be a 1-D array of finite numbers, got 'x'"),
     ], ids=["meta-only-version", "no-meta", "no-meta-field", "no-array", "no-errors-array",
             "truncated", "npy", "text", "empty", "meta-not-an-object", "hidden-sizes-type",
-            "no-hidden-sizes", "dropout-rate-type", "look-back-type", "loss-spec-type", "errors-key-type"])
+            "no-hidden-sizes", "dropout-rate-type", "look-back-type", "loss-spec-type", "errors-key-type",
+            "loss-spec-kind", "loss-spec-weight-decay", "loss-spec-threshold", "loss-spec-nan-threshold",
+            "loss-spec-center"])
     def test_exits_1_without_output(self, tmp_path, capsys, evt_models, case, message):
         cfg, dirs = evt_models
         model = case(tmp_path, dirs[0] / "model.npz")
@@ -779,6 +811,47 @@ def test_detect_and_evaluate_outputs_keep_their_bytes(tmp_path, config_doc):
                      "--output-dir", str(out)]) == 0
         files = ("detections.csv", "detection_summary.json", "metrics.json")
         assert tuple(hashlib.sha256((out / f).read_bytes()).hexdigest() for f in files) == digests, rule
+
+
+# sha256 of model.npz and of manifest.json (its wall_clock_seconds line left
+# out) that ``train`` writes for each objective on the tiny run below.
+TRAIN_SHA256 = {
+    "mse": (
+        "d3db9a150848cf55925761b9007f77df294a9458fcfb2855d244af002b3acab8",
+        "2976e2ab4e6467ae57940b921188179eb4b00ce0fbff3b9806e4d1b7bd480ba4",
+    ),
+    "evt": (
+        "c1c836c10f55f14c9ee66e50b16c28da001f2370bdd03f0929e00ca72cacdac5",
+        "7a843e78943dadd00c51b656f220b549ca426aa34faa65195b5382de078366e7",
+    ),
+    "svdd": (
+        "ab64cdd5758a9396965da0b0d7b26a34cbd502615eeaf9293e9e519dcc9b608d",
+        "6fcdbcd6ce2667e96f7731451361e929dba1b910438800352d55d925b402daa8",
+    ),
+}
+
+
+def test_train_outputs_keep_their_bytes(tmp_path):
+    """Every matrix product of this tiny run stays below the size at which
+    OpenBLAS starts threads, so its bytes do not depend on the thread count."""
+    data = tmp_path / "series.csv"
+    write_csv(make_spike_series(800, val_spikes=2, test_spikes=3, margin=10, min_separation=8, seed=4),
+              data)
+    cfg = write_config(tmp_path, {
+        "dataset": {"path": str(data), "label_column": "label"},
+        "split": {"train_frac": 0.7, "val_frac": 0.15, "test_frac": 0.15},
+        "look_back": 5,
+        "training": {"hidden_sizes": [4], "epochs": 4, "batch_size": 16, "threshold_update_period": 2,
+                     "dropout_rate": 0.1, "init_quantile": 0.9, "seed": 2},
+    })
+    for objective, digests in TRAIN_SHA256.items():
+        out = tmp_path / objective
+        assert main(["train", "--config", cfg, "--objective", objective, "--output-dir", str(out)]) == 0
+        manifest = (out / "manifest.json").read_bytes().splitlines(keepends=True)
+        kept = b"".join(line for line in manifest if b'"wall_clock_seconds"' not in line)
+        got = (hashlib.sha256((out / "model.npz").read_bytes()).hexdigest(),
+               hashlib.sha256(kept).hexdigest())
+        assert got == digests, objective
 
 
 class TestBenchmarkCommand:

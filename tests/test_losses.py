@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from evtdetect.losses import LossSpec, evt_loss, loss_grad_wrt_preds, mse_loss, svdd_loss
+from evtdetect.losses import LossSpec, batch_loss, loss_grad_wrt_preds
+
+MSE = LossSpec("mse")
 
 
 class TestLossSpec:
@@ -38,17 +40,17 @@ class TestLossSpec:
 
 class TestMse:
     def test_identity(self):
-        assert mse_loss(np.array([1.0, 2.0]), np.array([1.0, 2.0])) == 0.0
+        assert batch_loss(np.array([1.0, 2.0]), np.array([1.0, 2.0]), MSE) == 0.0
 
     def test_unit(self):
-        assert mse_loss(np.zeros(2), np.ones(2)) == 1.0
+        assert batch_loss(np.zeros(2), np.ones(2), MSE) == 1.0
 
     def test_hand_value(self):
-        assert mse_loss(np.array([1.0, 3.0]), np.zeros(2)) == pytest.approx(5.0)
+        assert batch_loss(np.array([1.0, 3.0]), np.zeros(2), MSE) == pytest.approx(5.0)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            mse_loss(np.zeros(2), np.zeros(3))
+            batch_loss(np.zeros(2), np.zeros(3), MSE)
 
 
 class TestEvtLoss:
@@ -56,49 +58,49 @@ class TestEvtLoss:
         spec = LossSpec("evt", threshold=2.0)
         preds = np.array([3.0, -1.0])
         targets = np.array([1.0, 1.0])  # absolute errors exactly 2
-        assert evt_loss(preds, targets, spec) == pytest.approx(0.0)
+        assert batch_loss(preds, targets, spec) == pytest.approx(0.0)
 
     def test_hand_value(self):
         spec = LossSpec("evt", threshold=2.0)
         # errors {1, 3} vs threshold 2 -> ((-1)^2 + 1^2) / 2
-        assert evt_loss(np.array([1.0, 3.0]), np.zeros(2), spec) == pytest.approx(1.0)
+        assert batch_loss(np.array([1.0, 3.0]), np.zeros(2), spec) == pytest.approx(1.0)
 
     def test_decay_only(self):
         spec = LossSpec("evt", weight_decay=2.0, threshold=0.0)
         weights = [np.array([[3.0]])]
-        assert evt_loss(np.zeros(1), np.zeros(1), spec, weights) == pytest.approx(9.0)
+        assert batch_loss(np.zeros(1), np.zeros(1), spec, weights) == pytest.approx(9.0)
 
     def test_reduces_to_mse_at_zero_threshold(self):
         rng = np.random.default_rng(0)
         preds, targets = rng.normal(size=12), rng.normal(size=12)
         spec = LossSpec("evt", threshold=0.0)
-        assert evt_loss(preds, targets, spec) == pytest.approx(mse_loss(preds, targets))
+        assert batch_loss(preds, targets, spec) == pytest.approx(batch_loss(preds, targets, MSE))
 
     def test_non_negative(self):
         rng = np.random.default_rng(1)
         spec = LossSpec("evt", threshold=0.7)
-        assert evt_loss(rng.normal(size=9), rng.normal(size=9), spec) >= 0.0
+        assert batch_loss(rng.normal(size=9), rng.normal(size=9), spec) >= 0.0
 
 
 class TestSvddLoss:
     def test_identity(self):
         spec = LossSpec("svdd", center=np.array([1.0]))
-        assert svdd_loss(np.array([[1.0], [1.0]]), spec) == 0.0
+        assert batch_loss(np.array([[1.0], [1.0]]), None, spec) == 0.0
 
     def test_hand_value(self):
         spec = LossSpec("svdd", center=np.array([1.0]))
-        assert svdd_loss(np.array([[0.0], [2.0]]), spec) == pytest.approx(1.0)
+        assert batch_loss(np.array([[0.0], [2.0]]), None, spec) == pytest.approx(1.0)
 
     def test_decay_with_zero_distance(self):
         spec = LossSpec("svdd", weight_decay=0.4, center=np.array([0.5]))
         weights = [np.array([[1.0, 2.0]]), np.array([[2.0]])]
         expected = 0.5 * 0.4 * (1 + 4 + 4)
-        assert svdd_loss(np.array([[0.5]]), spec, weights) == pytest.approx(expected)
+        assert batch_loss(np.array([[0.5]]), None, spec, weights) == pytest.approx(expected)
 
     def test_center_dimension_mismatch(self):
         spec = LossSpec("svdd", center=np.array([0.0, 0.0]))
         with pytest.raises(ValueError):
-            svdd_loss(np.array([[1.0]]), spec)
+            batch_loss(np.array([[1.0]]), None, spec)
 
 
 class TestGradSign:

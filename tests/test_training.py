@@ -4,7 +4,7 @@ import pytest
 from evtdetect import evt, network, training
 from evtdetect.data import LabeledSeries, make_windows
 from evtdetect.detectors import prediction_errors
-from evtdetect.losses import LossSpec, evt_loss
+from evtdetect.losses import LossSpec, batch_loss
 from evtdetect.network import forward
 from evtdetect.training import (
     TrainConfig,
@@ -120,7 +120,7 @@ class TestEvtLstm:
         a = train_evt_lstm(cfg, sine_windows[0], sine_windows[1])
         b = train_evt_lstm(cfg, sine_windows[0], sine_windows[1])
         assert a.history == b.history
-        assert a.threshold == b.threshold
+        assert a.spec == b.spec
         for pa, pb in zip(a.network.parameters(), b.network.parameters()):
             np.testing.assert_array_equal(pa, pb)
 
@@ -155,7 +155,7 @@ def test_typed_fit_failure_retains_threshold(monkeypatch, sine_windows):
     cfg = TrainConfig(epochs=2, threshold_update_period=2, risk=1e-3, **SMALL)
     model = train_evt_lstm(cfg, *sine_windows)
     assert model.history[-1]["threshold_update"]["retained_previous"] is True
-    assert model.threshold == 0.0
+    assert model.spec.threshold == 0.0
 
 
 def test_untyped_fit_error_propagates(monkeypatch, sine_windows):
@@ -196,7 +196,7 @@ def test_recorded_loss_matches_recomputation(sine_windows):
     last = model.history[-1]
     spec = LossSpec("evt", weight_decay=cfg.weight_decay, threshold=last["threshold"])
     preds, _ = forward(model.network, train.inputs, train=False)
-    recomputed = evt_loss(preds, train.targets, spec, model.network.weight_matrices())
+    recomputed = batch_loss(preds, train.targets, spec, model.network.weight_matrices())
     assert abs(recomputed - last["train_loss"]) < 1e-10
 
 
@@ -216,7 +216,8 @@ class TestDecisionScores:
         from tests.test_network import zero_layer
 
         net = Network([zero_layer(2, 1)], DenseParams(np.zeros((1, 2)), np.zeros(1)))
-        return TrainedModel(network=net, loss_kind="evt", threshold=threshold)
+        spec = LossSpec("mse") if threshold is None else LossSpec("evt", threshold=threshold)
+        return TrainedModel(network=net, spec=spec)
 
     def test_boundary_inclusive(self):
         # a zero network predicts 0, so the error equals the target value
@@ -255,7 +256,7 @@ def test_svdd_records_prediction_magnitude(sine_windows):
     model = train_svdd(cfg, train, val)
     assert model.initial_mean_abs_prediction is not None
     assert all("mean_abs_prediction" in r for r in model.history)
-    assert model.loss_kind == "svdd"
+    assert model.spec.kind == "svdd"
 
 
 def test_svdd_threshold_from_last_epoch_predictions(monkeypatch, sine_windows):
@@ -270,9 +271,9 @@ def test_svdd_threshold_from_last_epoch_predictions(monkeypatch, sine_windows):
     errors = prediction_errors(model.network, train)
     expected, info = training._update_threshold(errors, cfg, previous=None)
     assert "retained_previous" not in info
-    assert model.threshold == expected
+    assert model.spec.threshold == expected
     fresh, _ = training._start(cfg, train, val, None)  # the center is the untrained mean
-    np.testing.assert_array_equal(model.center, network.predict(fresh, train.inputs).mean(axis=0))
+    np.testing.assert_array_equal(model.spec.center, network.predict(fresh, train.inputs).mean(axis=0))
 
 
 def test_config_validation():
@@ -287,7 +288,7 @@ def test_config_validation():
 def test_no_predictions_kept_without_the_training_set_pass(sine_windows):
     train, val = sine_windows
     cfg = TrainConfig(epochs=2, threshold_update_period=2, **SMALL)
-    assert train_forecaster(cfg, train, val, record_train_loss=False).predictions is None
+    assert train_forecaster(cfg, train, val, record_train_loss=False).errors is None
 
 
 def test_no_predictions_kept_when_no_epoch_is_restored(sine_windows):
@@ -300,4 +301,4 @@ def test_no_predictions_kept_when_no_epoch_is_restored(sine_windows):
     fresh, _ = training._start(cfg, train, nan_val, None)
     for a, b in zip(model.network.parameters(), fresh.parameters()):
         np.testing.assert_array_equal(a, b)
-    assert model.predictions is None
+    assert model.errors is None
