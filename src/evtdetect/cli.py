@@ -90,6 +90,25 @@ def _apply_overrides(doc: dict, overrides: list[str]) -> dict:
     return doc
 
 
+def _section(doc: dict, name: str) -> dict:
+    """A copy of the section ``name`` popped from ``doc``: {} when it is
+    absent or null, a ConfigError naming it when it is not a JSON object."""
+    section = doc.pop(name, None)
+    if section is None:
+        return {}
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {section!r}")
+    return dict(section)
+
+
+def _optional_string(name: str, value) -> str | None:
+    """``value``, which must be None or a string; ConfigError naming ``name``
+    otherwise."""
+    if value is not None and not isinstance(value, str):
+        raise ConfigError(f"{name} must be a string, got {value!r}")
+    return value
+
+
 def parse_config(doc: dict) -> RunConfig:
     """Build a validated RunConfig from a JSON document.
 
@@ -99,18 +118,18 @@ def parse_config(doc: dict) -> RunConfig:
     """
     try:
         doc = dict(doc)
-        dataset = dict(doc.pop("dataset", {}) or {})
-        dataset_path = dataset.pop("path", None)
+        dataset = _section(doc, "dataset")
+        dataset_path = _optional_string("dataset.path", dataset.pop("path", None))
         schema = CsvSchema(**dataset)
         defaults = BenchmarkConfig()
-        split = replace(defaults.split, **(doc.pop("split", {}) or {}))
+        split = replace(defaults.split, **_section(doc, "split"))
 
         geometry: dict = {}
-        preset_name = doc.pop("preset", None)
+        preset_name = _optional_string("preset", doc.pop("preset", None))
         if preset_name is not None:
             geometry = preset(preset_name)
 
-        train_doc = dict(doc.pop("training", {}) or {})
+        train_doc = _section(doc, "training")
         sizes = train_doc.get("hidden_sizes", [])
         if not isinstance(sizes, list):
             raise ConfigError(f"training.hidden_sizes must be a list of whole numbers, got {sizes!r}")
@@ -130,14 +149,15 @@ def parse_config(doc: dict) -> RunConfig:
             raise ConfigError(f"objective must be mse, evt, or svdd, got {objective!r}")
 
         risk_grid = doc.pop("risk_grid", defaults.risk_grid)
-        output_dir = doc.pop("output_dir", None) or os.environ.get(OUTPUT_DIR_ENV, ".")
+        output_dir = _optional_string("output_dir", doc.pop("output_dir", None))
+        output_dir = output_dir or os.environ.get(OUTPUT_DIR_ENV, ".")
         config = RunConfig(
             dataset_path=dataset_path,
             schema=schema,
             pipeline=BenchmarkConfig(split, look_back, look_ahead, train, risk_grid),
             rule=rule,
             objective=objective,
-            output_dir=str(output_dir),
+            output_dir=output_dir,
         )
     except ConfigError:
         raise

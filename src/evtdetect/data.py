@@ -153,6 +153,11 @@ class CsvSchema:
     sampling_period: float | None = None
 
     def __post_init__(self):
+        for name in ("timestamp_column", "value_column"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a string, got {getattr(self, name)!r}")
+        if not isinstance(self.label_column, (str, type(None))):
+            raise ValueError(f"label_column must be a string or null, got {self.label_column!r}")
         p = self.sampling_period
         if not (p is None or finite_number(p) and p > 0):
             raise ValueError(f"sampling_period must be a finite number > 0, got {p!r}")
@@ -309,23 +314,20 @@ def normalize(series: LabeledSeries, params: NormParams) -> LabeledSeries:
 def split_series(
     series: LabeledSeries,
     spec: SplitSpec,
-    look_back: int | None = None,
-    look_ahead: int | None = None,
+    look_back: int,
+    look_ahead: int,
 ) -> tuple[LabeledSeries, LabeledSeries, LabeledSeries]:
     """Cut the series into contiguous train/val/test parts, in time order.
 
-    When ``look_back`` and ``look_ahead`` are given, each part must be long
-    enough to produce at least one window. Emits AnomalyInTrainWarning if the
-    training part contains labeled anomalies.
+    Each part must be long enough to produce at least one window. Emits
+    AnomalyInTrainWarning if the training part contains labeled anomalies.
     """
     n = len(series)
     n_train = int(np.floor(spec.train_frac * n))
     n_val = int(np.floor(spec.val_frac * n))
     bounds = (0, n_train, n_train + n_val, n)
 
-    min_len = 1
-    if look_back is not None and look_ahead is not None:
-        min_len = look_back + look_ahead
+    min_len = look_back + look_ahead
     sizes = np.diff(bounds)
     if np.any(sizes < min_len):
         raise SplitTooSmall(

@@ -213,8 +213,9 @@ def benchmark(series: LabeledSeries, config: BenchmarkConfig) -> dict:
         report["rules"][name] = {"params": params, **_metrics_row(det, labels[2])}
 
     evt_risk = report["rules"]["evt"].get("params", {}).get("risk", config.train.risk)
+    # Trains the forecaster's own network in place: nothing reads it after its errors.
     end_to_end = train_evt_lstm(
-        replace(config.train, risk=evt_risk), windows[0], windows[1], network=forecaster.network.copy()
+        replace(config.train, risk=evt_risk), windows[0], windows[1], network=forecaster.network
     )
     try:
         require_threshold_estimate(end_to_end, config.train, len(windows[0]))

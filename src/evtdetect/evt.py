@@ -101,15 +101,17 @@ class GpdFit:
 
     gamma: float
     sigma: float
-    threshold: float = 0.0
-    total_count: int = 0
-    peak_count: int = 0
+    threshold: float
+    total_count: int
+    peak_count: int
 
     def __post_init__(self):
         if not self.sigma > 0:
             raise ValueError("sigma must be positive")
         if self.peak_count > self.total_count:
             raise ValueError("peak_count cannot exceed total_count")
+        if self.peak_count < 1:
+            raise ValueError("peak_count must be at least 1")
 
     @property
     def tail_class(self) -> str:
@@ -437,8 +439,6 @@ def pot_threshold(fit: GpdFit, risk: float) -> float:
     ``tail_probability(t, fit) == risk`` and always exceeds ``fit.threshold``
     under the precondition ``0 < risk < peak_count / total_count``.
     """
-    if fit.total_count <= 0 or fit.peak_count <= 0:
-        raise ValueError("fit lacks peaks-over-threshold counts")
     ratio = fit.peak_count / fit.total_count
     if not 0.0 < risk < ratio:
         raise RiskTooHigh(
@@ -454,8 +454,6 @@ def tail_probability(x: float, fit: GpdFit) -> float:
     """P(X > x) under the fitted tail, for x at or beyond the initial threshold."""
     if x < fit.threshold:
         raise ValueError("tail probability is only defined at or beyond the threshold")
-    if fit.total_count <= 0 or fit.peak_count <= 0:
-        raise ValueError("fit lacks peaks-over-threshold counts")
     scale = fit.peak_count / fit.total_count
     z = fit.gamma * (x - fit.threshold) / fit.sigma
     if abs(fit.gamma) < GAMMA_ZERO_TOL:

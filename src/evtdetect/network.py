@@ -75,7 +75,9 @@ class Network:
     def __post_init__(self):
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must lie in [0, 1)")
-        size = self.lstm_layers[0].input_size
+        if self.lstm_layers[0].input_size != 1:
+            raise ValueError("the first LSTM layer must read one value per step")
+        size = 1
         for layer in self.lstm_layers:
             hsize = layer.hidden_size
             if layer.input_size != size:
@@ -102,19 +104,10 @@ class Network:
             mats += layer.weight_matrices()
         return mats + [self.dense.weights]
 
-    def copy(self) -> "Network":
-        layers = [
-            LstmLayerParams(*(a.copy() for a in layer.parameters()))
-            for layer in self.lstm_layers
-        ]
-        dense = DenseParams(self.dense.weights.copy(), self.dense.biases.copy())
-        return Network(layers, dense, self.dropout_rate)
-
 
 def init_network(
     hidden_sizes: tuple[int, ...],
     output_size: int,
-    input_size: int = 1,
     dropout_rate: float = 0.0,
     seed: int | np.random.Generator = 0,
 ) -> Network:
@@ -130,7 +123,7 @@ def init_network(
         return rng.uniform(-bound, bound, size=(rows, cols))
 
     layers = []
-    d = input_size
+    d = 1
     for h in hidden_sizes:
         b = np.zeros(4 * h)
         b[h : 2 * h] = 1.0
@@ -208,29 +201,24 @@ def forward(
     train: bool = False,
     rng: int | np.random.Generator | None = None,
 ) -> tuple[np.ndarray, ForwardCache | None]:
-    """Run a batch of look-back windows through the network.
+    """Run a batch of look-back windows of a univariate series, shaped
+    (batch, look_back), through the network.
 
-    ``windows`` has shape (batch, look_back) for scalar inputs, or
-    (batch, look_back, input_size). Infer mode is a pure deterministic
-    function and keeps only what the next layer reads; train mode applies
-    inverted dropout (seeded through ``rng``) and returns the activation
-    cache for :func:`backward`.
+    Infer mode is a pure deterministic function and keeps only what the next
+    layer reads; train mode applies inverted dropout (seeded through ``rng``)
+    and returns the activation cache for :func:`backward`.
     """
     x = np.asarray(windows, dtype=float)
-    if x.ndim == 1:
-        x = x[None, :]
-    if x.ndim == 2:
-        x = x[:, :, None]
-    if x.shape[2] != network.lstm_layers[0].input_size:
-        raise ValueError("window feature size does not match the first layer")
-    batch, steps = x.shape[:2]
+    if x.ndim != 2:
+        raise ValueError(f"windows must have shape (batch, look_back), got {x.shape}")
+    batch, steps = x.shape
 
     use_dropout = train and network.dropout_rate > 0.0
     gen = np.random.default_rng(rng) if use_dropout else None
     keep = 1.0 - network.dropout_rate
 
     cache = ForwardCache() if train else None
-    seq = np.swapaxes(x, 0, 1)  # (T, B, D)
+    seq = np.swapaxes(x, 0, 1)[:, :, None]  # (T, B, 1)
     top = len(network.lstm_layers) - 1
     for li, layer in enumerate(network.lstm_layers):
         hsize = layer.hidden_size
@@ -389,7 +377,7 @@ def save_network(path, network: Network, loss_spec=None, look_back: int | None =
         "format_version": SERIAL_FORMAT_VERSION,
         "dropout_rate": network.dropout_rate,
         "hidden_sizes": [l.hidden_size for l in network.lstm_layers],
-        "input_size": network.lstm_layers[0].input_size,
+        "input_size": 1,
         "output_size": network.output_size,
         "loss_spec": None if loss_spec is None else loss_spec.to_dict(),
         "look_back": look_back,
@@ -419,10 +407,20 @@ _META_TYPES = (
     ("hidden_sizes", "a non-empty list of whole numbers >= 1",
      lambda v: isinstance(v, list) and v and all(map(_positive_int, v))),
     ("dropout_rate", "a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
+    ("output_size", "a whole number >= 1", _positive_int),
     ("look_back", "null or a whole number >= 1", lambda v: v is None or _positive_int(v)),
     ("loss_spec", "null or an object", lambda v: v is None or isinstance(v, dict)),
     ("errors_key", "null or a string", lambda v: v is None or isinstance(v, str)),
 )
+
+
+def _weights(arrays: dict, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """The model file's array ``name``, which must be float64 of ``shape``."""
+    array = arrays[name]
+    if array.dtype != np.float64 or array.shape != shape:
+        raise UnsupportedModelFormat(
+            f"model file's {name!r} is not a float64 array of shape {shape}: {array.dtype} {array.shape}")
+    return array
 
 
 def load_network(path):
@@ -439,7 +437,13 @@ def load_network(path):
     with data:
         arrays = {name: data[name] for name in data.files}
     try:
-        meta = json.loads(bytes(arrays["meta"]).decode())
+        raw = arrays["meta"]
+        if raw.dtype != np.uint8 or raw.ndim != 1:
+            raise UnsupportedModelFormat("model file's meta is not UTF-8 JSON bytes")
+        try:
+            meta = json.loads(bytes(raw).decode())
+        except ValueError:  # UnicodeDecodeError or json.JSONDecodeError
+            raise UnsupportedModelFormat("model file's meta is not UTF-8 JSON bytes") from None
         if not isinstance(meta, dict):
             raise UnsupportedModelFormat("model file's meta is not a JSON object")
         version = meta["format_version"]
@@ -449,11 +453,19 @@ def load_network(path):
             if name in meta and not ok(meta[name]):
                 raise UnsupportedModelFormat(f"model file's {name!r} is not {wanted}: {meta[name]!r}")
         layers = []
-        for li in range(len(meta["hidden_sizes"])):
-            W, U, b = (arrays[f"layer{li}_{name}"] for name in "WUb")
-            layers.append(LstmLayerParams(W, U, b))
-        dense = DenseParams(arrays["dense_weights"], arrays["dense_biases"])
-        network = Network(layers, dense, meta["dropout_rate"])
+        d = 1
+        for li, h in enumerate(meta["hidden_sizes"]):
+            shapes = ((4 * h, d), (4 * h, h), (4 * h,))
+            layers.append(LstmLayerParams(*(_weights(arrays, f"layer{li}_{name}", shape)
+                                            for name, shape in zip("WUb", shapes))))
+            d = h
+        out = meta["output_size"]
+        dense = DenseParams(_weights(arrays, "dense_weights", (out, d)),
+                            _weights(arrays, "dense_biases", (out,)))
+        try:
+            network = Network(layers, dense, meta["dropout_rate"])
+        except ValueError as exc:
+            raise UnsupportedModelFormat(f"model file's network is not valid: {exc}") from None
         key = meta.get("errors_key")
         errors = None if key is None else (key, arrays["train_errors"], arrays["val_errors"])
         spec = None

@@ -5,6 +5,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 @dataclass
 class AdamState:
@@ -13,9 +17,6 @@ class AdamState:
     m: list[np.ndarray]
     v: list[np.ndarray]
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def init_adam_state(params: list[np.ndarray]) -> AdamState:
@@ -38,20 +39,20 @@ def adam_step(
         raise ValueError("learning_rate must be positive")
     state.step += 1
     t = state.step
-    correction1 = 1.0 - state.beta1**t
-    correction2 = 1.0 - state.beta2**t
+    correction1 = 1.0 - BETA1**t
+    correction2 = 1.0 - BETA2**t
     for p, g, m, v in zip(params, grads, state.m, state.v):
         if p.shape != g.shape:
             raise ValueError(f"gradient shape {g.shape} does not match parameter {p.shape}")
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p -= learning_rate * (m / correction1) / (np.sqrt(v / correction2) + state.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        p -= learning_rate * (m / correction1) / (np.sqrt(v / correction2) + EPS)
     return state
 
 
-def clip_global_norm(grads: list[np.ndarray], max_norm: float = 5.0) -> float:
+def clip_global_norm(grads: list[np.ndarray], max_norm: float) -> float:
     """Scale all gradients in place so their joint L2 norm is <= max_norm."""
     total = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads)))
     if total > max_norm and total > 0.0:

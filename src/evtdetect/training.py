@@ -86,7 +86,7 @@ class TrainConfig:
         object.__setattr__(self, "hidden_sizes", hidden_sizes)
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError(f"dropout_rate must lie in [0, 1), got {self.dropout_rate!r}")
-        for name in ("weight_decay", "convergence_tol"):
+        for name in ("weight_decay", "convergence_tol", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)!r}")
 
@@ -242,20 +242,14 @@ def _update_threshold(
     Falls back to the previous threshold when there are too few excesses or
     the tail fit cannot accommodate the requested risk.
     """
-    initial = evt.initial_threshold(errors, config.init_quantile)
-    info: dict = {"initial_threshold": initial}
     try:
-        fit = evt.fit_gpd(
-            evt.excesses_over(errors, initial),
-            threshold=initial,
-            total_count=errors.size,
-        )
+        fit = evt.fit_tail(errors, config.init_quantile)
         threshold = evt.pot_threshold(fit, config.risk)
-        info.update(gamma=fit.gamma, sigma=fit.sigma, peak_count=fit.peak_count)
     except (evt.TooFewExcesses, evt.RiskTooHigh):
-        info["retained_previous"] = True
-        return previous, info
-    return threshold, info
+        initial = evt.initial_threshold(errors, config.init_quantile)
+        return previous, {"initial_threshold": initial, "retained_previous": True}
+    return threshold, {"initial_threshold": fit.threshold, "gamma": fit.gamma, "sigma": fit.sigma,
+                       "peak_count": fit.peak_count}
 
 
 def train_evt_lstm(

@@ -38,11 +38,7 @@ def per_gate(layer) -> SimpleNamespace:
 
 def forward(network, windows, train=False, rng=None):
     """Returns (preds, cache); the cache is None in infer mode."""
-    x = np.asarray(windows, dtype=float)
-    if x.ndim == 1:
-        x = x[None, :]
-    if x.ndim == 2:
-        x = x[:, :, None]
+    x = np.asarray(windows, dtype=float)[:, :, None]  # (batch, look_back) windows
     steps, batch = x.shape[1], x.shape[0]
 
     use_dropout = train and network.dropout_rate > 0.0

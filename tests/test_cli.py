@@ -208,18 +208,34 @@ class TestConfigHandling:
         ("split.train_frac", "x", "train_frac must be a finite number, got 'x'"),
         ("dataset.sampling_period", "x", "sampling_period must be a finite number > 0, got 'x'"),
         ("dataset.sampling_period", "-1", "sampling_period must be a finite number > 0, got -1"),
+        ("training.seed", "-1", "seed must be non-negative, got -1"),
+        # each section is null or an object, and each name and path a string
+        ("dataset", "x", "dataset must be a JSON object, got 'x'"),
+        ("split", "x", "split must be a JSON object, got 'x'"),
+        ("training", "x", "training must be a JSON object, got 'x'"),
+        ("preset", '["a"]', "preset must be a string, got ['a']"),
+        ("dataset.path", "5", "dataset.path must be a string, got 5"),
+        ("dataset.label_column", '["a"]', "label_column must be a string or null, got ['a']"),
+        ("dataset.timestamp_column", "5", "timestamp_column must be a string, got 5"),
+        ("dataset.value_column", "null", "value_column must be a string, got None"),
+        ("output_dir", "[1]", "output_dir must be a string, got [1]"),
     ], ids=["no-hidden-size", "zero-hidden-size", "dropout-past-1", "negative-weight-decay",
             "zero-look-back", "negative-look-ahead", "learning-rate-string", "learning-rate-bool",
             "learning-rate-inf", "dropout-rate-string", "weight-decay-string", "risk-string",
             "init-quantile-string", "convergence-tol-string", "negative-convergence-tol",
-            "train-frac-string", "sampling-period-string", "negative-sampling-period"])
-    def test_value_out_of_range_exits_2(self, tmp_path, config_doc, capsys, key, value, message):
+            "train-frac-string", "sampling-period-string", "negative-sampling-period",
+            "negative-seed", "dataset-string", "split-string", "training-string", "preset-list",
+            "dataset-path-number", "label-column-list", "timestamp-column-number",
+            "value-column-null", "output-dir-list"])
+    def test_value_out_of_range_exits_2(self, tmp_path, config_doc, capsys, monkeypatch, key, value,
+                                        message):
+        monkeypatch.chdir(tmp_path)  # so that no output directory is made outside it
         out = tmp_path / "out"
         cfg = write_config(tmp_path, config_doc, output_dir=str(out))
         assert main(["train", "--config", cfg, "--set", f"{key}={value}"]) == 2
         err = json.loads(capsys.readouterr().err)["error"]
         assert err == {"kind": "config", "type": "ConfigError", "message": message}
-        assert not out.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     @pytest.mark.parametrize("value", ["[]", '["a"]', "[0]", "[2]", "[-1e-3]", "0.001", "[true]"],
                              ids=["empty", "string", "zero", "two", "negative", "scalar", "bool"])
@@ -700,6 +716,18 @@ def _edited_loss_spec(**fields):
     return _edited_meta(lambda meta: {**meta, "loss_spec": {**meta["loss_spec"], **fields}})
 
 
+def _edited_array(name, edit):
+    """A case whose model file is the trained one with the array ``name``
+    replaced by ``edit(array)``."""
+    def case(tmp_path, model):
+        with np.load(model) as saved:
+            arrays = {key: saved[key] for key in saved.files}
+        arrays[name] = edit(arrays[name])
+        np.savez(tmp_path / "m.npz", **arrays)
+        return tmp_path / "m.npz"
+    return case
+
+
 def _npy_model(tmp_path, model):
     np.save(tmp_path / "model.npy", np.zeros(3))
     return tmp_path / "model.npy"
@@ -747,11 +775,30 @@ class TestUnreadableModelFile:
          "model file's 'loss_spec' is not valid: threshold must be None or a finite number, got nan"),
         (_edited_loss_spec(kind="svdd", center="x"),
          "model file's 'loss_spec' is not valid: center must be a 1-D array of finite numbers, got 'x'"),
+        # hidden size 8: each layer0 array stacks 4 * 8 gate rows
+        (_edited_array("layer0_W", np.ravel),
+         "model file's 'layer0_W' is not a float64 array of shape (32, 1): float64 (32,)"),
+        (_edited_array("dense_weights", np.ravel),
+         "model file's 'dense_weights' is not a float64 array of shape (1, 8): float64 (8,)"),
+        (_edited_array("layer0_W", lambda a: a.astype(str)),
+         "model file's 'layer0_W' is not a float64 array of shape (32, 1): <U32 (32, 1)"),
+        (_edited_array("layer0_U", lambda a: a[:8]),
+         "model file's 'layer0_U' is not a float64 array of shape (32, 8): float64 (8, 8)"),
+        (_edited_array("layer0_W", lambda a: np.hstack([a, a])),
+         "model file's 'layer0_W' is not a float64 array of shape (32, 1): float64 (32, 2)"),
+        (_edited_array("meta", lambda a: a.astype(float)), "model file's meta is not UTF-8 JSON bytes"),
+        (_edited_array("meta", lambda a: np.append(a, np.uint8(0xFF))),
+         "model file's meta is not UTF-8 JSON bytes"),
+        (_edited_meta(lambda meta: {**meta, "output_size": "1"}),
+         "model file's 'output_size' is not a whole number >= 1: '1'"),
+        (_edited_meta(lambda meta: {**meta, "dropout_rate": 1.5}),
+         "model file's network is not valid: dropout_rate must lie in [0, 1)"),
     ], ids=["meta-only-version", "no-meta", "no-meta-field", "no-array", "no-errors-array",
             "truncated", "npy", "text", "empty", "meta-not-an-object", "hidden-sizes-type",
             "no-hidden-sizes", "dropout-rate-type", "look-back-type", "loss-spec-type", "errors-key-type",
             "loss-spec-kind", "loss-spec-weight-decay", "loss-spec-threshold", "loss-spec-nan-threshold",
-            "loss-spec-center"])
+            "loss-spec-center", "vector-w", "vector-dense-weights", "string-w", "eight-row-u",
+            "two-feature-w", "float-meta", "non-utf8-meta", "output-size-type", "dropout-rate-range"])
     def test_exits_1_without_output(self, tmp_path, capsys, evt_models, case, message):
         cfg, dirs = evt_models
         model = case(tmp_path, dirs[0] / "model.npz")
@@ -831,27 +878,123 @@ TRAIN_SHA256 = {
 }
 
 
-def test_train_outputs_keep_their_bytes(tmp_path):
-    """Every matrix product of this tiny run stays below the size at which
-    OpenBLAS starts threads, so its bytes do not depend on the thread count."""
-    data = tmp_path / "series.csv"
+@pytest.fixture(scope="module")
+def tiny_models(tmp_path_factory):
+    """The config of a tiny run, and the output directory of ``train`` under
+    each objective. Every matrix product of the run, and of ``detect`` on its
+    models, stays below the size at which OpenBLAS starts threads, so their
+    bytes do not depend on the thread count."""
+    root = tmp_path_factory.mktemp("tiny")
+    data = root / "series.csv"
     write_csv(make_spike_series(800, val_spikes=2, test_spikes=3, margin=10, min_separation=8, seed=4),
               data)
-    cfg = write_config(tmp_path, {
+    cfg = write_config(root, {
         "dataset": {"path": str(data), "label_column": "label"},
         "split": {"train_frac": 0.7, "val_frac": 0.15, "test_frac": 0.15},
         "look_back": 5,
         "training": {"hidden_sizes": [4], "epochs": 4, "batch_size": 16, "threshold_update_period": 2,
                      "dropout_rate": 0.1, "init_quantile": 0.9, "seed": 2},
     })
+    dirs = {}
+    for objective in TRAIN_SHA256:
+        dirs[objective] = root / objective
+        assert main(["train", "--config", cfg, "--objective", objective,
+                     "--output-dir", str(dirs[objective])]) == 0
+    return cfg, dirs
+
+
+def test_train_outputs_keep_their_bytes(tiny_models):
+    _, dirs = tiny_models
     for objective, digests in TRAIN_SHA256.items():
-        out = tmp_path / objective
-        assert main(["train", "--config", cfg, "--objective", objective, "--output-dir", str(out)]) == 0
+        out = dirs[objective]
         manifest = (out / "manifest.json").read_bytes().splitlines(keepends=True)
         kept = b"".join(line for line in manifest if b'"wall_clock_seconds"' not in line)
         got = (hashlib.sha256((out / "model.npz").read_bytes()).hexdigest(),
                hashlib.sha256(kept).hexdigest())
         assert got == digests, objective
+
+
+# For each trained model above and each rule: the exit code of ``detect``,
+# then the sha256 of detections.csv, detection_summary.json and metrics.json
+# when it succeeds. The gaussian, tukey and evt rules calibrate on the errors
+# stored in the model file. This series' validation split holds no labeled
+# anomaly, so the gaussian rule exits 1 for every model.
+TRAINED_DETECT_SHA256 = {
+    "mse": {
+        "gaussian": (1,),
+        "tukey": (
+            0,
+            "8c36891186ddcd96c19bbbc02f3330766a86cac51e42231e5d1fa2a9c9b9610e",
+            "d378647295a80c805b94ee8d0f5dd0088328694d89c2245a05f939291400e883",
+            "a5ebd8c4f6c84fe813d1ba21e9cf1d85ae142696512e9441cbf9040af8734f6f",
+        ),
+        "evt": (
+            0,
+            "babfbac74edb0cb3b4df06c775ef7b2deb4fad7b3b2f9960085011985407e4b3",
+            "c1d73d3e82c45f1e256a25c355fb4793980eca511d09d59d30ae4b251c942e1b",
+            "a5ebd8c4f6c84fe813d1ba21e9cf1d85ae142696512e9441cbf9040af8734f6f",
+        ),
+        "evt-lstm": (2,),
+    },
+    "evt": {
+        "gaussian": (1,),
+        "tukey": (
+            0,
+            "5d825961d286873f9be4dbf9c76b71bbadde05c8601210f6070a4e9060def0ef",
+            "2d12236ac71119afa13986b04334dacf76bd20181754f17b583a91c9ba2176d5",
+            "a5ebd8c4f6c84fe813d1ba21e9cf1d85ae142696512e9441cbf9040af8734f6f",
+        ),
+        "evt": (
+            0,
+            "452e2ad3143e68cd9fc66b8d43f337408ced9aa0c1ffe690dddaba7e6e54cf4e",
+            "0d79879d3ea68a62f006d2ce8c68b0b244a7b614af69dcef2ced7e350046290c",
+            "a5ebd8c4f6c84fe813d1ba21e9cf1d85ae142696512e9441cbf9040af8734f6f",
+        ),
+        "evt-lstm": (
+            0,
+            "cd1286c341794b03bf2d93403e04dc6eb309f37e46fd0e4610f42f58f2dff54e",
+            "b28c05bb970921e3bfe3c24e0eb7b66327309e09329bd783baa5625af0b48feb",
+            "a5ebd8c4f6c84fe813d1ba21e9cf1d85ae142696512e9441cbf9040af8734f6f",
+        ),
+    },
+    "svdd": {
+        "gaussian": (1,),
+        "tukey": (
+            0,
+            "780c62162419684f4a41f4d152e4bf838026f82e435b6612a652e875e6996a69",
+            "15157df34cb210ca0e0a52264a8cf41fed6c83207f517568f8ee8e05932f8b4f",
+            "a5ebd8c4f6c84fe813d1ba21e9cf1d85ae142696512e9441cbf9040af8734f6f",
+        ),
+        "evt": (
+            0,
+            "0d8c5a426f1f17ab553b76789ae4c8b31af081ad1a1c8e7264258ed725333264",
+            "2325db7d4dcf463e12696f757c4a7dce52a561f96a45ce1aae28669af5f6629d",
+            "a5ebd8c4f6c84fe813d1ba21e9cf1d85ae142696512e9441cbf9040af8734f6f",
+        ),
+        "evt-lstm": (
+            0,
+            "bf9c3bc036d268ea8a3e65fac537150f282a5150e67d1013bee6f0e53fa470f1",
+            "9762c0d28ddd822eae08313bf515ff839c17cbfcbfbf8365cb85a3fd38df2ac1",
+            "a5ebd8c4f6c84fe813d1ba21e9cf1d85ae142696512e9441cbf9040af8734f6f",
+        ),
+    },
+}
+
+
+def test_detect_and_evaluate_outputs_of_trained_models_keep_their_bytes(tmp_path, tiny_models):
+    cfg, dirs = tiny_models
+    files = ("detections.csv", "detection_summary.json", "metrics.json")
+    for objective, rules in TRAINED_DETECT_SHA256.items():
+        for rule, want in rules.items():
+            out = tmp_path / objective / rule
+            code = main(["detect", "--config", cfg, "--model", str(dirs[objective] / "model.npz"),
+                         "--rule", rule, "--output-dir", str(out)])
+            got = (code,)
+            if code == 0:
+                assert main(["evaluate", "--config", cfg, "--detections", str(out / "detections.csv"),
+                             "--output-dir", str(out)]) == 0
+                got += tuple(hashlib.sha256((out / f).read_bytes()).hexdigest() for f in files)
+            assert got == want, (objective, rule)
 
 
 class TestBenchmarkCommand:

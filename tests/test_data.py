@@ -291,7 +291,7 @@ class TestNormalize:
 class TestSplit:
     def test_lengths(self):
         s = series(np.arange(100.0))
-        train, val, test = split_series(s, SplitSpec(0.6, 0.2, 0.2))
+        train, val, test = split_series(s, SplitSpec(0.6, 0.2, 0.2), look_back=8, look_ahead=1)
         assert (len(train), len(val), len(test)) == (60, 20, 20)
 
     def test_anomaly_in_train_warns(self):
@@ -299,7 +299,7 @@ class TestSplit:
         labels[5] = True
         s = series(np.arange(100.0), labels)
         with pytest.warns(AnomalyInTrainWarning):
-            split_series(s, SplitSpec(0.6, 0.2, 0.2))
+            split_series(s, SplitSpec(0.6, 0.2, 0.2), look_back=8, look_ahead=1)
 
     def test_split_too_small(self):
         s = series(np.arange(10.0))
@@ -311,7 +311,7 @@ class TestSplit:
         s = series(rng.normal(size=83), rng.uniform(size=83) < 0.1)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", AnomalyInTrainWarning)
-            train, val, test = split_series(s, SplitSpec(0.5, 0.25, 0.25))
+            train, val, test = split_series(s, SplitSpec(0.5, 0.25, 0.25), look_back=8, look_ahead=1)
         np.testing.assert_array_equal(
             np.concatenate([train.values, val.values, test.values]), s.values
         )

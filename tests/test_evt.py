@@ -318,6 +318,14 @@ class TestGpdFitType:
         with pytest.raises(ValueError):
             evt.GpdFit(gamma=0.1, sigma=0.0, threshold=0.0, total_count=10, peak_count=5)
 
+    @pytest.mark.parametrize("total_count, peak_count, message", [
+        (10, 11, "peak_count cannot exceed total_count"),
+        (10, 0, "peak_count must be at least 1"),
+    ])
+    def test_invalid_counts(self, total_count, peak_count, message):
+        with pytest.raises(ValueError, match=message):
+            evt.GpdFit(gamma=0.1, sigma=1.0, threshold=0.0, total_count=total_count, peak_count=peak_count)
+
     def test_fit_tail_pipeline(self):
         rng = np.random.default_rng(11)
         errors = rng.exponential(0.05, 4000)

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -35,7 +36,7 @@ def gate_rows(hidden, gate):
 
 def cell_states(layer, windows):
     """Hidden and cell states (T, B, H) of a one-layer, dropout-free network
-    over ``windows`` (B, T, D), from a train-mode forward pass."""
+    over ``windows`` (B, T), from a train-mode forward pass."""
     net = Network([layer], DenseParams(np.zeros((1, layer.hidden_size)), np.zeros(1)))
     _, cache = forward(net, windows, train=True)
     return cache.hidden[0], cache.cells[0]
@@ -43,7 +44,7 @@ def cell_states(layer, windows):
 
 class TestCellStep:
     def test_zero_weights_zero_cell(self):
-        h, c = cell_states(zero_layer(3, 2), np.ones((1, 2, 2)))
+        h, c = cell_states(zero_layer(3, 1), np.ones((1, 2)))
         np.testing.assert_allclose(c, 0.0)
         np.testing.assert_allclose(h, 0.0)
 
@@ -52,7 +53,7 @@ class TestCellStep:
         # tanh(20) = 1 in float64, so the cell reads 0.5, then 0.5 * 0.5 + 0.5.
         layer = zero_layer(1, 1)
         layer.b[gate_rows(1, "g")] = 20.0
-        h, c = cell_states(layer, np.ones((1, 2, 1)))
+        h, c = cell_states(layer, np.ones((1, 2)))
         np.testing.assert_allclose(c[:, 0, 0], [0.5, 0.75])
         np.testing.assert_allclose(h[:, 0, 0], [0.5 * math.tanh(0.5), 0.5 * math.tanh(0.75)])
 
@@ -60,8 +61,8 @@ class TestCellStep:
         # Independent step-by-step evaluation of the gate equations over a
         # two-step window; the second step reads a nonzero h and c.
         rng = np.random.default_rng(3)
-        layer = LstmLayerParams(*(rng.normal(size=s) for s in [(8, 2), (8, 2), (8,)]))
-        windows = rng.normal(size=(3, 2, 2))
+        layer = LstmLayerParams(*(rng.normal(size=s) for s in [(8, 1), (8, 2), (8,)]))
+        windows = rng.normal(size=(3, 2))
 
         def sig(a):
             return 1.0 / (1.0 + math.exp(-a))
@@ -75,8 +76,7 @@ class TestCellStep:
                     for name in "ifog":
                         rows = gate_rows(2, name)
                         w, u, b = layer.W[rows], layer.U[rows], layer.b[rows]
-                        pre[name] = sum(w[r][col] * x[col] for col in range(2)) \
-                            + sum(u[r][col] * h_prev[col] for col in range(2)) + b[r]
+                        pre[name] = w[r][0] * x + sum(u[r][col] * h_prev[col] for col in range(2)) + b[r]
                     i, f, o, g = sig(pre["i"]), sig(pre["f"]), sig(pre["o"]), math.tanh(pre["g"])
                     expect_c[t, n, r] = f * c_prev[r] + i * g
                     expect_h[t, n, r] = o * math.tanh(expect_c[t, n, r])
@@ -119,8 +119,14 @@ class TestForward:
 
     def test_single_window_shape(self):
         net = init_network((4,), output_size=3, seed=0)
-        preds, _ = forward(net, np.zeros(5))
+        preds, _ = forward(net, np.zeros((1, 5)))
         assert preds.shape == (1, 3)
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 5, 1)])
+    def test_windows_must_be_two_dimensional(self, shape):
+        net = init_network((4,), output_size=1, seed=0)
+        with pytest.raises(ValueError, match=rf"\(batch, look_back\), got {re.escape(str(shape))}"):
+            forward(net, np.zeros(shape))
 
     def test_layer_arrays_must_stack_four_gates(self):
         layer = zero_layer(4, 1)
@@ -129,9 +135,8 @@ class TestForward:
             Network([layer], DenseParams(np.zeros((1, 4)), np.zeros(1)))
 
     def test_feature_size_mismatch(self):
-        net = init_network((4,), output_size=1, input_size=2, seed=0)
-        with pytest.raises(ValueError):
-            forward(net, np.zeros((2, 5)))
+        with pytest.raises(ValueError, match="first LSTM layer must read one value"):
+            Network([zero_layer(4, 2)], DenseParams(np.zeros((1, 4)), np.zeros(1)))
 
 
 class TestPredict:
@@ -187,8 +192,8 @@ class TestSerialization:
         assert loaded_errors[0] == "key"
         for a, b in zip(errors[1:], loaded_errors[1:]):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-        out_a, _ = forward(net, np.linspace(0, 1, 6))
-        out_b, _ = forward(loaded, np.linspace(0, 1, 6))
+        out_a, _ = forward(net, np.linspace(0, 1, 6)[None])
+        out_b, _ = forward(loaded, np.linspace(0, 1, 6)[None])
         np.testing.assert_array_equal(out_a, out_b)
 
     def test_round_trip_without_spec(self, tmp_path):

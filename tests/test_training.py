@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -204,7 +206,7 @@ def test_warm_start_uses_given_network(sine_windows):
     train, val = sine_windows
     cfg = TrainConfig(epochs=4, threshold_update_period=2, risk=1e-3, **SMALL)
     base = train_forecaster(cfg, train, val)
-    warm = train_evt_lstm(cfg, train, val, network=base.network.copy())
+    warm = train_evt_lstm(cfg, train, val, network=copy.deepcopy(base.network))
     scratch = train_evt_lstm(cfg, train, val)
     assert warm.history != scratch.history
 
