@@ -282,8 +282,15 @@ def cmd_detect(config: RunConfig, model_path: str) -> int:
     out = Path(config.output_dir)
     lines = ["index,timestamp,error,score,flag"]
     indices = offsets[2] + windows[2].target_indices
-    for i, score, flag, err in zip(indices, det.scores, det.flags, test_errs):
-        lines.append(f"{i},{float(series.timestamps[i])!r},{float(err)!r},{float(score)!r},{int(flag)}")
+    columns = (  # Python ints and floats: formatting them is faster than numpy scalars
+        indices.tolist(),
+        series.timestamps[indices].tolist(),
+        np.asarray(test_errs, dtype=float).tolist(),
+        np.asarray(det.scores, dtype=float).tolist(),
+        np.asarray(det.flags, dtype=int).tolist(),
+    )
+    for i, timestamp, err, score, flag in zip(*columns):
+        lines.append(f"{i},{timestamp!r},{err!r},{score!r},{flag}")
     atomic_write_text(out / "detections.csv", "\n".join(lines) + "\n")
 
     summary = {

@@ -158,14 +158,16 @@ def _step(
     a: np.ndarray,
     c_prev: np.ndarray,
     c: np.ndarray,
+    tanh_c: np.ndarray,
     h: np.ndarray,
     ig: np.ndarray,
     scale: np.ndarray,
     shift: np.ndarray,
 ) -> None:
     """Activate pre-activations ``a`` (..., 4H) in place, their i, f, o
-    columns already halved, and advance the cell into ``c`` and ``h``:
-    c = f * c_prev + i * g and h = o * tanh(c). ``ig`` is scratch shaped
+    columns already halved, and advance the cell into ``c``, ``tanh_c`` and
+    ``h``: c = f * c_prev + i * g and h = o * tanh(c). ``tanh_c`` may be
+    ``h`` itself when tanh(c) need not be kept. ``ig`` is scratch shaped
     like ``c``; ``scale`` and ``shift`` broadcast against ``a``.
 
     sigmoid(x) = 0.5 * tanh(x / 2) + 0.5, so one tanh covers all four gates,
@@ -179,8 +181,8 @@ def _step(
     np.multiply(f, c_prev, out=c)
     np.multiply(i, g, out=ig)
     c += ig
-    np.tanh(c, out=h)
-    h *= o
+    np.tanh(c, out=tanh_c)
+    np.multiply(tanh_c, o, out=h)
 
 
 @dataclass
@@ -190,6 +192,7 @@ class ForwardCache:
     layer_inputs: list[np.ndarray] = field(default_factory=list)  # (T, B, D) each
     gates: list[np.ndarray] = field(default_factory=list)  # activated i|f|o|g (T, B, 4H)
     cells: list[np.ndarray] = field(default_factory=list)  # c (T, B, H)
+    tanh_cells: list[np.ndarray] = field(default_factory=list)  # tanh(c) (T, B, H)
     hidden: list[np.ndarray] = field(default_factory=list)  # undropped h (T, B, H)
     masks: list[np.ndarray | None] = field(default_factory=list)
     top_output_last: np.ndarray | None = None  # (B, H) input seen by the dense layer
@@ -232,6 +235,7 @@ def forward(
         keep_h = train or li < top
         h_s = np.empty((steps if keep_h else 2, batch, hsize))
         c_s = np.empty((steps if train else 2, batch, hsize))
+        tanh_s = np.empty_like(c_s) if train else h_s
         # Full (B, 4H) tiles: a same-shape multiply and add run about twice
         # as fast as broadcasting one row.
         rec, scale_tile, shift_tile = np.empty((3, batch, 4 * hsize))
@@ -244,21 +248,22 @@ def forward(
                 np.dot(h_s[(t - 1) % len(h_s)], UT, out=rec)
                 gates[t] += rec
             c, h = c_s[t % len(c_s)], h_s[t % len(h_s)]
-            _step(gates[t], c_prev, c, h, ig, scale_tile, shift_tile)
+            _step(gates[t], c_prev, c, tanh_s[t % len(tanh_s)], h, ig, scale_tile, shift_tile)
             c_prev = c
 
         if not keep_h:  # top layer in infer mode: the dense layer reads the last step only
             seq = h[None]
             break
-        out = h_s
+        out = h_s if li < top else h_s[-1:]  # the dense layer reads the top's last step only
         mask = None
         if use_dropout:
-            mask = (gen.uniform(size=out.shape) < keep).astype(float)
-            out = out * mask / keep
+            mask = (gen.uniform(size=h_s.shape) < keep).astype(float)
+            out = out * mask[-len(out) :] / keep
         if cache is not None:
             cache.layer_inputs.append(seq)
             cache.gates.append(gates)
             cache.cells.append(c_s)
+            cache.tanh_cells.append(tanh_s)
             cache.hidden.append(h_s)
             cache.masks.append(mask)
         seq = out
@@ -288,16 +293,18 @@ def predict(network: Network, windows: np.ndarray) -> np.ndarray:
 
 
 def _layer_backward(layer: LstmLayerParams, cache: ForwardCache, idx: int, dh_out: np.ndarray):
-    """BPTT through layer ``idx`` given d(loss)/d(its undropped output stream).
+    """BPTT through layer ``idx`` given d(loss)/d(its undropped output stream)
+    on its last ``len(dh_out)`` steps; the earlier steps' are zero.
 
-    Returns (dW, dU, db, d inputs). The time loop only fills the stacked
+    Returns (dW, dU, db, d inputs), d inputs None for the bottom layer, whose
+    inputs are the windows. The time loop only fills the stacked
     pre-activation deltas; each gradient is then one matmul over all steps.
     """
     inputs, gates = cache.layer_inputs[idx], cache.gates[idx]
-    c_s, h_s = cache.cells[idx], cache.hidden[idx]
+    c_s, tanh_c, h_s = cache.cells[idx], cache.tanh_cells[idx], cache.hidden[idx]
     steps, batch, hsize = h_s.shape
+    first_out = steps - len(dh_out)
     i_s, f_s, o_s, g_s = (gates[..., k * hsize : (k + 1) * hsize] for k in range(4))
-    tanh_c = np.tanh(c_s)
     # d(activation)/d(pre-activation): s(1 - s) for the sigmoid gates, 1 - g^2 for g.
     dact = gates * (1.0 - gates)
     dact[..., 3 * hsize :] = 1.0 - g_s**2
@@ -306,7 +313,7 @@ def _layer_backward(layer: LstmLayerParams, cache: ForwardCache, idx: int, dh_ou
     zero = np.zeros((batch, hsize))
     dh_carry = dc_carry = zero
     for t in range(steps - 1, -1, -1):
-        dh = dh_out[t] + dh_carry
+        dh = dh_out[t - first_out] + dh_carry if t >= first_out else dh_carry
         dc = dh * o_s[t] * (1.0 - tanh_c[t] ** 2) + dc_carry
         d = da[t]
         np.multiply(dc, g_s[t], out=d[:, :hsize])
@@ -321,7 +328,7 @@ def _layer_backward(layer: LstmLayerParams, cache: ForwardCache, idx: int, dh_ou
     dW = flat.T @ inputs.reshape(steps * batch, -1)
     dU = da[1:].reshape(-1, 4 * hsize).T @ h_s[:-1].reshape(-1, hsize)
     db = flat.sum(axis=0)
-    dx = (flat @ layer.W).reshape(inputs.shape)
+    dx = (flat @ layer.W).reshape(inputs.shape) if idx else None
     return dW, dU, db, dx
 
 
@@ -344,15 +351,14 @@ def backward(
     d_dense_w = dpreds.T @ cache.top_output_last
     d_dense_b = dpreds.sum(axis=0)
 
-    steps, batch = cache.layer_inputs[0].shape[:2]
-    # Gradient w.r.t. the (possibly dropped) output stream of the top layer.
-    dout = np.zeros((steps, batch, network.lstm_layers[-1].hidden_size))
-    dout[-1] = dpreds @ network.dense.weights
+    # Gradient w.r.t. the (possibly dropped) output stream of the top layer,
+    # of which the dense layer reads the last step only.
+    dout = (dpreds @ network.dense.weights)[None]
 
     grads = [d_dense_w, d_dense_b]
     for idx in range(len(network.lstm_layers) - 1, -1, -1):
         mask = cache.masks[idx]
-        dh_out = dout if mask is None else dout * mask / keep
+        dh_out = dout if mask is None else dout * mask[-len(dout) :] / keep
         dW, dU, db, dout = _layer_backward(network.lstm_layers[idx], cache, idx, dh_out)
         grads = [dW, dU, db] + grads
 

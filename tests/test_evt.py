@@ -1,6 +1,4 @@
 import math
-import os
-import sys
 import threading
 
 import numpy as np
@@ -211,17 +209,15 @@ class TestAndersonDarling:
         result = evt.anderson_darling(sample, fit, bootstrap_reps=200, seed=9)
         assert result.p_value < 0.001
 
-    @pytest.mark.parametrize("cpus", [1, 4])
     @pytest.mark.parametrize("gamma, m, seed, reps", [
-        (0.1, 200, 3, 1),    # one rep, one worker
-        (-0.2, 100, 5, 3),   # fewer reps than CPUs
-        (0.4, 300, 7, 13),   # more reps than resamples in flight
+        (0.1, 200, 3, 1),
+        (-0.2, 100, 5, 3),
+        (0.4, 300, 7, 13),
         (0.0, 150, 9, 17),
     ])
-    def test_pool_matches_serial_loop(self, monkeypatch, cpus, gamma, m, seed, reps):
-        # The one-thread loop the pool replaced is the reference; the count is
-        # order-free, so statistic and p-value must be equal, not close. Four
-        # CPUs reported on a smaller machine give more workers than cores.
+    def test_matches_serial_reference(self, gamma, m, seed, reps):
+        # The reference draws, refits and counts each rep in turn; statistic
+        # and p-value must be equal, not close.
         rng = np.random.default_rng(seed)
         x = gpd_inverse_cdf_samples(rng, gamma, 1.0, m)
         fit = evt.fit_gpd(x)
@@ -233,40 +229,33 @@ class TestAndersonDarling:
             refit = evt.fit_gpd(resample)
             if evt._ad_statistic(resample, refit.gamma, refit.sigma) >= observed:
                 exceed += 1
+        result = evt.anderson_darling(x, fit, bootstrap_reps=reps, seed=seed)
+        assert (result.statistic, result.p_value) == (observed, exceed / reps)
+        assert result.bootstrap_reps == reps
 
-        threads = set()
-        fit_gpd = evt.fit_gpd
+    def test_starts_no_thread(self, monkeypatch):
+        # Every refit runs on the calling thread, and no thread is started.
+        x = gpd_inverse_cdf_samples(np.random.default_rng(11), 0.2, 1.0, 150)
+        fit = evt.fit_gpd(x)
+        threads, started = set(), []
+        fit_gpd, start = evt.fit_gpd, threading.Thread.start
 
         def recording_fit_gpd(sample):
             threads.add(threading.get_ident())
             return fit_gpd(sample)
 
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        monkeypatch.setattr(evt, "fit_gpd", recording_fit_gpd)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            result = evt.anderson_darling(x, fit, bootstrap_reps=reps, seed=seed)
-        finally:
-            sys.setswitchinterval(interval)
-        assert (result.statistic, result.p_value) == (observed, exceed / reps)
-        assert result.bootstrap_reps == reps
-        assert threading.get_ident() not in threads
-        assert 1 <= len(threads) <= min(cpus, reps)
+        def recording_start(thread):
+            started.append(thread)
+            start(thread)
 
-    @pytest.mark.parametrize("cpu_count", [2, None])
-    def test_pool_without_sched_getaffinity(self, monkeypatch, cpu_count):
-        # macOS and Windows have no os.sched_getaffinity; the pool is then
-        # sized by os.cpu_count, or one worker when that is unknown too.
-        x = gpd_inverse_cdf_samples(np.random.default_rng(11), 0.2, 1.0, 150)
-        fit = evt.fit_gpd(x)
-        expected = evt.anderson_darling(x, fit, bootstrap_reps=7, seed=3)
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
-        assert evt.anderson_darling(x, fit, bootstrap_reps=7, seed=3) == expected
+        monkeypatch.setattr(evt, "fit_gpd", recording_fit_gpd)
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        evt.anderson_darling(x, fit, bootstrap_reps=7, seed=3)
+        assert threads == {threading.get_ident()}
+        assert started == []
 
     def test_failing_refit_surfaces(self, monkeypatch):
-        # A refit's exception is stored in its future and must be raised.
+        # A refit's exception reaches the caller.
         x = evt.sample_gpd(np.random.default_rng(4), 0.1, 1.0, 100)
         fit = evt.fit_gpd(x)
 

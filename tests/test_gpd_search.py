@@ -5,8 +5,9 @@
 * A brute-force likelihood grid: the fit must reach the grid's best
   log-likelihood, which catches a missed root.
 * A work count: rows of ``evt._u_v`` and refined brackets per fit.
-* The sign certificate next to theta = 0: the signs it decides are those
-  ``evt._u_v`` computes, and its intervals hold the exact u*v - 1.
+* The sign certificates, the series next to theta = 0 and the monotone
+  brackets on the positive side: the signs they decide are those
+  ``evt._u_v`` computes, and their intervals hold the exact u*v - 1.
 """
 import json
 import warnings
@@ -157,7 +158,9 @@ def test_search_work_per_fit(monkeypatch):
     """Rows of u, v evaluated and brackets refined per m = 1000 fit, on the
     three samples of the gpd-compliance benchmark workload at seed 1. Noise
     brackets near theta = 0 would each add a bisection of about 40 rows.
-    Without the sign certificate every grid row, 1,310 to 1,343, is one."""
+    Without the sign certificates every grid row, 1,310 to 1,343, is one;
+    with the series alone, 445 to 493 are; with the monotone brackets too,
+    104 to 174."""
     rows, brackets = [0], [0]
     u_v, bisect = evt._u_v, evt._bisect
 
@@ -175,7 +178,7 @@ def test_search_work_per_fit(monkeypatch):
         u = np.random.default_rng([1, k]).uniform(size=1000)
         rows[0] = brackets[0] = 0
         evt.fit_gpd(np.expm1(-gamma * np.log1p(-u)) / gamma)
-        assert rows[0] < 600, f"gamma={gamma}: {rows[0]} rows of u, v"
+        assert rows[0] < 250, f"gamma={gamma}: {rows[0]} rows of u, v"
         assert brackets[0] <= 2, f"gamma={gamma}: {brackets[0]} brackets refined"
 
 
@@ -204,10 +207,26 @@ def search_grid(monkeypatch, x: np.ndarray) -> np.ndarray:
     return grid
 
 
+def computed_rows(monkeypatch, x: np.ndarray, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``evt._grid_w``'s w, and a mask of the rows it computed with ``_u_v``."""
+    thetas = [np.empty(0)]
+    u_v = evt._u_v
+
+    def recording(theta, x):
+        thetas.append(theta)
+        return u_v(theta, x)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(evt, "_u_v", recording)
+        w = evt._grid_w(x, grid)
+    return w, np.isin(grid, np.concatenate(thetas))
+
+
 def test_certified_signs_are_those_of_u_v(monkeypatch):
-    """Every row the certificate decides has the sign u*v - 1 has as _u_v
-    computes it, and is not 0; the rows it leaves are _u_v's bit for bit."""
-    rows = decided = 0
+    """Every row a certificate decides, the series next to theta = 0 or a
+    monotone bracket on the positive side, has the sign u*v - 1 has as _u_v
+    computes it, and is not 0; the rows left are _u_v's bit for bit."""
+    rows = decided = bracketed = 0
     for x in certificate_corpus():
         grid = search_grid(monkeypatch, x)
         u, v = evt._u_v(grid, x)
@@ -219,14 +238,20 @@ def test_certified_signs_are_those_of_u_v(monkeypatch):
         np.testing.assert_array_equal(np.signbit(w[sure]), np.signbit(computed[near][sure]))
         assert np.all(computed[near][sure] != 0.0)
 
-        w = evt._grid_w(x, grid)
+        w, done = computed_rows(monkeypatch, x, grid)
         np.testing.assert_array_equal(np.signbit(w), np.signbit(computed))
-        left = np.ones(grid.size, dtype=bool)
-        left[np.flatnonzero(near)[sure]] = False
-        np.testing.assert_array_equal(w[left], computed[left])
+        np.testing.assert_array_equal(w[done], computed[done])
+        assert np.all(w[~done] != 0.0)
+        by_series = np.zeros(grid.size, dtype=bool)
+        by_series[np.flatnonzero(near)[sure]] = True
+        assert not np.any(done & by_series)
+        by_bracket = ~done & ~by_series
+        assert np.all(grid[by_bracket] > 0.0)
         rows += grid.size
         decided += int(sure.sum())
+        bracketed += int(by_bracket.sum())
     assert decided > 0.6 * rows, f"{decided} of {rows} rows decided"
+    assert bracketed > 0.2 * rows, f"{bracketed} of {rows} rows bracketed"
 
 
 def exact_w(theta: float, x: np.ndarray) -> Decimal:
@@ -261,6 +286,46 @@ def test_certified_interval_holds_exact_w():
                     exact = exact_w(float(t), x)
                     assert Decimal(center) - Decimal(h) <= exact <= Decimal(center) + Decimal(h), t
                     assert abs(Decimal(computed) - exact) <= Decimal(8 * eps), t
+
+
+def test_bracket_interval_holds_exact_w(monkeypatch):
+    """At m <= 50 the bounds of every bracket that decides its rows hold
+    u*v - 1 computed in decimal at 40 digits, at every fifth of those rows,
+    and lie beyond the margin on one side; and _u_v's computed row has the
+    decided sign."""
+    checked = 0
+    for gamma in (-0.4, 1e-4, 0.3, 0.8):
+        for m in (30, 50):
+            x = golden_sample(gamma, m, 200)
+            grid = search_grid(monkeypatch, x)
+            brackets = []
+            bracket_w = evt._bracket_w
+
+            def recording(u, v, a, b, m):
+                low, high = bracket_w(u, v, a, b, m)
+                brackets.append((a, b, low, high))
+                return low, high
+
+            with monkeypatch.context() as patched:
+                patched.setattr(evt, "_bracket_w", recording)
+                evt._grid_w(x, grid)
+            decided = [
+                (row, lo, hi)
+                for a, b, low, high in brackets
+                for i, j, lo, hi in zip(a, b, low, high)
+                if lo > evt._SIGN_MARGIN or hi < -evt._SIGN_MARGIN
+                for row in range(i + 1, j)
+            ]
+            assert decided, (gamma, m)
+            for row, lo, hi in decided[::5]:
+                t = float(grid[row])
+                assert t > 0.0
+                exact = exact_w(t, x)
+                assert Decimal(lo) <= exact <= Decimal(hi), t
+                u, v = evt._u_v(np.array([t]), x)
+                assert (u[0] * v[0] - 1.0 > 0.0) == (lo > 0.0), t
+                checked += 1
+    assert checked > 400
 
 
 @pytest.mark.parametrize("scale", [1e-150, 1e150])

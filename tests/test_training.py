@@ -146,6 +146,20 @@ def test_threshold_update_reuses_epoch_predictions(monkeypatch, sine_windows):
     assert sum(counted) == len(model.history) * (len(train) + len(val))
 
 
+def test_off_cycle_stop_refits_threshold_to_final_weights(sine_windows):
+    # 5 epochs with τ every 2: the last scheduled re-estimate reads epoch 4's
+    # weights, so one more from epoch 5's training errors sets the saved τ.
+    train, val = sine_windows
+    cfg = TrainConfig(epochs=5, threshold_update_period=2, risk=1e-3, init_quantile=0.8, **SMALL)
+    model = train_evt_lstm(cfg, train, val)
+    assert [r["epoch"] for r in model.history if "threshold_update" in r] == [2, 4, 5]
+    errors = prediction_errors(model.network, train)
+    expected = evt.pot_threshold(evt.fit_tail(errors, cfg.init_quantile), cfg.risk)
+    assert model.spec.threshold == expected
+    assert model.history[-1]["threshold_after_update"] == expected
+    assert model.history[-1]["threshold"] == model.history[-2]["threshold_after_update"] != expected
+
+
 def _fit_gpd_raising(exc):
     def fit_gpd(*args, **kwargs):
         raise exc
@@ -156,6 +170,15 @@ def test_typed_fit_failure_retains_threshold(monkeypatch, sine_windows):
     monkeypatch.setattr(evt, "fit_gpd", _fit_gpd_raising(evt.TooFewExcesses("injected")))
     cfg = TrainConfig(epochs=2, threshold_update_period=2, risk=1e-3, **SMALL)
     model = train_evt_lstm(cfg, *sine_windows)
+    assert model.history[-1]["threshold_update"]["retained_previous"] is True
+    assert model.spec.threshold == 0.0
+
+
+def test_off_cycle_fallback_retains_threshold(monkeypatch, sine_windows):
+    monkeypatch.setattr(evt, "fit_gpd", _fit_gpd_raising(evt.TooFewExcesses("injected")))
+    cfg = TrainConfig(epochs=3, threshold_update_period=2, risk=1e-3, **SMALL)
+    model = train_evt_lstm(cfg, *sine_windows)
+    assert [r["epoch"] for r in model.history if "threshold_update" in r] == [2, 3]
     assert model.history[-1]["threshold_update"]["retained_previous"] is True
     assert model.spec.threshold == 0.0
 
