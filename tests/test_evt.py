@@ -1,4 +1,5 @@
 import math
+import os
 import threading
 
 import numpy as np
@@ -209,15 +210,20 @@ class TestAndersonDarling:
         result = evt.anderson_darling(sample, fit, bootstrap_reps=200, seed=9)
         assert result.p_value < 0.001
 
+    @pytest.mark.parametrize("cpus", [1, 4])
     @pytest.mark.parametrize("gamma, m, seed, reps", [
         (0.1, 200, 3, 1),
         (-0.2, 100, 5, 3),
         (0.4, 300, 7, 13),
         (0.0, 150, 9, 17),
     ])
-    def test_matches_serial_reference(self, gamma, m, seed, reps):
+    def test_pool_matches_serial_loop(self, monkeypatch, cpus, gamma, m, seed, reps):
         # The reference draws, refits and counts each rep in turn; statistic
-        # and p-value must be equal, not close.
+        # and p-value must be equal, not close, whatever CPU count the
+        # machine reports.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         rng = np.random.default_rng(seed)
         x = gpd_inverse_cdf_samples(rng, gamma, 1.0, m)
         fit = evt.fit_gpd(x)
