@@ -6,6 +6,7 @@ extreme-value peaks-over-threshold) or by a network trained end to end against
 a periodically re-estimated extreme-value threshold, whose outputs are
 decision scores directly.
 """
+from .checks import ConfigError, EvtdetectError, MalformedInput
 from .data import (
     CsvSchema,
     LabeledSeries,

@@ -3,23 +3,27 @@
 Subcommands: ``train``, ``detect``, ``evaluate``, ``fit-gpd``, ``benchmark``.
 Settings come from a single JSON config document; every setting can be
 overridden on the command line with ``--set section.key=value``. Output files
-are written atomically (temp file plus rename). Exit codes: 0 success,
-1 runtime failure, 2 config or validation error.
+are written atomically (temp file plus rename). Exit codes: 0 success, 2 a
+ConfigError, 1 any other EvtdetectError (such as a data or model file that
+cannot be read) or an OSError, each reported as one JSON line on stderr. Any
+other exception is a bug and leaves as a traceback.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import evt
-from .data import CsvSchema, WindowedDataset, atomic_write_bytes, load_series, prepare
+from .checks import ConfigError, EvtdetectError, MalformedInput, check, one_of, section, string
+from .data import CsvSchema, SplitSpec, WindowedDataset, atomic_write_bytes, load_series, open_text, prepare
 from .detectors import prediction_errors, threshold_decisions
 from .evaluation import (
     BenchmarkConfig,
@@ -48,10 +52,11 @@ EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 
 RULES = ("gaussian", "tukey", "evt", "evt-lstm")
+OBJECTIVES = ("mse", "evt", "svdd")
 
-
-class ConfigError(ValueError):
-    """Invalid or incomplete run configuration."""
+SECTIONS = {"dataset": CsvSchema, "split": SplitSpec, "training": TrainConfig}
+KEYS = {*SECTIONS, "comment", "preset", "look_back", "look_ahead", "risk_grid", "rule", "objective",
+        "output_dir"}
 
 
 @dataclass
@@ -90,90 +95,54 @@ def _apply_overrides(doc: dict, overrides: list[str]) -> dict:
     return doc
 
 
-def _section(doc: dict, name: str) -> dict:
-    """A copy of the section ``name`` popped from ``doc``: {} when it is
-    absent or null, a ConfigError naming it when it is not a JSON object."""
-    section = doc.pop(name, None)
-    if section is None:
-        return {}
-    if not isinstance(section, dict):
-        raise ConfigError(f"{name} must be a JSON object, got {section!r}")
-    return dict(section)
-
-
-def _optional_string(name: str, value) -> str | None:
-    """``value``, which must be None or a string; ConfigError naming ``name``
-    otherwise."""
-    if value is not None and not isinstance(value, str):
-        raise ConfigError(f"{name} must be a string, got {value!r}")
-    return value
-
-
 def parse_config(doc: dict) -> RunConfig:
-    """Build a validated RunConfig from a JSON document.
+    """Build a validated RunConfig from a JSON document; ConfigError names
+    unknown keys, or else the first value it rejects.
 
     A ``preset`` name fills the network geometry fields; explicit settings in
     the document win over the preset. Settings left out take the defaults of
     :class:`CsvSchema` and :class:`BenchmarkConfig`.
     """
-    try:
-        doc = dict(doc)
-        dataset = _section(doc, "dataset")
-        dataset_path = _optional_string("dataset.path", dataset.pop("path", None))
-        schema = CsvSchema(**dataset)
-        defaults = BenchmarkConfig()
-        split = replace(defaults.split, **_section(doc, "split"))
-
-        geometry: dict = {}
-        preset_name = _optional_string("preset", doc.pop("preset", None))
-        if preset_name is not None:
-            geometry = preset(preset_name)
-
-        train_doc = _section(doc, "training")
-        sizes = train_doc.get("hidden_sizes", [])
-        if not isinstance(sizes, list):
-            raise ConfigError(f"training.hidden_sizes must be a list of whole numbers, got {sizes!r}")
-        for key in ("hidden_sizes", "dropout_rate", "learning_rate"):
-            if key in geometry and key not in train_doc:
-                train_doc[key] = geometry[key]
-        train = TrainConfig(**train_doc)
-
-        look_back = doc.pop("look_back", geometry.get("look_back", defaults.look_back))
-        look_ahead = doc.pop("look_ahead", geometry.get("look_ahead", defaults.look_ahead))
-
-        rule = doc.pop("rule", "evt")
-        if rule not in RULES:
-            raise ConfigError(f"rule must be one of {RULES}, got {rule!r}")
-        objective = doc.pop("objective", "mse")
-        if objective not in ("mse", "evt", "svdd"):
-            raise ConfigError(f"objective must be mse, evt, or svdd, got {objective!r}")
-
-        risk_grid = doc.pop("risk_grid", defaults.risk_grid)
-        output_dir = _optional_string("output_dir", doc.pop("output_dir", None))
-        output_dir = output_dir or os.environ.get(OUTPUT_DIR_ENV, ".")
-        config = RunConfig(
-            dataset_path=dataset_path,
-            schema=schema,
-            pipeline=BenchmarkConfig(split, look_back, look_ahead, train, risk_grid),
-            rule=rule,
-            objective=objective,
-            output_dir=output_dir,
-        )
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-    unknown = set(doc) - {"comment"}
+    sections = {name: section(name, doc.get(name)) for name in SECTIONS}
+    dataset_path = sections["dataset"].pop("path", None)
+    unknown = [key for key in doc if key not in KEYS] + [
+        f"{name}.{key}" for name, kind in SECTIONS.items()
+        for key in sections[name].keys() - {f.name for f in fields(kind)}]
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    return config
+    for name, value in (("dataset.path", dataset_path), ("preset", doc.get("preset")),
+                        ("output_dir", doc.get("output_dir"))):
+        if value is not None:  # null stands for absent
+            string(name, value)
+
+    geometry = {} if doc.get("preset") is None else preset(doc["preset"])
+    train_doc = sections["training"]
+    sizes = train_doc.get("hidden_sizes", [])
+    check(isinstance(sizes, list), "training.hidden_sizes", "be a list of whole numbers", sizes)
+    from_preset = {k: geometry[k] for k in ("hidden_sizes", "dropout_rate", "learning_rate") if k in geometry}
+    defaults = BenchmarkConfig()
+    pipeline = BenchmarkConfig(
+        replace(defaults.split, **sections["split"]),
+        doc.get("look_back", geometry.get("look_back", defaults.look_back)),
+        doc.get("look_ahead", geometry.get("look_ahead", defaults.look_ahead)),
+        TrainConfig(**{**from_preset, **train_doc}),
+        doc.get("risk_grid", defaults.risk_grid),
+    )
+    return RunConfig(
+        dataset_path=dataset_path,
+        schema=CsvSchema(**sections["dataset"]),
+        pipeline=pipeline,
+        rule=one_of("rule", doc.get("rule", "evt"), RULES),
+        objective=one_of("objective", doc.get("objective", "mse"), OBJECTIVES),
+        output_dir=doc.get("output_dir") or os.environ.get(OUTPUT_DIR_ENV, "."),
+    )
 
 
 def load_config(path: str | None, overrides: list[str]) -> RunConfig:
     doc: dict = {}
     if path is not None:
         try:
-            with open(path, encoding="utf-8") as fh:
+            with open_text(path, ConfigError) as fh:
                 doc = json.load(fh)
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}") from None
@@ -219,7 +188,7 @@ def _calibration_errors(network, saved, train: WindowedDataset,
     if saved is None or saved[0] != _errors_key(train, val):
         return tuple(prediction_errors(network, w) for w in (train, val))
     for name, e, w in zip(("train_errors", "val_errors"), saved[1:], (train, val)):
-        if e.dtype != np.float64 or e.shape != (len(w),) or np.any(e < 0):
+        if e.dtype != np.float64 or e.shape != (len(w),) or not np.all(e >= 0):  # NaN fails
             raise UnsupportedModelFormat(
                 f"model file's {name!r} is not one non-negative float64 per window")
     return saved[1:]
@@ -306,33 +275,33 @@ def cmd_detect(config: RunConfig, model_path: str) -> int:
 
 def _read_detections(path: str, series_length: int) -> tuple[np.ndarray, np.ndarray]:
     """The ``index`` and ``flag`` columns of a detections.csv, read in one
-    pass. Raises ValueError naming the first faulty line: a missing column, a
-    short row, an index that is not a point of the series or that an earlier
-    row listed, or a flag other than 0 or 1."""
+    pass. Raises MalformedInput naming a file that is not UTF-8 or its first
+    faulty line: a missing column, a short row, an index that is not a point
+    of the series or that an earlier row listed, or a flag not 0 or 1."""
     rows: dict[int, bool] = {}  # each index's flag, in file order
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         header = fh.readline().strip().split(",")
         for name in ("index", "flag"):
             if name not in header:
-                raise ValueError(f"{path}, line 1: no {name!r} column in the header")
+                raise MalformedInput(f"{path}, line 1: no {name!r} column in the header")
         index_col, flag_col = header.index("index"), header.index("flag")
         for lineno, line in enumerate(fh, start=2):
             cells = line.strip().split(",")
             if cells == [""]:
                 continue
             if len(cells) < len(header):
-                raise ValueError(f"{path}, line {lineno}: {len(cells)} of {len(header)} cells")
+                raise MalformedInput(f"{path}, line {lineno}: {len(cells)} of {len(header)} cells")
             try:
                 index = int(cells[index_col])
             except ValueError:
                 index = -1
             if not 0 <= index < series_length:
-                raise ValueError(f"{path}, line {lineno}: index {cells[index_col]!r} is not a point "
-                                 f"of the {series_length}-point series")
+                raise MalformedInput(f"{path}, line {lineno}: index {cells[index_col]!r} is not a "
+                                     f"point of the {series_length}-point series")
             if cells[flag_col] not in ("0", "1"):
-                raise ValueError(f"{path}, line {lineno}: flag {cells[flag_col]!r} is not 0 or 1")
+                raise MalformedInput(f"{path}, line {lineno}: flag {cells[flag_col]!r} is not 0 or 1")
             if index in rows:
-                raise ValueError(f"{path}, line {lineno}: index {index} repeats an earlier row's")
+                raise MalformedInput(f"{path}, line {lineno}: index {index} repeats an earlier row's")
             rows[index] = cells[flag_col] == "1"
     return np.asarray(list(rows), dtype=int), np.asarray(list(rows.values()), dtype=bool)
 
@@ -356,18 +325,20 @@ def cmd_evaluate(config: RunConfig, detections_path: str) -> int:
 
 def cmd_fit_gpd(input_path: str, level: float, risk: float) -> int:
     for flag, value in (("--level", level), ("--risk", risk)):
-        if not 0 < value < 1:  # NaN fails too
-            raise ConfigError(f"{flag} must lie in (0, 1), got {value!r}")
+        check(0 < value < 1, flag, "lie in (0, 1)", value)  # NaN fails too
     values = []
-    with open(input_path, encoding="utf-8") as fh:
+    with open_text(input_path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                values.append(float(line))
+                value = float(line)
             except ValueError:
-                raise ValueError(f"{input_path}, line {lineno}: {line!r} is not a number") from None
+                raise MalformedInput(f"{input_path}, line {lineno}: {line!r} is not a number") from None
+            if not math.isfinite(value):
+                raise MalformedInput(f"{input_path}, line {lineno}: {line!r} is not a finite number")
+            values.append(value)
     fit = evt.fit_tail(np.asarray(values), level=level)
     result = {
         "gamma": fit.gamma,
@@ -411,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a forecaster or end-to-end detector")
     common(p)
-    p.add_argument("--objective", choices=("mse", "evt", "svdd"), help="training objective")
+    p.add_argument("--objective", choices=OBJECTIVES, help="training objective")
 
     p = sub.add_parser("detect", help="calibrate a rule and flag the test split")
     common(p)
@@ -467,7 +438,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         _fail(exc, "config")
         return EXIT_CONFIG
-    except (ValueError, OSError) as exc:
+    except (EvtdetectError, OSError) as exc:
         _fail(exc, "runtime")
         return EXIT_RUNTIME
 

@@ -12,42 +12,34 @@ import csv
 import math
 import os
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime
-from numbers import Real
 from pathlib import Path
 
 import numpy as np
 
+from .checks import OPEN_UNIT, POSITIVE, EvtdetectError, MalformedInput, check, number, string
 
-class NonMonotonicTimestamps(ValueError):
+
+class NonMonotonicTimestamps(EvtdetectError):
     """Timestamps are not strictly increasing."""
 
 
-class DegenerateRange(ValueError):
-    """Normalization range has max <= min."""
+class DegenerateRange(EvtdetectError):
+    """Normalization range has max <= min, or scaling by it overflows."""
 
 
-class SplitTooSmall(ValueError):
+class SplitTooSmall(EvtdetectError):
     """A split is too short to produce at least one window."""
 
 
-class MissingSamples(ValueError):
+class MissingSamples(EvtdetectError):
     """A declared fixed sampling period has gaps."""
 
 
 class AnomalyInTrainWarning(UserWarning):
     """The training split contains labeled anomalies."""
-
-
-def finite_number(value) -> bool:
-    """Whether ``value`` is a real number, not a bool, whose float is finite."""
-    if not isinstance(value, Real) or isinstance(value, bool):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int too large for a float
-        return False
 
 
 @dataclass(frozen=True)
@@ -100,12 +92,8 @@ class SplitSpec:
     def __post_init__(self):
         fracs = (self.train_frac, self.val_frac, self.test_frac)
         for name, f in zip(("train_frac", "val_frac", "test_frac"), fracs):
-            if not finite_number(f):
-                raise ValueError(f"{name} must be a finite number, got {f!r}")
-        if any(not 0.0 < f < 1.0 for f in fracs):
-            raise ValueError("split fractions must lie in (0, 1)")
-        if abs(sum(fracs) - 1.0) > 1e-9:
-            raise ValueError("split fractions must sum to 1")
+            number(name, f, OPEN_UNIT)
+        check(abs(sum(fracs) - 1.0) <= 1e-9, "split fractions", "sum to 1", fracs)
 
 
 @dataclass(frozen=True)
@@ -153,14 +141,11 @@ class CsvSchema:
     sampling_period: float | None = None
 
     def __post_init__(self):
-        for name in ("timestamp_column", "value_column"):
-            if not isinstance(getattr(self, name), str):
-                raise ValueError(f"{name} must be a string, got {getattr(self, name)!r}")
-        if not isinstance(self.label_column, (str, type(None))):
-            raise ValueError(f"label_column must be a string or null, got {self.label_column!r}")
-        p = self.sampling_period
-        if not (p is None or finite_number(p) and p > 0):
-            raise ValueError(f"sampling_period must be a finite number > 0, got {p!r}")
+        string("timestamp_column", self.timestamp_column)
+        string("value_column", self.value_column)
+        string("label_column", self.label_column, null=True)
+        if self.sampling_period is not None:
+            number("sampling_period", self.sampling_period, POSITIVE, "be a finite number > 0")
 
 
 def atomic_write_bytes(path: str | Path, payload: bytes) -> None:
@@ -191,7 +176,18 @@ def _parse_timestamp(cell: str, row: int) -> float:
     try:
         return datetime.fromisoformat(cell).timestamp()
     except ValueError:
-        raise ValueError(f"row {row}: cannot parse timestamp {cell!r}") from None
+        raise MalformedInput(f"row {row}: cannot parse timestamp {cell!r}") from None
+
+
+@contextmanager
+def open_text(path, error: type[EvtdetectError] = MalformedInput):
+    """``path`` opened to read as UTF-8 text with its line ends kept; an
+    ``error`` naming the file when its bytes are not UTF-8."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        raise error(f"{path} is not UTF-8 text") from None
 
 
 def _first_gap(timestamps: np.ndarray, period: float | None) -> int | None:
@@ -205,7 +201,8 @@ def _first_gap(timestamps: np.ndarray, period: float | None) -> int | None:
 def _read_columns(path: Path, skip: int, width: int, ts_at: int, value_at: int, label_at: int | None):
     """The timestamp, value and label columns past ``skip`` lines, parsed by one
     ``np.loadtxt`` call; None where the row loop must read the file instead: a
-    cell loadtxt rejects, a label not "0" or "1", a NUL, two columns on one cell."""
+    cell loadtxt rejects or not finite, a label not "0" or "1", a NUL, two
+    columns on one cell."""
     fields = {ts_at: ("t", "f8"), value_at: ("v", "f8")}
     if label_at is not None:
         fields[label_at] = ("l", "U2")  # as "i8", "+1" and "00" would pass
@@ -223,7 +220,7 @@ def _read_columns(path: Path, skip: int, width: int, ts_at: int, value_at: int, 
     except ValueError:
         return None
     labels = None if label_at is None else table["l"] == "1"
-    if labels is not None and not np.all(labels | (table["l"] == "0")):
+    if not np.all(np.isfinite(table["v"])) or labels is not None and not np.all(labels | (table["l"] == "0")):
         return None
     return np.ascontiguousarray(table["t"]), np.ascontiguousarray(table["v"]), labels
 
@@ -234,9 +231,10 @@ def load_series(path: str | Path, schema: CsvSchema = CsvSchema()) -> LabeledSer
     Well-formed numeric files are parsed in one ``np.loadtxt`` call; others go
     through a row loop that gives the same result or names the file's line.
 
-    Raises FileNotFoundError for a missing file, ValueError for cells that do
-    not parse, NonMonotonicTimestamps for out-of-order timestamps, and
-    MissingSamples when a declared sampling period has gaps.
+    Raises FileNotFoundError for a missing file; MalformedInput for a file
+    that is not UTF-8 or lacks a column, or naming the row of a cell that does
+    not parse or is not finite; NonMonotonicTimestamps for out-of-order
+    timestamps; and MissingSamples when a declared sampling period has gaps.
     """
     path = Path(path)
     if not path.is_file():
@@ -245,17 +243,17 @@ def load_series(path: str | Path, schema: CsvSchema = CsvSchema()) -> LabeledSer
     timestamps: list[float] = []
     values: list[float] = []
     labels: list[bool] = []
-    with path.open(newline="", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
-            raise ValueError(f"{path}: empty file, expected a header row")
+            raise MalformedInput(f"{path}: empty file, expected a header row")
         column = {name: k for k, name in enumerate(header)}  # a repeated name maps to its last cell
         for col in (schema.timestamp_column, schema.value_column):
             if col not in column:
-                raise ValueError(f"{path}: missing column {col!r}")
+                raise MalformedInput(f"{path}: missing column {col!r}")
         if schema.label_column is not None and schema.label_column not in column:
-            raise ValueError(f"{path}: missing label column {schema.label_column!r}")
+            raise MalformedInput(f"{path}: missing label column {schema.label_column!r}")
         ts_at, value_at = column[schema.timestamp_column], column[schema.value_column]
         label_at = None if schema.label_column is None else column[schema.label_column]
         width = len(header)
@@ -272,17 +270,20 @@ def load_series(path: str | Path, schema: CsvSchema = CsvSchema()) -> LabeledSer
             i = reader.line_num
             lines.append(i)
             if len(row) < width:
-                raise ValueError(f"row {i}: {len(row)} of {width} cells")
+                raise MalformedInput(f"row {i}: {len(row)} of {width} cells")
             timestamps.append(_parse_timestamp(row[ts_at], i))
             cell = row[value_at]
             try:
-                values.append(float(cell))
+                value = float(cell)
             except ValueError:
-                raise ValueError(f"row {i}: non-numeric value cell {cell!r}") from None
+                raise MalformedInput(f"row {i}: non-numeric value cell {cell!r}") from None
+            if not math.isfinite(value):
+                raise MalformedInput(f"row {i}: non-finite value cell {cell!r}")
+            values.append(value)
             if label_at is not None:
                 raw = row[label_at].strip()
                 if raw not in ("0", "1"):
-                    raise ValueError(f"row {i}: label must be 0 or 1, got {raw!r}")
+                    raise MalformedInput(f"row {i}: label must be 0 or 1, got {raw!r}")
                 labels.append(raw == "1")
 
     ts = np.asarray(timestamps)
@@ -308,6 +309,8 @@ def fit_norm_params(series: LabeledSeries) -> NormParams:
 def normalize(series: LabeledSeries, params: NormParams) -> LabeledSeries:
     """Map each value v to (v - min) / (max - min). Labels pass through."""
     scaled = (series.values - params.min) / (params.max - params.min)
+    if not np.all(np.isfinite(scaled)):
+        raise DegenerateRange(f"scaling by the range [{params.min}, {params.max}] overflows")
     return LabeledSeries(series.timestamps, scaled, series.labels)
 
 

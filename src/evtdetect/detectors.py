@@ -17,19 +17,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import evt
+from .checks import EvtdetectError
 from .data import WindowedDataset
+from .evt import DegenerateErrors
 from .network import Network, predict
 
 
-class DegenerateErrors(ValueError):
-    """Errors carry no spread, so the rule cannot be fitted."""
-
-
-class NoAnomaliesInValidation(ValueError):
+class NoAnomaliesInValidation(EvtdetectError):
     """Threshold calibration needs at least one labeled anomaly."""
 
 
-class RuleNotCalibrated(ValueError):
+class RuleNotCalibrated(EvtdetectError):
     """The rule is missing its calibrated false-positive regulator."""
 
 

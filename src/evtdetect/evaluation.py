@@ -7,7 +7,8 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import detectors, evt
-from .data import LabeledSeries, SplitSpec, finite_number, prepare
+from .checks import POSITIVE, EvtdetectError, check, finite_number, whole
+from .data import LabeledSeries, SplitSpec, prepare
 from .detectors import (
     DEFAULT_RISK_GRID,
     calibrate_gaussian_threshold,
@@ -25,11 +26,10 @@ from .training import (
     require_threshold_estimate,
     train_evt_lstm,
     train_forecaster,
-    whole,
 )
 
 
-class LabelsRequired(ValueError):
+class LabelsRequired(EvtdetectError):
     """The operation needs a labeled series."""
 
 
@@ -106,14 +106,10 @@ class BenchmarkConfig:
 
     def __post_init__(self):
         for name in ("look_back", "look_ahead"):
-            value = whole(name, getattr(self, name))
-            if value < 1:
-                raise ValueError(f"{name} must be positive, got {value}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, whole(name, getattr(self, name), POSITIVE))
         grid = self.risk_grid
-        if not (isinstance(grid, Sequence) and grid and all(
-                finite_number(r) and 0 < r < 1 for r in grid)):
-            raise ValueError(f"risk_grid must be a non-empty list of numbers in (0, 1), got {grid!r}")
+        check(isinstance(grid, Sequence) and grid and all(finite_number(r) and 0 < r < 1 for r in grid),
+              "risk_grid", "be a non-empty list of numbers in (0, 1)", grid)
         object.__setattr__(self, "risk_grid", tuple(grid))
 
 

@@ -38,6 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import EvtdetectError
+
 MIN_EXCESSES = 30
 GAMMA_ZERO_TOL = 1e-8
 
@@ -81,15 +83,19 @@ _SCALE_EXPONENT = 8
 _CDF_CLAMP = 1e-12
 
 
-class TooFewExcesses(ValueError):
+class DegenerateErrors(EvtdetectError):
+    """Errors no rule can be fitted to: none, no spread, or not finite."""
+
+
+class TooFewExcesses(EvtdetectError):
     """Not enough excesses above the initial threshold to fit a GPD."""
 
 
-class SupportViolation(ValueError):
+class SupportViolation(EvtdetectError):
     """An observation lies outside the support of the candidate GPD."""
 
 
-class RiskTooHigh(ValueError):
+class RiskTooHigh(EvtdetectError):
     """Risk level q does not push the threshold beyond the initial one."""
 
 
@@ -141,12 +147,14 @@ class AdResult:
 
 
 def initial_threshold(errors: np.ndarray, level: float) -> float:
-    """Empirical quantile by linear interpolation between order statistics."""
+    """Empirical quantile by linear interpolation between order statistics.
+    Raises DegenerateErrors for a sample that is empty or not finite, as a
+    diverged network's errors are, so that it does not read as a thin tail."""
     errors = np.asarray(errors, dtype=float)
     if errors.size == 0:
-        raise ValueError("cannot take a quantile of an empty sample")
+        raise DegenerateErrors("cannot take a quantile of an empty sample")
     if not np.all(np.isfinite(errors)):
-        raise ValueError("errors must be finite")
+        raise DegenerateErrors("errors must be finite")
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
     return float(np.quantile(errors, level))
@@ -435,10 +443,13 @@ def fit_gpd(
     and sigma is scaled back, because the bisection's tolerance is absolute
     in theta. Where that tolerance is below theta's resolution, the
     bisection stops at adjacent floats.
+
+    Raises DegenerateErrors for excesses that are not finite, TooFewExcesses
+    for fewer than ``MIN_EXCESSES``, and ValueError for one not positive.
     """
     x = np.asarray(excesses, dtype=float)
     if not np.all(np.isfinite(x)):
-        raise ValueError("excesses must be finite")
+        raise DegenerateErrors("excesses must be finite")
     if x.size < MIN_EXCESSES:
         raise TooFewExcesses(f"need at least {MIN_EXCESSES} excesses, got {x.size}")
     if np.any(x <= 0):

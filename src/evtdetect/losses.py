@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import finite_number
+from .checks import NON_NEGATIVE, ConfigError, check, number
 
 KINDS = ("mse", "svdd", "evt")
 
@@ -37,21 +37,20 @@ class LossSpec:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError(f"unknown loss kind {self.kind!r}")
-        if not (finite_number(self.weight_decay) and self.weight_decay >= 0):
-            raise ValueError(f"weight_decay must be a finite number >= 0, got {self.weight_decay!r}")
-        if not (self.threshold is None or finite_number(self.threshold)):
-            raise ValueError(f"threshold must be None or a finite number, got {self.threshold!r}")
-        if (self.center is not None) != (self.kind == "svdd"):
-            raise ValueError("center is required exactly for the svdd kind")
-        if self.kind == "evt" and self.threshold is None:
-            raise ValueError("threshold is required for the evt kind")
-        if self.kind == "mse" and self.threshold is not None:
-            raise ValueError("the mse kind takes no threshold")
+            raise ConfigError(f"unknown loss kind {self.kind!r}")
+        number("weight_decay", self.weight_decay, NON_NEGATIVE, "be a finite number >= 0")
+        if self.threshold is not None:
+            number("threshold", self.threshold, requirement="be None or a finite number")
+        check((self.center is not None) == (self.kind == "svdd"), "center",
+              "be given exactly for the svdd kind", self.center)
+        check(self.threshold is not None or self.kind != "evt", "threshold",
+              "be given for the evt kind", self.threshold)
+        check(self.threshold is None or self.kind != "mse", "threshold",
+              "be None for the mse kind", self.threshold)
         if self.center is not None:
             center = np.asarray(self.center)
-            if center.ndim != 1 or center.dtype.kind not in "iuf" or not np.isfinite(center).all():
-                raise ValueError(f"center must be a 1-D array of finite numbers, got {self.center!r}")
+            check(center.ndim == 1 and center.dtype.kind in "iuf" and np.isfinite(center).all(),
+                  "center", "be a 1-D array of finite numbers", self.center)
             object.__setattr__(self, "center", np.asarray(center, dtype=float))
 
     def to_dict(self) -> dict:

@@ -17,13 +17,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checks import EvtdetectError
 from .data import atomic_write_bytes
 from .losses import LossSpec
 
 SERIAL_FORMAT_VERSION = 2
 
 
-class UnsupportedModelFormat(ValueError):
+class UnsupportedModelFormat(EvtdetectError):
     """A model file this reader cannot read: not an .npz archive, of a format
     version it does not know, lacking its meta, a meta field or an array, or
     holding one of the wrong type or shape."""
@@ -403,18 +404,15 @@ def save_network(path, network: Network, loss_spec=None, look_back: int | None =
     atomic_write_bytes(path, buf.getvalue())
 
 
-def _positive_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
-
-
 # Each meta field that load_network reads: what it must be, and the test of
-# it. A missing field is reported where it is read.
+# it, on decoded JSON, where a whole number is an int, not a bool or 1.0. A
+# missing field is reported where it is read.
 _META_TYPES = (
     ("hidden_sizes", "a non-empty list of whole numbers >= 1",
-     lambda v: isinstance(v, list) and v and all(map(_positive_int, v))),
-    ("dropout_rate", "a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
-    ("output_size", "a whole number >= 1", _positive_int),
-    ("look_back", "null or a whole number >= 1", lambda v: v is None or _positive_int(v)),
+     lambda v: isinstance(v, list) and v and all(type(h) is int and h >= 1 for h in v)),
+    ("dropout_rate", "a number", lambda v: type(v) in (int, float)),
+    ("output_size", "a whole number >= 1", lambda v: type(v) is int and v >= 1),
+    ("look_back", "null or a whole number >= 1", lambda v: v is None or type(v) is int and v >= 1),
     ("loss_spec", "null or an object", lambda v: v is None or isinstance(v, dict)),
     ("errors_key", "null or a string", lambda v: v is None or isinstance(v, str)),
 )
@@ -448,7 +446,7 @@ def load_network(path):
             raise UnsupportedModelFormat("model file's meta is not UTF-8 JSON bytes")
         try:
             meta = json.loads(bytes(raw).decode())
-        except ValueError:  # UnicodeDecodeError or json.JSONDecodeError
+        except (UnicodeDecodeError, json.JSONDecodeError):
             raise UnsupportedModelFormat("model file's meta is not UTF-8 JSON bytes") from None
         if not isinstance(meta, dict):
             raise UnsupportedModelFormat("model file's meta is not a JSON object")
@@ -470,7 +468,7 @@ def load_network(path):
                             _weights(arrays, "dense_biases", (out,)))
         try:
             network = Network(layers, dense, meta["dropout_rate"])
-        except ValueError as exc:
+        except ValueError as exc:  # the dropout rate's range; the arrays' shapes are checked above
             raise UnsupportedModelFormat(f"model file's network is not valid: {exc}") from None
         key = meta.get("errors_key")
         errors = None if key is None else (key, arrays["train_errors"], arrays["val_errors"])
@@ -478,7 +476,7 @@ def load_network(path):
         if meta["loss_spec"] is not None:
             try:
                 spec = LossSpec.from_dict(meta["loss_spec"])
-            except ValueError as exc:  # LossSpec names the field it rejects
+            except ValueError as exc:  # LossSpec's ConfigError, or numpy's on a ragged center
                 raise UnsupportedModelFormat(f"model file's 'loss_spec' is not valid: {exc}") from None
     except KeyError as exc:
         raise UnsupportedModelFormat(f"model file has no {exc.args[0]!r}") from None

@@ -6,6 +6,8 @@ are package defaults; the remaining fields follow the published sizing.
 """
 from __future__ import annotations
 
+from .checks import ConfigError
+
 PRESETS: dict[str, dict] = {
     "travel-time": {
         "hidden_sizes": (20,), "dropout_rate": 0.2, "learning_rate": 0.01,
@@ -40,5 +42,5 @@ PRESETS: dict[str, dict] = {
 
 def preset(name: str) -> dict:
     if name not in PRESETS:
-        raise ValueError(f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}")
+        raise ConfigError(f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}")
     return dict(PRESETS[name])

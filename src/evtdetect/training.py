@@ -11,13 +11,13 @@ reduce to plain error minimization.
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import evt
-from .data import WindowedDataset, finite_number
+from .checks import HALF_OPEN_UNIT, NON_NEGATIVE, OPEN_UNIT, POSITIVE, EvtdetectError, check, number, whole
+from .data import WindowedDataset
 from .detectors import DetectionResult, first_horizon_errors, prediction_errors, threshold_decisions
 from .losses import LossSpec, batch_loss, loss_grad_wrt_preds
 from .network import Network, backward, forward, init_network, predict
@@ -26,21 +26,8 @@ from .optim import adam_step, clip_global_norm, init_adam_state
 MAX_GRAD_NORM = 5.0
 
 
-class NoThresholdEstimate(ValueError):
+class NoThresholdEstimate(EvtdetectError):
     """No threshold re-estimate of an evt training run succeeded."""
-
-
-def whole(name: str, value) -> int:
-    """``value`` as an int; ValueError naming ``name`` unless it is a whole
-    number (an integer other than a bool, or a float with no fractional part)."""
-    if isinstance(value, bool):
-        raise ValueError(f"{name} must be a whole number, got {value!r}")
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be a whole number, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -64,31 +51,18 @@ class TrainConfig:
     def __post_init__(self):
         for name in ("epochs", "batch_size", "threshold_update_period", "patience",
                      "convergence_patience", "seed"):
-            object.__setattr__(self, name, whole(name, getattr(self, name)))
-        for name in ("learning_rate", "dropout_rate", "weight_decay", "risk", "init_quantile",
-                     "convergence_tol"):
-            if not finite_number(getattr(self, name)):
-                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
-        if self.threshold_update_period > self.epochs:
-            raise ValueError("threshold_update_period must not exceed epochs")
-        for name in ("epochs", "batch_size", "threshold_update_period",
-                     "learning_rate", "patience", "convergence_patience"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if not 0.0 < self.risk < 1.0:
-            raise ValueError("risk must lie in (0, 1)")
-        if not 0.0 < self.init_quantile < 1.0:
-            raise ValueError("init_quantile must lie in (0, 1)")
+            within = NON_NEGATIVE if name == "seed" else POSITIVE
+            object.__setattr__(self, name, whole(name, getattr(self, name), within))
+        for name, within in (("learning_rate", POSITIVE), ("dropout_rate", HALF_OPEN_UNIT),
+                             ("weight_decay", NON_NEGATIVE), ("risk", OPEN_UNIT),
+                             ("init_quantile", OPEN_UNIT), ("convergence_tol", NON_NEGATIVE)):
+            number(name, getattr(self, name), within)
+        check(self.threshold_update_period <= self.epochs, "threshold_update_period",
+              f"not exceed epochs ({self.epochs})", self.threshold_update_period)
         hidden_sizes = tuple(whole("hidden_sizes", h) for h in self.hidden_sizes)
-        if not hidden_sizes or min(hidden_sizes) < 1:
-            raise ValueError(
-                f"hidden_sizes must be a non-empty list of sizes >= 1, got {list(hidden_sizes)}")
+        check(hidden_sizes and min(hidden_sizes) >= 1, "hidden_sizes",
+              "be a non-empty list of sizes >= 1", list(hidden_sizes))
         object.__setattr__(self, "hidden_sizes", hidden_sizes)
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError(f"dropout_rate must lie in [0, 1), got {self.dropout_rate!r}")
-        for name in ("weight_decay", "convergence_tol", "seed"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)!r}")
 
 
 @dataclass

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from evtdetect import cli
 from evtdetect.cli import load_config, main, parse_config
 from evtdetect.data import SplitSpec, load_series, prepare
 from evtdetect.detectors import prediction_errors
@@ -69,6 +70,21 @@ class TestFitGpd:
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["message"] == f"{values}, line 4: 'abc' is not a number"
 
+    def test_non_finite_line_is_named(self, tmp_path, capsys):
+        values = tmp_path / "values.txt"
+        values.write_text("1.5\n\n-inf\nnan\n")
+        assert main(["fit-gpd", "--input", str(values)]) == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"kind": "runtime", "type": "MalformedInput",
+                       "message": f"{values}, line 3: '-inf' is not a finite number"}
+
+    def test_empty_input_exits_1(self, tmp_path, capsys):
+        values = tmp_path / "values.txt"
+        values.write_text("\n")
+        assert main(["fit-gpd", "--input", str(values)]) == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"kind": "runtime", "type": "DegenerateErrors",
+                       "message": "cannot take a quantile of an empty sample"}
 
     @pytest.mark.parametrize("flag, value", [
         ("--level", "2"), ("--level", "0"), ("--level", "nan"),
@@ -366,7 +382,7 @@ class TestPipeline:
         cfg = write_config(tmp_path, doc, output_dir=str(tmp_path / "out"))
         assert main(["train", "--config", cfg]) == 1
         err = json.loads(capsys.readouterr().err)
-        assert err["error"] == {"kind": "runtime", "type": "ValueError",
+        assert err["error"] == {"kind": "runtime", "type": "MalformedInput",
                                 "message": "row 3: 2 of 3 cells"}
 
     def test_missing_detections_file_is_runtime_error(self, tmp_path, config_doc, capsys):
@@ -414,6 +430,53 @@ class TestPipeline:
                 assert metrics[key] == rows[rule]["metrics"][key], (rule, key)
 
 
+class TestTypedFailures:
+    """Inputs that once reached ``main`` as a plain ValueError fail with a
+    type of the package's error family; anything else leaves ``main``."""
+
+    @pytest.mark.parametrize("reader", ["config", "dataset", "detections", "fit-gpd"])
+    def test_file_that_is_not_utf8_is_named(self, tmp_path, config_doc, capsys, reader):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"timestamp,value\n0,1\n1,\xff\n")
+        cfg = write_config(tmp_path, config_doc, output_dir=str(tmp_path / "out"))
+        argv = {
+            "config": ["train", "--config", str(bad)],
+            "dataset": ["train", "--config", cfg, "--dataset", str(bad)],
+            "detections": ["evaluate", "--config", cfg, "--detections", str(bad)],
+            "fit-gpd": ["fit-gpd", "--input", str(bad)],
+        }[reader]
+        code, kind, name = (2, "config", "ConfigError") if reader == "config" else (1, "runtime", "MalformedInput")
+        assert main(argv) == code
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"kind": kind, "type": name, "message": f"{bad} is not UTF-8 text"}
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("command", [["train", "--objective", "evt"], ["train", "--objective", "svdd"],
+                                         ["benchmark"]], ids=["evt", "svdd", "benchmark"])
+    def test_diverged_training_exits_1(self, tmp_path, config_doc, capsys, command):
+        training = {**config_doc["training"], "epochs": 2, "threshold_update_period": 1,
+                    "learning_rate": 1e300}
+        cfg = write_config(tmp_path, config_doc, training=training, output_dir=str(tmp_path / "out"))
+        assert main([*command, "--config", cfg]) == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"kind": "runtime", "type": "DegenerateErrors", "message": "errors must be finite"}
+        assert not (tmp_path / "out").exists()
+
+    def test_untyped_error_leaves_main(self, tmp_path, config_doc, monkeypatch):
+        # a bare ValueError is a bug, not bad input, so main does not report it
+        model = tmp_path / "model.npz"
+        save_network(model, init_network((2,), 1, seed=0), None, config_doc["look_back"])
+
+        def broken(network, data):
+            raise ValueError("injected bug")
+
+        monkeypatch.setattr(cli, "prediction_errors", broken)
+        with pytest.raises(ValueError, match="^injected bug$"):
+            main(["detect", "--config", write_config(tmp_path, config_doc), "--model", str(model),
+                  "--rule", "tukey", "--output-dir", str(tmp_path / "out")])
+
+
 class TestEvaluateInput:
     @pytest.mark.parametrize("text, message", [
         ("timestamp,error,flag\n0,0.1,0\n", "line 1: no 'index' column in the header"),
@@ -437,7 +500,7 @@ class TestEvaluateInput:
         cfg = write_config(tmp_path, config_doc, output_dir=str(out))
         assert main(["evaluate", "--config", cfg, "--detections", str(detections)]) == 1
         err = json.loads(capsys.readouterr().err)["error"]
-        assert (err["kind"], err["type"]) == ("runtime", "ValueError")
+        assert (err["kind"], err["type"]) == ("runtime", "MalformedInput")
         assert err["message"] == f"{detections}, {message}"
         assert not (out / "metrics.json").exists()
 
@@ -626,8 +689,9 @@ class TestErrorsFile:
                                   f"the config has {wanted}")
         assert not out.exists()
 
-    @pytest.mark.parametrize("damage", [lambda e: e[:-1], lambda e: np.concatenate([[-1.0], e[1:]])],
-                             ids=["one-short", "negative"])
+    @pytest.mark.parametrize("damage", [lambda e: e[:-1], lambda e: np.concatenate([[-1.0], e[1:]]),
+                                        lambda e: np.concatenate([[np.nan], e[1:]])],
+                             ids=["one-short", "negative", "nan"])
     def test_damaged_saved_errors_exit_1_without_output(self, tmp_path, capsys, evt_models, damage):
         """Saved errors whose key matches the windows but that are not one
         absolute error per window stop ``detect``."""

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evtdetect import data
+from evtdetect.checks import MalformedInput
 from evtdetect.data import (
     AnomalyInTrainWarning,
     CsvSchema,
@@ -100,6 +101,12 @@ class TestLoadSeries:
         p = tmp_path / "s.csv"
         p.write_text("t,v\n1,1.0\n\n\n2,abc\n")
         with pytest.raises(ValueError, match=r"^row 5: non-numeric value cell 'abc'$"):
+            load_series(p, CsvSchema("t", "v"))
+
+    def test_non_finite_value_is_named_by_row(self, tmp_path):
+        p = tmp_path / "s.csv"
+        p.write_text("t,v\n1,1.0\n\n2,nan\n3,abc\n")
+        with pytest.raises(MalformedInput, match=r"^row 4: non-finite value cell 'nan'$"):
             load_series(p, CsvSchema("t", "v"))
 
     def test_row_without_value_cell(self, tmp_path):
@@ -254,6 +261,12 @@ class TestNormalize:
     def test_degenerate_range(self):
         with pytest.raises(DegenerateRange):
             NormParams(3.0, 3.0)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    def test_overflowing_range(self):
+        s = series([1e308, -1e308, 0.0])
+        with pytest.raises(DegenerateRange, match=r"^scaling by the range \[-1e\+308, 1e\+308\] overflows$"):
+            normalize(s, fit_norm_params(s))
 
     def test_labels_unchanged(self):
         s = series([1.0, 2.0], np.array([True, False]))

@@ -92,7 +92,8 @@ class TestForecaster:
 
 @pytest.fixture(scope="module")
 def trained(sine_windows):
-    cfg = TrainConfig(epochs=10, threshold_update_period=2, risk=1e-3,
+    # quantile 0.88 leaves the re-estimates on 280 windows enough excesses
+    cfg = TrainConfig(epochs=10, threshold_update_period=2, risk=1e-3, init_quantile=0.88,
                       convergence_tol=1e-12, **SMALL)
     return cfg, train_evt_lstm(cfg, sine_windows[0], sine_windows[1])
 
@@ -111,11 +112,14 @@ class TestEvtLstm:
 
     def test_threshold_exceeds_initial_after_update(self, trained):
         _, model = trained
+        checked = 0
         for record in model.history:
             info = record.get("threshold_update")
             if info and "retained_previous" not in info:
                 assert record["threshold_after_update"] > info["initial_threshold"]
                 assert np.isfinite(record["threshold_after_update"])
+                checked += 1
+        assert checked > 0
 
     def test_determinism(self, sine_windows):
         cfg = TrainConfig(epochs=6, threshold_update_period=3, risk=1e-3, **SMALL)
