@@ -204,11 +204,10 @@ def cmd_train(config: RunConfig) -> int:
     require_threshold_estimate(model, train, len(train_w))  # before anything is written
 
     out = Path(config.output_dir)
-    spec = None if model.spec.kind == "mse" else model.spec
     errors = None
     if model.errors is not None:  # so that ``detect`` predicts only the test split
         errors = (_errors_key(train_w, val_w), *model.errors)
-    save_network(out / "model.npz", model.network, spec, config.pipeline.look_back, errors)
+    save_network(out / "model.npz", model.network, model.spec.threshold, config.pipeline.look_back, errors)
     manifest = run_manifest(model, train, wall_clock_seconds=round(seconds, 3))
     manifest["objective"] = config.objective
     atomic_write_json(out / "manifest.json", manifest)
@@ -218,28 +217,25 @@ def cmd_train(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _require_geometry(p: BenchmarkConfig, look_back: int | None, look_ahead: int) -> None:
-    """Refuse windows other than those the model was trained on. A model
-    file that does not record its look_back is checked on look_ahead, its
-    output size, alone."""
-    if look_ahead != p.look_ahead or look_back not in (None, p.look_back):
-        trained = f"look_back {look_back}, " if look_back is not None else ""
+def _require_geometry(p: BenchmarkConfig, look_back: int, look_ahead: int) -> None:
+    """Refuse windows other than those the model was trained on."""
+    if (look_back, look_ahead) != (p.look_back, p.look_ahead):
         raise ConfigError(
-            f"the model was trained on windows of {trained}look_ahead {look_ahead}; "
+            f"the model was trained on windows of look_back {look_back}, look_ahead {look_ahead}; "
             f"the config has look_back {p.look_back}, look_ahead {p.look_ahead}"
         )
 
 
 def cmd_detect(config: RunConfig, model_path: str) -> int:
     series, windows, labels, offsets = _prepared_splits(config)
-    network, loss_spec, look_back, saved = load_network(model_path)
+    network, threshold, look_back, saved = load_network(model_path)
     _require_geometry(config.pipeline, look_back, network.output_size)
-    if config.rule == "evt-lstm" and (loss_spec is None or loss_spec.threshold is None):
+    if config.rule == "evt-lstm" and threshold is None:
         raise ConfigError("model file has no detection threshold (evt or svdd objective)")
     test_errs = prediction_errors(network, windows[2])
     if config.rule == "evt-lstm":  # the model file carries its own detection threshold
-        det = threshold_decisions(test_errs, loss_spec.threshold)
-        params = {"threshold": loss_spec.threshold}
+        det = threshold_decisions(test_errs, threshold)
+        params = {"threshold": threshold}
     else:
         errs = (*_calibration_errors(network, saved, windows[0], windows[1]), test_errs)
         p = config.pipeline
@@ -422,25 +418,28 @@ def _config_from_args(args) -> RunConfig:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        if args.command == "fit-gpd":
-            return cmd_fit_gpd(args.input, args.level, args.risk)
-        config = _config_from_args(args)
-        if args.command == "train":
-            return cmd_train(config)
-        if args.command == "detect":
-            return cmd_detect(config, args.model)
-        if args.command == "evaluate":
-            return cmd_evaluate(config, args.detections)
-        if args.command == "benchmark":
-            return cmd_benchmark(config)
-        raise AssertionError(f"unhandled command {args.command}")
-    except ConfigError as exc:
-        _fail(exc, "config")
-        return EXIT_CONFIG
-    except (EvtdetectError, OSError) as exc:
-        _fail(exc, "runtime")
-        return EXIT_RUNTIME
+    # numpy's floating-point warnings stay silent: typed checks refuse every
+    # non-finite result, and a failure's stderr is its one JSON line.
+    with np.errstate(all="ignore"):
+        try:
+            if args.command == "fit-gpd":
+                return cmd_fit_gpd(args.input, args.level, args.risk)
+            config = _config_from_args(args)
+            if args.command == "train":
+                return cmd_train(config)
+            if args.command == "detect":
+                return cmd_detect(config, args.model)
+            if args.command == "evaluate":
+                return cmd_evaluate(config, args.detections)
+            if args.command == "benchmark":
+                return cmd_benchmark(config)
+            raise AssertionError(f"unhandled command {args.command}")
+        except ConfigError as exc:
+            _fail(exc, "config")
+            return EXIT_CONFIG
+        except (EvtdetectError, OSError) as exc:
+            _fail(exc, "runtime")
+            return EXIT_RUNTIME
 
 
 def _fail(exc: Exception, kind: str) -> None:

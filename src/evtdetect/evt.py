@@ -34,6 +34,7 @@ are those of computing every row (derivations in :func:`fit_gpd`).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -442,10 +443,12 @@ def fit_gpd(
     of two to a mean in [0.5, 1), which changes no rounding of the search,
     and sigma is scaled back, because the bisection's tolerance is absolute
     in theta. Where that tolerance is below theta's resolution, the
-    bisection stops at adjacent floats.
+    bisection stops at adjacent floats. A sample whose mean overflows is
+    scaled to a maximum in [0.5, 1) instead.
 
-    Raises DegenerateErrors for excesses that are not finite, TooFewExcesses
-    for fewer than ``MIN_EXCESSES``, and ValueError for one not positive.
+    Raises DegenerateErrors for excesses that are not finite or whose fitted
+    sigma overflows, TooFewExcesses for fewer than ``MIN_EXCESSES``, and
+    ValueError for one not positive.
     """
     x = np.asarray(excesses, dtype=float)
     if not np.all(np.isfinite(x)):
@@ -455,13 +458,17 @@ def fit_gpd(
     if np.any(x <= 0):
         raise ValueError("excesses must be strictly positive")
 
-    exponent = int(np.frexp(x.mean())[1])
+    mean = x.mean()
+    exponent = int(np.frexp(mean if math.isfinite(mean) else x.max())[1])
     if abs(exponent) <= _SCALE_EXPONENT:
         exponent = 0
     gamma, sigma = _mle(np.ldexp(x, -exponent) if exponent else x)
+    sigma = float(np.ldexp(sigma, exponent))
+    if not math.isfinite(sigma):
+        raise DegenerateErrors(f"the fitted sigma overflows: excesses reach {float(x.max())!r}")
     return GpdFit(
         gamma=gamma,
-        sigma=float(np.ldexp(sigma, exponent)),
+        sigma=sigma,
         threshold=threshold,
         total_count=int(total_count) if total_count is not None else x.size,
         peak_count=x.size,
@@ -525,7 +532,8 @@ def pot_threshold(fit: GpdFit, risk: float) -> float:
 
     Inverts the fitted tail: the returned value t satisfies
     ``tail_probability(t, fit) == risk`` and always exceeds ``fit.threshold``
-    under the precondition ``0 < risk < peak_count / total_count``.
+    under the precondition ``0 < risk < peak_count / total_count``. Raises
+    DegenerateErrors when that threshold overflows.
     """
     ratio = fit.peak_count / fit.total_count
     if not 0.0 < risk < ratio:
@@ -534,8 +542,12 @@ def pot_threshold(fit: GpdFit, risk: float) -> float:
         )
     log_a = np.log(risk * fit.total_count / fit.peak_count)
     if abs(fit.gamma) < GAMMA_ZERO_TOL:
-        return float(fit.threshold - fit.sigma * log_a)
-    return float(fit.threshold + fit.sigma / fit.gamma * np.expm1(-fit.gamma * log_a))
+        threshold = float(fit.threshold - fit.sigma * log_a)
+    else:
+        threshold = float(fit.threshold + fit.sigma / fit.gamma * np.expm1(-fit.gamma * log_a))
+    if not math.isfinite(threshold):
+        raise DegenerateErrors(f"the detection threshold at risk {risk!r} overflows")
+    return threshold
 
 
 def tail_probability(x: float, fit: GpdFit) -> float:

@@ -53,23 +53,6 @@ class LossSpec:
                   "center", "be a 1-D array of finite numbers", self.center)
             object.__setattr__(self, "center", np.asarray(center, dtype=float))
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "weight_decay": self.weight_decay,
-            "center": None if self.center is None else list(map(float, self.center)),
-            "threshold": self.threshold,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LossSpec":
-        return cls(
-            kind=d["kind"],
-            weight_decay=d.get("weight_decay", 0.0),
-            center=d.get("center"),
-            threshold=d.get("threshold"),
-        )
-
 
 def batch_loss(preds, targets, spec: LossSpec, weights=()) -> float:
     """The objective selected by ``spec.kind`` on one batch: the mean squared

@@ -17,11 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checks import EvtdetectError
+from .checks import EvtdetectError, finite_number
 from .data import atomic_write_bytes
-from .losses import LossSpec
 
-SERIAL_FORMAT_VERSION = 2
+SERIAL_FORMAT_VERSION = 3
 
 
 class UnsupportedModelFormat(EvtdetectError):
@@ -371,11 +370,12 @@ def backward(
     return grads
 
 
-def save_network(path, network: Network, loss_spec=None, look_back: int | None = None,
+def save_network(path, network: Network, threshold: float | None, look_back: int,
                  errors: tuple[str, np.ndarray, np.ndarray] | None = None) -> None:
-    """Serialize a network (and optionally its training loss spec, the
-    window length it was trained on, and ``errors``: a key with the network's
-    errors on the training and validation windows) to .npz, written atomically.
+    """Serialize a network, its detection threshold (None for a model that
+    has none), the window length it was trained on, and optionally
+    ``errors``: a key with the network's errors on the training and
+    validation windows, to .npz, written atomically.
 
     The format is versioned and round-trips bit-exactly; all matrices are
     stored row-major.
@@ -384,9 +384,8 @@ def save_network(path, network: Network, loss_spec=None, look_back: int | None =
         "format_version": SERIAL_FORMAT_VERSION,
         "dropout_rate": network.dropout_rate,
         "hidden_sizes": [l.hidden_size for l in network.lstm_layers],
-        "input_size": 1,
         "output_size": network.output_size,
-        "loss_spec": None if loss_spec is None else loss_spec.to_dict(),
+        "threshold": threshold,
         "look_back": look_back,
         "errors_key": None if errors is None else errors[0],
     }
@@ -412,8 +411,8 @@ _META_TYPES = (
      lambda v: isinstance(v, list) and v and all(type(h) is int and h >= 1 for h in v)),
     ("dropout_rate", "a number", lambda v: type(v) in (int, float)),
     ("output_size", "a whole number >= 1", lambda v: type(v) is int and v >= 1),
-    ("look_back", "null or a whole number >= 1", lambda v: v is None or type(v) is int and v >= 1),
-    ("loss_spec", "null or an object", lambda v: v is None or isinstance(v, dict)),
+    ("look_back", "a whole number >= 1", lambda v: type(v) is int and v >= 1),
+    ("threshold", "null or a finite number", lambda v: v is None or finite_number(v)),
     ("errors_key", "null or a string", lambda v: v is None or isinstance(v, str)),
 )
 
@@ -428,10 +427,9 @@ def _weights(arrays: dict, name: str, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def load_network(path):
-    """Inverse of :func:`save_network`. Returns (network, loss_spec,
-    look_back, errors); look_back is None when the file does not record it,
-    as in files written before it was recorded, and errors is None when the
-    file holds none. Raises UnsupportedModelFormat naming what is wrong."""
+    """Inverse of :func:`save_network`. Returns (network, threshold,
+    look_back, errors); errors is None when the file holds none. Raises
+    UnsupportedModelFormat naming what is wrong."""
     try:
         data = np.load(path)  # never with allow_pickle: unpickling a file can run its code
     except (ValueError, EOFError, zipfile.BadZipFile):
@@ -472,12 +470,6 @@ def load_network(path):
             raise UnsupportedModelFormat(f"model file's network is not valid: {exc}") from None
         key = meta.get("errors_key")
         errors = None if key is None else (key, arrays["train_errors"], arrays["val_errors"])
-        spec = None
-        if meta["loss_spec"] is not None:
-            try:
-                spec = LossSpec.from_dict(meta["loss_spec"])
-            except ValueError as exc:  # LossSpec's ConfigError, or numpy's on a ragged center
-                raise UnsupportedModelFormat(f"model file's 'loss_spec' is not valid: {exc}") from None
+        return network, meta["threshold"], meta["look_back"], errors
     except KeyError as exc:
         raise UnsupportedModelFormat(f"model file has no {exc.args[0]!r}") from None
-    return network, spec, meta.get("look_back"), errors

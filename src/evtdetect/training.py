@@ -24,6 +24,9 @@ from .network import Network, backward, forward, init_network, predict
 from .optim import adam_step, clip_global_norm, init_adam_state
 
 MAX_GRAD_NORM = 5.0
+# The largest hidden size a TrainConfig accepts: a layer's U (4H x H float64)
+# then takes 32 MiB.
+MAX_HIDDEN_SIZE = 1024
 
 
 class NoThresholdEstimate(EvtdetectError):
@@ -62,6 +65,8 @@ class TrainConfig:
         hidden_sizes = tuple(whole("hidden_sizes", h) for h in self.hidden_sizes)
         check(hidden_sizes and min(hidden_sizes) >= 1, "hidden_sizes",
               "be a non-empty list of sizes >= 1", list(hidden_sizes))
+        check(max(hidden_sizes) <= MAX_HIDDEN_SIZE, "hidden_sizes",
+              f"hold sizes <= {MAX_HIDDEN_SIZE}", list(hidden_sizes))
         object.__setattr__(self, "hidden_sizes", hidden_sizes)
 
 

@@ -1,18 +1,21 @@
 import hashlib
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import evtdetect
 from evtdetect import cli
 from evtdetect.cli import load_config, main, parse_config
 from evtdetect.data import SplitSpec, load_series, prepare
 from evtdetect.detectors import prediction_errors
-from evtdetect.losses import LossSpec
-from evtdetect.network import init_network, load_network, save_network
+from evtdetect.network import SERIAL_FORMAT_VERSION, init_network, load_network, save_network
 from evtdetect.synthetic import make_spike_series, write_csv
 from infer_counting import count_infer_windows
 
@@ -46,6 +49,16 @@ def write_config(tmp_path, doc, **extra):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def write_overflowing_values(path) -> Path:
+    """1,000 draws from U(0, 1) and 100 from U(1e307, 1.79e308): at level
+    0.9 the sum of the 110 excesses overflows, and so does the fitted sigma,
+    about 1.05 times the largest."""
+    rng = np.random.default_rng(0)
+    values = np.concatenate([rng.uniform(0, 1, 1000), rng.uniform(1e307, 1.79e308, 100)])
+    path.write_text("\n".join(repr(float(v)) for v in values))
+    return path
 
 
 class TestFitGpd:
@@ -96,6 +109,15 @@ class TestFitGpd:
         err = json.loads(capsys.readouterr().err)["error"]
         assert err == {"kind": "config", "type": "ConfigError",
                        "message": f"{flag} must lie in (0, 1), got {float(value)!r}"}
+
+    def test_overflowing_tail_exits_1(self, tmp_path, capsys):
+        values = write_overflowing_values(tmp_path / "values.txt")
+        assert main(["fit-gpd", "--input", str(values), "--level", "0.9"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == {
+            "kind": "runtime", "type": "DegenerateErrors",
+            "message": "the fitted sigma overflows: excesses reach 1.7404459185729725e+308"}
 
     def test_risk_the_tail_cannot_reach_exits_1(self, tmp_path, capsys):
         values = tmp_path / "values.txt"
@@ -207,6 +229,10 @@ class TestConfigHandling:
     @pytest.mark.parametrize("key, value, message", [
         ("training.hidden_sizes", "[]", "hidden_sizes must be a non-empty list of sizes >= 1, got []"),
         ("training.hidden_sizes", "[0]", "hidden_sizes must be a non-empty list of sizes >= 1, got [0]"),
+        # a size numpy cannot allocate, and one whose arrays would not fit in memory
+        ("training.hidden_sizes", "[100000000000000000000]",
+         "hidden_sizes must hold sizes <= 1024, got [100000000000000000000]"),
+        ("training.hidden_sizes", "[100000000]", "hidden_sizes must hold sizes <= 1024, got [100000000]"),
         ("training.dropout_rate", "1.5", "dropout_rate must lie in [0, 1), got 1.5"),
         ("training.weight_decay", "-1", "weight_decay must be non-negative, got -1"),
         ("look_back", "0", "look_back must be positive, got 0"),
@@ -235,8 +261,9 @@ class TestConfigHandling:
         ("dataset.timestamp_column", "5", "timestamp_column must be a string, got 5"),
         ("dataset.value_column", "null", "value_column must be a string, got None"),
         ("output_dir", "[1]", "output_dir must be a string, got [1]"),
-    ], ids=["no-hidden-size", "zero-hidden-size", "dropout-past-1", "negative-weight-decay",
-            "zero-look-back", "negative-look-ahead", "learning-rate-string", "learning-rate-bool",
+    ], ids=["no-hidden-size", "zero-hidden-size", "huge-hidden-size", "large-hidden-size",
+            "dropout-past-1", "negative-weight-decay", "zero-look-back", "negative-look-ahead",
+            "learning-rate-string", "learning-rate-bool",
             "learning-rate-inf", "dropout-rate-string", "weight-decay-string", "risk-string",
             "init-quantile-string", "convergence-tol-string", "negative-convergence-tol",
             "train-frac-string", "sampling-period-string", "negative-sampling-period",
@@ -463,6 +490,27 @@ class TestTypedFailures:
         assert err == {"kind": "runtime", "type": "DegenerateErrors", "message": "errors must be finite"}
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["train", "fit-gpd"])
+    def test_failure_prints_one_json_line_on_stderr(self, tmp_path, config_doc, command):
+        """In a process of its own, where numpy's floating-point warnings
+        would reach stderr ahead of the error line."""
+        training = {**config_doc["training"], "epochs": 2, "threshold_update_period": 1}
+        argv = {
+            "train": ["train", "--config", write_config(tmp_path, config_doc, training=training),
+                      "--objective", "evt", "--set", "training.learning_rate=1e300",
+                      "--output-dir", str(tmp_path / "out")],
+            "fit-gpd": ["fit-gpd", "--input", str(write_overflowing_values(tmp_path / "values.txt")),
+                        "--level", "0.9"],
+        }[command]
+        src = str(Path(evtdetect.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run([sys.executable, "-m", "evtdetect.cli", *argv], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 1
+        assert result.stdout == ""
+        line, = result.stderr.splitlines()
+        assert json.loads(line)["error"]["type"] == "DegenerateErrors"
+
     def test_untyped_error_leaves_main(self, tmp_path, config_doc, monkeypatch):
         # a bare ValueError is a bug, not bad input, so main does not report it
         model = tmp_path / "model.npz"
@@ -666,26 +714,18 @@ class TestErrorsFile:
             assert (run / "errors.npz").read_bytes() == errors_bytes
 
     @pytest.mark.parametrize("rule", ["gaussian", "tukey", "evt", "evt-lstm"])
-    @pytest.mark.parametrize("setting, recorded", [
-        ("look_back=12", True), ("look_ahead=2", True), ("look_ahead=2", False),
-    ], ids=["look-back", "look-ahead", "look-ahead-unrecorded-look-back"])
-    def test_other_window_geometry_exits_2(self, tmp_path, capsys, evt_models, rule, setting,
-                                           recorded):
+    @pytest.mark.parametrize("setting", ["look_back=12", "look_ahead=2"], ids=["look-back", "look-ahead"])
+    def test_other_window_geometry_exits_2(self, tmp_path, capsys, evt_models, rule, setting):
         """``detect`` refuses windows other than the model's, and writes
-        nothing. A model file that does not record its look_back (as those
-        written before it was recorded) is checked on look_ahead alone."""
+        nothing."""
         cfg, dirs = evt_models
-        model = dirs[0] / "model.npz"
-        if not recorded:
-            model = _copy_without(model, tmp_path / "model.npz", ["look_back"])
         out = tmp_path / "out"
-        assert main(["detect", "--config", cfg, "--model", str(model), "--rule", rule,
+        assert main(["detect", "--config", cfg, "--model", str(dirs[0] / "model.npz"), "--rule", rule,
                      "--output-dir", str(out), "--set", setting]) == 2
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["kind"] == "config"
-        trained = "look_back 10, look_ahead 1" if recorded else "look_ahead 1"
         wanted = "look_back 12, look_ahead 1" if setting == "look_back=12" else "look_back 10, look_ahead 2"
-        assert err["message"] == (f"the model was trained on windows of {trained}; "
+        assert err["message"] == ("the model was trained on windows of look_back 10, look_ahead 1; "
                                   f"the config has {wanted}")
         assert not out.exists()
 
@@ -705,13 +745,6 @@ class TestErrorsFile:
                      "--output-dir", str(out)]) == 1
         assert json.loads(capsys.readouterr().err)["error"]["kind"] == "runtime"
         assert not out.exists()
-
-    @pytest.mark.parametrize("rule", ["gaussian", "evt-lstm"])
-    def test_unrecorded_look_back_is_not_checked(self, tmp_path, evt_models, rule):
-        cfg, dirs = evt_models
-        model = _copy_without(dirs[0] / "model.npz", tmp_path / "model.npz", ["look_back"])
-        assert main(["detect", "--config", cfg, "--model", str(model), "--rule", rule,
-                     "--output-dir", str(tmp_path / "out"), "--set", "look_back=12"]) == 0
 
     @pytest.mark.parametrize("objective, training", [
         # at lr 0.3 the best validation epoch comes before the last, so the
@@ -742,7 +775,8 @@ class TestErrorsFile:
 
 def _meta_only(tmp_path, model):
     path = tmp_path / "meta-only.npz"
-    np.savez(path, meta=np.frombuffer(json.dumps({"format_version": 2}).encode(), dtype=np.uint8))
+    meta = {"format_version": SERIAL_FORMAT_VERSION}
+    np.savez(path, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8))
     return path
 
 
@@ -775,9 +809,11 @@ def _edited_meta(edit):
     return case
 
 
-def _edited_loss_spec(**fields):
-    """A case whose model file's loss_spec has ``fields`` replaced."""
-    return _edited_meta(lambda meta: {**meta, "loss_spec": {**meta["loss_spec"], **fields}})
+def _as_format_2(meta):
+    """The meta of a model file as format 2 wrote it: the training loss spec
+    where format 3 has the threshold, and an input size."""
+    spec = {"center": None, "kind": "evt", "threshold": meta.pop("threshold"), "weight_decay": 1e-4}
+    return {**meta, "format_version": 2, "input_size": 1, "loss_spec": spec}
 
 
 def _edited_array(name, edit):
@@ -825,20 +861,20 @@ class TestUnreadableModelFile:
         (_edited_meta(lambda meta: {**meta, "dropout_rate": "x"}),
          "model file's 'dropout_rate' is not a number: 'x'"),
         (_edited_meta(lambda meta: {**meta, "look_back": "12"}),
-         "model file's 'look_back' is not null or a whole number >= 1: '12'"),
-        (_edited_meta(lambda meta: {**meta, "loss_spec": [1]}),
-         "model file's 'loss_spec' is not null or an object: [1]"),
+         "model file's 'look_back' is not a whole number >= 1: '12'"),
         (_edited_meta(lambda meta: {**meta, "errors_key": 5}),
          "model file's 'errors_key' is not null or a string: 5"),
-        (_edited_loss_spec(kind=[1]), "model file's 'loss_spec' is not valid: unknown loss kind [1]"),
-        (_edited_loss_spec(weight_decay="x"),
-         "model file's 'loss_spec' is not valid: weight_decay must be a finite number >= 0, got 'x'"),
-        (_edited_loss_spec(threshold="x"),
-         "model file's 'loss_spec' is not valid: threshold must be None or a finite number, got 'x'"),
-        (_edited_loss_spec(threshold=float("nan")),
-         "model file's 'loss_spec' is not valid: threshold must be None or a finite number, got nan"),
-        (_edited_loss_spec(kind="svdd", center="x"),
-         "model file's 'loss_spec' is not valid: center must be a 1-D array of finite numbers, got 'x'"),
+        (_edited_meta(lambda meta: {**meta, "look_back": None}),
+         "model file's 'look_back' is not a whole number >= 1: None"),
+        (_edited_meta(lambda meta: {**meta, "threshold": "x"}),
+         "model file's 'threshold' is not null or a finite number: 'x'"),
+        (_edited_meta(lambda meta: {**meta, "threshold": float("nan")}),
+         "model file's 'threshold' is not null or a finite number: nan"),
+        (_edited_meta(lambda meta: {**meta, "threshold": True}),
+         "model file's 'threshold' is not null or a finite number: True"),
+        (_edited_meta(lambda meta: {**meta, "threshold": {"kind": "evt"}}),
+         "model file's 'threshold' is not null or a finite number: {{'kind': 'evt'}}"),
+        (_edited_meta(_as_format_2), "unsupported model format version 2"),
         # hidden size 8: each layer0 array stacks 4 * 8 gate rows
         (_edited_array("layer0_W", np.ravel),
          "model file's 'layer0_W' is not a float64 array of shape (32, 1): float64 (32,)"),
@@ -859,9 +895,9 @@ class TestUnreadableModelFile:
          "model file's network is not valid: dropout_rate must lie in [0, 1)"),
     ], ids=["meta-only-version", "no-meta", "no-meta-field", "no-array", "no-errors-array",
             "truncated", "npy", "text", "empty", "meta-not-an-object", "hidden-sizes-type",
-            "no-hidden-sizes", "dropout-rate-type", "look-back-type", "loss-spec-type", "errors-key-type",
-            "loss-spec-kind", "loss-spec-weight-decay", "loss-spec-threshold", "loss-spec-nan-threshold",
-            "loss-spec-center", "vector-w", "vector-dense-weights", "string-w", "eight-row-u",
+            "no-hidden-sizes", "dropout-rate-type", "look-back-type", "errors-key-type",
+            "look-back-null", "threshold-string", "threshold-nan", "threshold-bool", "threshold-object",
+            "format-2", "vector-w", "vector-dense-weights", "string-w", "eight-row-u",
             "two-feature-w", "float-meta", "non-utf8-meta", "output-size-type", "dropout-rate-range"])
     def test_exits_1_without_output(self, tmp_path, capsys, evt_models, case, message):
         cfg, dirs = evt_models
@@ -912,7 +948,7 @@ def test_detect_and_evaluate_outputs_keep_their_bytes(tmp_path, config_doc):
     layer.b[:] = [10.0, -10.0, 10.0, 0.0]  # i and o open, f shut
     net.dense.weights[:] = 10.0
     model = tmp_path / "model.npz"
-    save_network(model, net, LossSpec("evt", threshold=0.2), config_doc["look_back"])
+    save_network(model, net, 0.2, config_doc["look_back"])
     cfg = write_config(tmp_path, config_doc)
     for rule, digests in DETECT_SHA256.items():
         out = tmp_path / rule
@@ -928,15 +964,15 @@ def test_detect_and_evaluate_outputs_keep_their_bytes(tmp_path, config_doc):
 # out) that ``train`` writes for each objective on the tiny run below.
 TRAIN_SHA256 = {
     "mse": (
-        "d3db9a150848cf55925761b9007f77df294a9458fcfb2855d244af002b3acab8",
+        "2ee798d081580af39aca9ce7dc5cf0bb156aae2cee65c4024d685cb173566b32",
         "2976e2ab4e6467ae57940b921188179eb4b00ce0fbff3b9806e4d1b7bd480ba4",
     ),
     "evt": (
-        "c1c836c10f55f14c9ee66e50b16c28da001f2370bdd03f0929e00ca72cacdac5",
+        "59508df9f77e2128a53254483e49f1578acbe0e723698aba88b79c33c81adb8e",
         "7a843e78943dadd00c51b656f220b549ca426aa34faa65195b5382de078366e7",
     ),
     "svdd": (
-        "ab64cdd5758a9396965da0b0d7b26a34cbd502615eeaf9293e9e519dcc9b608d",
+        "e4f9698b79472bc4013cc95416d1cc4facb2d605381ebf315ce34181eab7b7cd",
         "6fcdbcd6ce2667e96f7731451361e929dba1b910438800352d55d925b402daa8",
     ),
 }

@@ -149,6 +149,13 @@ class TestPotThreshold:
         fit = evt.GpdFit(gamma=-0.4, sigma=2.0, threshold=5.0, total_count=500, peak_count=50)
         assert evt.pot_threshold(fit, 1e-4) > 5.0
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("gamma, sigma", [(0.5, 1e307), (0.0, 1e308)], ids=["gpd", "exponential"])
+    def test_threshold_that_overflows_is_degenerate(self, gamma, sigma):
+        fit = evt.GpdFit(gamma=gamma, sigma=sigma, threshold=1.0, total_count=10000, peak_count=200)
+        with pytest.raises(evt.DegenerateErrors, match=r"^the detection threshold at risk 1e-06 overflows$"):
+            evt.pot_threshold(fit, 1e-6)
+
 
 class TestTailProbability:
     def test_at_threshold(self):

@@ -343,6 +343,29 @@ def test_fit_at_extreme_scales(scale):
     assert fit.sigma / scale == pytest.approx(unscaled.sigma, rel=1e-9, abs=0)
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_fit_when_the_mean_overflows():
+    """200 draws from U(1e306, 1e307) sum past the largest float, so the
+    sample takes its power-of-two scale from its largest excess instead."""
+    x = np.random.default_rng(1).uniform(1e306, 1e307, 200)
+    fit = evt.fit_gpd(x)
+    exponent = int(np.frexp(x.max())[1])
+    scaled = evt.fit_gpd(np.ldexp(x, -exponent))
+    assert (fit.gamma, fit.sigma) == (scaled.gamma, float(np.ldexp(scaled.sigma, exponent)))
+    assert fit.gamma == pytest.approx(-1.18, abs=0.01)
+    assert fit.sigma == pytest.approx(1.18e307, rel=0.01)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_sigma_that_overflows_is_degenerate():
+    """At level 0.9 the fitted sigma is about 1.05 times the largest of
+    these 110 excesses."""
+    rng = np.random.default_rng(0)
+    errors = np.concatenate([rng.uniform(0, 1, 1000), rng.uniform(1e307, 1.79e308, 100)])
+    with pytest.raises(evt.DegenerateErrors, match="^the fitted sigma overflows: excesses reach "):
+        evt.fit_tail(errors, level=0.9)
+
+
 def test_bisection_stops_at_theta_resolution():
     """A root at theta near 1e4 lies where one ulp of theta exceeds the
     bisection's absolute tolerance, so it ends at adjacent floats; this

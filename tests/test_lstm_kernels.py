@@ -74,8 +74,9 @@ def test_single_step_windows():
 
 
 def test_unknown_format_version_is_typed(tmp_path):
-    # Version 1 stored each gate's arrays apart; no reader for it is kept.
-    for version in (1, 99):
+    # Version 1 stored each gate's arrays apart, and version 2 the training
+    # loss spec; no reader for either is kept.
+    for version in (1, 2, 99):
         path = tmp_path / f"model{version}.npz"
         meta = json.dumps({"format_version": version}).encode()
         np.savez(path, meta=np.frombuffer(meta, dtype=np.uint8))

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import re
@@ -9,8 +10,8 @@ import numpy as np
 import pytest
 
 import evtdetect
-from evtdetect.losses import LossSpec
 from evtdetect.network import (
+    _META_TYPES,
     DenseParams,
     LstmLayerParams,
     Network,
@@ -178,17 +179,15 @@ class TestInit:
 class TestSerialization:
     def test_round_trip_bit_exact(self, tmp_path):
         net = init_network((7, 3), output_size=2, dropout_rate=0.25, seed=21)
-        spec = LossSpec("evt", weight_decay=1e-4, threshold=0.321)
         errors = ("key", np.random.default_rng(0).exponential(size=9), np.linspace(0.0, 1.0, 4))
         path = tmp_path / "model.npz"
-        save_network(path, net, spec, look_back=6, errors=errors)
-        loaded, loaded_spec, look_back, loaded_errors = load_network(path)
-        assert look_back == 6
+        save_network(path, net, 0.321, look_back=6, errors=errors)
+        loaded, threshold, look_back, loaded_errors = load_network(path)
+        assert (threshold, look_back) == (0.321, 6)
         assert loaded.dropout_rate == net.dropout_rate
         for a, b in zip(net.parameters(), loaded.parameters()):
             assert a.dtype == b.dtype
             np.testing.assert_array_equal(a, b)
-        assert loaded_spec == spec
         assert loaded_errors[0] == "key"
         for a, b in zip(errors[1:], loaded_errors[1:]):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -199,19 +198,26 @@ class TestSerialization:
     def test_round_trip_without_spec(self, tmp_path):
         net = init_network((4,), output_size=1, seed=2)
         path = tmp_path / "m.npz"
-        save_network(path, net)
-        loaded, spec, look_back, errors = load_network(path)
-        assert spec is None
-        assert look_back is None
+        save_network(path, net, None, 6)
+        loaded, threshold, look_back, errors = load_network(path)
+        assert threshold is None
+        assert look_back == 6
         assert errors is None
         np.testing.assert_array_equal(loaded.dense.weights, net.dense.weights)
+
+    def test_meta_holds_only_the_fields_load_network_checks(self, tmp_path):
+        path = tmp_path / "m.npz"
+        save_network(path, init_network((4,), output_size=1, seed=2), 0.5, 6, ("key", np.ones(2), np.ones(2)))
+        with np.load(path) as saved:
+            meta = json.loads(bytes(saved["meta"]).decode())
+        assert sorted(meta) == sorted(["format_version", *(name for name, _, _ in _META_TYPES)])
 
     @pytest.mark.skipif(sys.platform == "win32", reason="needs RLIMIT_FSIZE")
     def test_failed_write_keeps_the_previous_file(self, tmp_path):
         # A file-size limit below the new model's size makes the write fail
         # part of the way through, as a full disk would.
         path = tmp_path / "model.npz"
-        save_network(path, init_network((4,), output_size=1, seed=2))
+        save_network(path, init_network((4,), output_size=1, seed=2), None, 6)
         before = path.read_bytes()
         limit = len(before) // 2
         script = (
@@ -219,7 +225,7 @@ class TestSerialization:
             "from evtdetect.network import init_network, save_network\n"
             "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
             f"resource.setrlimit(resource.RLIMIT_FSIZE, ({limit}, {limit}))\n"
-            "save_network(sys.argv[1], init_network((32,), output_size=1, seed=3))\n"
+            "save_network(sys.argv[1], init_network((32,), output_size=1, seed=3), None, 6)\n"
         )
         src = str(Path(evtdetect.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
