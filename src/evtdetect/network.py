@@ -1,17 +1,19 @@
 """Minimal recurrent forecaster: stacked LSTM layers and a linear dense head.
 
 Everything is plain numpy. Each LSTM layer stacks its four gates row-wise in
-the order i, f, o, g, so the input projection of a whole window is one matmul
-done before the time loop and each step adds one recurrent matmul. The
-forward pass over a batch of windows caches the gate activations needed for
-exact backpropagation through time; gradients are analytic, not
+the order i, f, o, g, so the input projection of a step, or of a whole
+window before the time loop, is one matmul and each step adds one recurrent
+matmul. The forward pass over a batch of windows caches the gate activations
+needed for exact backpropagation through time; gradients are analytic, not
 approximated. Dropout is the inverted variant, applied to each recurrent
 layer's output stream in train mode only, so inference needs no rescaling.
+A :class:`Workspace` lets repeated passes refill one set of arrays.
 """
 from __future__ import annotations
 
 import io
 import json
+import math
 import zipfile
 from dataclasses import dataclass, field
 
@@ -141,9 +143,11 @@ def _halved(layer: LstmLayerParams) -> tuple[np.ndarray, ...]:
     Halving is exact, so the pre-activations come out as exactly half of the
     unscaled ones, the argument sigmoid(x) = 0.5 * tanh(x / 2) + 0.5 needs.
     Multiplying by 1 and adding -0.0 leave every g value, signed zeros
-    included, as tanh gave it. ``U`` stays a transposed view: with a
-    contiguous copy numpy sends a batch of one to another BLAS kernel, which
-    rounds differently.
+    included, as tanh gave it. ``U`` is returned as a transposed view, which
+    a batch of one must keep: with a contiguous copy numpy sends it to
+    another BLAS kernel, which rounds differently. Larger batches take the
+    same matrix kernel either way, and :func:`forward` gives them a
+    contiguous copy.
     """
     hsize = layer.hidden_size
     scale = np.ones(4 * hsize)
@@ -185,6 +189,27 @@ def _step(
     np.multiply(tanh_c, o, out=h)
 
 
+class Workspace:
+    """Arrays that :func:`forward` and :func:`backward` refill call after
+    call instead of allocating anew.
+
+    Each named array is a contiguous view of a flat buffer that grows to the
+    largest size asked of it, so a short last batch reuses a full batch's
+    buffers. A workspace serves one caller at a time: the arrays of a
+    train-mode cache drawn from it hold until the next forward pass with it.
+    """
+
+    def __init__(self):
+        self._flat: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        size = math.prod(shape)
+        flat = self._flat.get(name)
+        if flat is None or flat.size < size:
+            flat = self._flat[name] = np.empty(size)
+        return flat[:size].reshape(shape)
+
+
 @dataclass
 class ForwardCache:
     """Activations recorded during a train-mode forward pass."""
@@ -203,22 +228,32 @@ def forward(
     windows: np.ndarray,
     train: bool = False,
     rng: int | np.random.Generator | None = None,
+    *,
+    work: Workspace | None = None,
 ) -> tuple[np.ndarray, ForwardCache | None]:
     """Run a batch of look-back windows of a univariate series, shaped
     (batch, look_back), through the network.
 
     Infer mode is a pure deterministic function and keeps only what the next
     layer reads; train mode applies inverted dropout (seeded through ``rng``)
-    and returns the activation cache for :func:`backward`.
+    and returns the activation cache for :func:`backward`. The cache's arrays
+    come from ``work``, to be refilled by its next pass, or without it from
+    a workspace of this call alone. The predictions are always new.
     """
     x = np.asarray(windows, dtype=float)
     if x.ndim != 2:
         raise ValueError(f"windows must have shape (batch, look_back), got {x.shape}")
     batch, steps = x.shape
+    work = Workspace() if work is None else work
 
     use_dropout = train and network.dropout_rate > 0.0
     gen = np.random.default_rng(rng) if use_dropout else None
     keep = 1.0 - network.dropout_rate
+    # Train mode keeps every step's gates for backward, and a batch of one
+    # takes BLAS's vector path, where projecting step by step rounds
+    # differently; both project all steps in one product. Inference
+    # otherwise projects each step into one (B, 4H) slot, which stays in cache.
+    whole = train or batch == 1
 
     cache = ForwardCache() if train else None
     seq = np.swapaxes(x, 0, 1)[:, :, None]  # (T, B, 1)
@@ -226,29 +261,41 @@ def forward(
     for li, layer in enumerate(network.lstm_layers):
         hsize = layer.hidden_size
         Wb, UT, scale, shift = _halved(layer)
-        # One matmul for all steps, the bias riding on a constant-one input
-        # column; np.dot because matmul takes a slow non-BLAS loop for one feature.
-        flat = np.concatenate([seq.reshape(steps * batch, -1), np.ones((steps * batch, 1))], axis=1)
-        gates = np.dot(flat, Wb.T).reshape(steps, batch, -1)
+        WbT = Wb.T
+        if batch > 1:
+            WbT, UT = np.ascontiguousarray(WbT), np.ascontiguousarray(UT)
+        # The bias rides on a constant-one input column; np.dot because
+        # matmul takes a slow non-BLAS loop for one feature.
+        xin = work.take(f"input{li}", (steps, batch, seq.shape[-1] + 1))
+        xin[..., :-1] = seq
+        xin[..., -1] = 1.0
+        if whole:
+            gates = work.take(f"gates{li}", (steps, batch, 4 * hsize))
+            np.dot(xin.reshape(steps * batch, -1), WbT, out=gates.reshape(steps * batch, -1))
+        else:
+            gates = work.take("gates", (1, batch, 4 * hsize))
         # Infer mode keeps only the states the next layer reads; the rest
         # cycle through two slots.
         keep_h = train or li < top
-        h_s = np.empty((steps if keep_h else 2, batch, hsize))
-        c_s = np.empty((steps if train else 2, batch, hsize))
-        tanh_s = np.empty_like(c_s) if train else h_s
+        h_s = work.take(f"hidden{li}", (steps if keep_h else 2, batch, hsize))
+        c_s = work.take(f"cells{li}", (steps if train else 2, batch, hsize))
+        tanh_s = work.take(f"tanh_cells{li}", c_s.shape) if train else h_s
         # Full (B, 4H) tiles: a same-shape multiply and add run about twice
         # as fast as broadcasting one row.
-        rec, scale_tile, shift_tile = np.empty((3, batch, 4 * hsize))
+        rec, scale_tile, shift_tile = work.take("tiles", (3, batch, 4 * hsize))
         scale_tile[:] = scale
         shift_tile[:] = shift
-        c_prev = np.zeros((batch, hsize))
-        ig = np.empty_like(c_prev)
+        c_prev, ig = work.take("cell_scratch", (2, batch, hsize))
+        c_prev[:] = 0.0
         for t in range(steps):
+            a = gates[t % len(gates)]
+            if not whole:
+                np.dot(xin[t], WbT, out=a)
             if t:
                 np.dot(h_s[(t - 1) % len(h_s)], UT, out=rec)
-                gates[t] += rec
+                a += rec
             c, h = c_s[t % len(c_s)], h_s[t % len(h_s)]
-            _step(gates[t], c_prev, c, tanh_s[t % len(tanh_s)], h, ig, scale_tile, shift_tile)
+            _step(a, c_prev, c, tanh_s[t % len(tanh_s)], h, ig, scale_tile, shift_tile)
             c_prev = c
 
         if not keep_h:  # top layer in infer mode: the dense layer reads the last step only
@@ -257,8 +304,14 @@ def forward(
         out = h_s if li < top else h_s[-1:]  # the dense layer reads the top's last step only
         mask = None
         if use_dropout:
-            mask = (gen.uniform(size=h_s.shape) < keep).astype(float)
-            out = out * mask[-len(out) :] / keep
+            # random(out=) draws what uniform(size=) draws from the same stream.
+            mask = work.take(f"mask{li}", h_s.shape)
+            gen.random(out=mask)
+            np.less(mask, keep, out=mask)
+            dropped = work.take(f"dropped{li}", out.shape)
+            np.multiply(out, mask[-len(out) :], out=dropped)
+            dropped /= keep
+            out = dropped
         if cache is not None:
             cache.layer_inputs.append(seq)
             cache.gates.append(gates)
@@ -275,30 +328,35 @@ def forward(
     return preds, cache
 
 
-# Windows per infer-mode forward pass in :func:`predict`; it bounds memory.
-# With OpenBLAS, predictions of one or two outputs were bit-identical at 64,
-# 256 and 512; with three or five, the dense head rounded some rows
-# differently (relative difference 6e-12 at most).
+# Windows per infer-mode forward pass in :func:`predict`; it bounds the
+# workspace the passes share. With OpenBLAS, predictions of one or two outputs
+# were bit-identical at 64, 256 and 512; with three or five, the dense head
+# rounded some rows differently (relative difference 6e-12 at most).
 PREDICT_CHUNK = 256
 
 
 def predict(network: Network, windows: np.ndarray) -> np.ndarray:
     """Infer-mode predictions (n, output_size) for ``n`` look-back windows,
-    ``PREDICT_CHUNK`` windows per :func:`forward` pass."""
+    ``PREDICT_CHUNK`` windows per :func:`forward` pass, all passes refilling
+    one workspace."""
     preds = np.empty((len(windows), network.output_size))
+    work = Workspace()
     for lo in range(0, len(windows), PREDICT_CHUNK):
-        batch, _ = forward(network, windows[lo : lo + PREDICT_CHUNK], train=False)
+        batch, _ = forward(network, windows[lo : lo + PREDICT_CHUNK], train=False, work=work)
         preds[lo : lo + len(batch)] = batch
     return preds
 
 
-def _layer_backward(layer: LstmLayerParams, cache: ForwardCache, idx: int, dh_out: np.ndarray):
+def _layer_backward(layer: LstmLayerParams, cache: ForwardCache, idx: int, dh_out: np.ndarray,
+                    work: Workspace):
     """BPTT through layer ``idx`` given d(loss)/d(its undropped output stream)
     on its last ``len(dh_out)`` steps; the earlier steps' are zero.
 
     Returns (dW, dU, db, d inputs), d inputs None for the bottom layer, whose
     inputs are the windows. The time loop only fills the stacked
     pre-activation deltas; each gradient is then one matmul over all steps.
+    The scratch arrays come from ``work``, shared by every layer; d inputs
+    is the layer's own, read by the layer below.
     """
     inputs, gates = cache.layer_inputs[idx], cache.gates[idx]
     c_s, tanh_c, h_s = cache.cells[idx], cache.tanh_cells[idx], cache.hidden[idx]
@@ -306,29 +364,46 @@ def _layer_backward(layer: LstmLayerParams, cache: ForwardCache, idx: int, dh_ou
     first_out = steps - len(dh_out)
     i_s, f_s, o_s, g_s = (gates[..., k * hsize : (k + 1) * hsize] for k in range(4))
     # d(activation)/d(pre-activation): s(1 - s) for the sigmoid gates, 1 - g^2 for g.
-    dact = gates * (1.0 - gates)
-    dact[..., 3 * hsize :] = 1.0 - g_s**2
+    dact = work.take("dact", gates.shape)
+    np.subtract(1.0, gates, out=dact)
+    dact *= gates
+    dact_g = dact[..., 3 * hsize :]
+    np.square(g_s, out=dact_g)
+    np.subtract(1.0, dact_g, out=dact_g)
+    # d tanh(c) / dc for every step at once.
+    dtanh = work.take("dtanh", tanh_c.shape)
+    np.square(tanh_c, out=dtanh)
+    np.subtract(1.0, dtanh, out=dtanh)
 
-    da = np.empty_like(gates)
-    zero = np.zeros((batch, hsize))
-    dh_carry = dc_carry = zero
+    da = work.take("da", gates.shape)
+    zero, dh_sum, dc, dc_carry, dh_carry = work.take("step_deltas", (5, batch, hsize))
+    zero[:] = 0.0
+    dc_carry[:] = 0.0
+    dh_carry[:] = 0.0
     for t in range(steps - 1, -1, -1):
-        dh = dh_out[t - first_out] + dh_carry if t >= first_out else dh_carry
-        dc = dh * o_s[t] * (1.0 - tanh_c[t] ** 2) + dc_carry
+        dh = dh_carry
+        if t >= first_out:
+            dh = np.add(dh_out[t - first_out], dh_carry, out=dh_sum)
+        np.multiply(dh, o_s[t], out=dc)
+        dc *= dtanh[t]
+        dc += dc_carry
         d = da[t]
         np.multiply(dc, g_s[t], out=d[:, :hsize])
         np.multiply(dc, c_s[t - 1] if t else zero, out=d[:, hsize : 2 * hsize])
         np.multiply(dh, tanh_c[t], out=d[:, 2 * hsize : 3 * hsize])
         np.multiply(dc, i_s[t], out=d[:, 3 * hsize :])
         d *= dact[t]
-        dc_carry = dc * f_s[t]
-        dh_carry = d @ layer.U
+        np.multiply(dc, f_s[t], out=dc_carry)
+        np.matmul(d, layer.U, out=dh_carry)
 
     flat = da.reshape(-1, 4 * hsize)
     dW = flat.T @ inputs.reshape(steps * batch, -1)
     dU = da[1:].reshape(-1, 4 * hsize).T @ h_s[:-1].reshape(-1, hsize)
     db = flat.sum(axis=0)
-    dx = (flat @ layer.W).reshape(inputs.shape) if idx else None
+    dx = None
+    if idx:
+        dx = work.take(f"dinputs{idx}", inputs.shape)
+        np.matmul(flat, layer.W, out=dx.reshape(steps * batch, -1))
     return dW, dU, db, dx
 
 
@@ -337,15 +412,19 @@ def backward(
     cache: ForwardCache,
     dpreds: np.ndarray,
     weight_decay: float = 0.0,
+    *,
+    work: Workspace | None = None,
 ) -> list[np.ndarray]:
     """Exact BPTT gradients of a batch loss, given d(loss)/d(predictions).
 
-    Returns gradients in the same order as ``Network.parameters()``. The
-    weight-decay term (lambda/2) * sum of squared Frobenius norms contributes
-    lambda * W to every weight matrix, biases excluded.
+    Returns gradients in the same order as ``Network.parameters()``, always
+    new arrays; the scratch comes from ``work`` when given. The weight-decay
+    term (lambda/2) * sum of squared Frobenius norms contributes lambda * W
+    to every weight matrix, biases excluded.
     """
     if cache.top_output_last is None:
         raise ValueError("stale or infer-mode cache; run forward(train=True) first")
+    work = Workspace() if work is None else work
     keep = 1.0 - network.dropout_rate
 
     d_dense_w = dpreds.T @ cache.top_output_last
@@ -358,8 +437,12 @@ def backward(
     grads = [d_dense_w, d_dense_b]
     for idx in range(len(network.lstm_layers) - 1, -1, -1):
         mask = cache.masks[idx]
-        dh_out = dout if mask is None else dout * mask[-len(dout) :] / keep
-        dW, dU, db, dout = _layer_backward(network.lstm_layers[idx], cache, idx, dh_out)
+        dh_out = dout
+        if mask is not None:
+            dh_out = work.take(f"dh_out{idx}", dout.shape)
+            np.multiply(dout, mask[-len(dout) :], out=dh_out)
+            dh_out /= keep
+        dW, dU, db, dout = _layer_backward(network.lstm_layers[idx], cache, idx, dh_out, work)
         grads = [dW, dU, db] + grads
 
     if weight_decay > 0.0:
@@ -468,7 +551,7 @@ def load_network(path):
             network = Network(layers, dense, meta["dropout_rate"])
         except ValueError as exc:  # the dropout rate's range; the arrays' shapes are checked above
             raise UnsupportedModelFormat(f"model file's network is not valid: {exc}") from None
-        key = meta.get("errors_key")
+        key = meta["errors_key"]
         errors = None if key is None else (key, arrays["train_errors"], arrays["val_errors"])
         return network, meta["threshold"], meta["look_back"], errors
     except KeyError as exc:

@@ -20,7 +20,7 @@ from .checks import HALF_OPEN_UNIT, NON_NEGATIVE, OPEN_UNIT, POSITIVE, Evtdetect
 from .data import WindowedDataset
 from .detectors import DetectionResult, first_horizon_errors, prediction_errors, threshold_decisions
 from .losses import LossSpec, batch_loss, loss_grad_wrt_preds
-from .network import Network, backward, forward, init_network, predict
+from .network import Network, Workspace, backward, forward, init_network, predict
 from .optim import adam_step, clip_global_norm, init_adam_state
 
 MAX_GRAD_NORM = 5.0
@@ -98,14 +98,15 @@ def _sgd_epoch(
     rng: np.random.Generator,
 ) -> None:
     order = rng.permutation(len(data))
+    # Every batch's forward cache and backward scratch refill one workspace,
+    # sized by the first, full batch: allocated afresh, arrays this large are
+    # mapped and unmapped batch after batch, each page faulted in anew.
+    work = Workspace()
     for lo in range(0, len(order), config.batch_size):
         idx = order[lo : lo + config.batch_size]
-        preds, cache = forward(network, data.inputs[idx], train=True, rng=rng)
+        preds, cache = forward(network, data.inputs[idx], train=True, rng=rng, work=work)
         dpreds = loss_grad_wrt_preds(preds, data.targets[idx], spec)
-        grads = backward(network, cache, dpreds, weight_decay=spec.weight_decay)
-        # Free the activations before the next batch's forward: held through
-        # it, they add about 3 MiB to spike-benchmark's peak RSS.
-        del cache
+        grads = backward(network, cache, dpreds, weight_decay=spec.weight_decay, work=work)
         clip_global_norm(grads, MAX_GRAD_NORM)
         adam_step(params, grads, state, config.learning_rate)
 

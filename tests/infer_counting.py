@@ -12,10 +12,10 @@ def count_infer_windows(monkeypatch) -> list[int]:
     counted: list[int] = []
     original = network.forward
 
-    def counting_forward(net, windows, train=False, rng=None):
+    def counting_forward(net, windows, train=False, rng=None, **kwargs):
         if not train:
             counted.append(len(windows))
-        return original(net, windows, train=train, rng=rng)
+        return original(net, windows, train=train, rng=rng, **kwargs)
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "evtdetect" and getattr(module, "forward", None) is original:

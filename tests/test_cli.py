@@ -575,14 +575,15 @@ def evt_models(tmp_path_factory, config_doc):
     return cfg, dirs
 
 
-def _copy_without(model: Path, path: Path, meta_keys, arrays=()) -> Path:
-    """A copy of a model file without the given meta fields and arrays, as in
-    files written before those were recorded."""
+def _copy_without(model: Path, path: Path, meta_keys, arrays=(), **meta_values) -> Path:
+    """A copy of a model file without the given meta fields and arrays, and
+    with ``meta_values`` set in its meta."""
     with np.load(model) as saved:
         kept = {name: saved[name] for name in saved.files if name not in arrays}
     meta = json.loads(bytes(kept["meta"]).decode())
     for key in meta_keys:
         del meta[key]
+    meta.update(meta_values)
     kept["meta"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
     path.parent.mkdir(parents=True, exist_ok=True)
     np.savez(path, **kept)
@@ -590,9 +591,9 @@ def _copy_without(model: Path, path: Path, meta_keys, arrays=()) -> Path:
 
 
 def _without_errors(model: Path, path: Path) -> Path:
-    """A copy of a model file in the format of files written before it held
-    its calibration errors."""
-    return _copy_without(model, path, ["errors_key"], ["train_errors", "val_errors"])
+    """A copy of a model file without its calibration errors, as
+    ``save_network`` writes it when given none."""
+    return _copy_without(model, path, [], ["train_errors", "val_errors"], errors_key=None)
 
 
 def _sidecar(model: Path, cfg: str) -> bytes:
@@ -849,6 +850,8 @@ class TestUnreadableModelFile:
          "model file has no 'dense_biases'"),
         (lambda tmp_path, model: _copy_without(model, tmp_path / "m.npz", [], ["train_errors"]),
          "model file has no 'train_errors'"),
+        (lambda tmp_path, model: _copy_without(model, tmp_path / "m.npz", ["errors_key"]),
+         "model file has no 'errors_key'"),
         (_bytes_of("model.npz", lambda model: model.read_bytes()[: model.stat().st_size // 2]), _NOT_AN_ARCHIVE),
         (_npy_model, _NOT_AN_ARCHIVE),
         (_bytes_of("model.npz", lambda model: b"not a model file\n"), _NOT_AN_ARCHIVE),
@@ -893,7 +896,7 @@ class TestUnreadableModelFile:
          "model file's 'output_size' is not a whole number >= 1: '1'"),
         (_edited_meta(lambda meta: {**meta, "dropout_rate": 1.5}),
          "model file's network is not valid: dropout_rate must lie in [0, 1)"),
-    ], ids=["meta-only-version", "no-meta", "no-meta-field", "no-array", "no-errors-array",
+    ], ids=["meta-only-version", "no-meta", "no-meta-field", "no-array", "no-errors-array", "no-errors-key",
             "truncated", "npy", "text", "empty", "meta-not-an-object", "hidden-sizes-type",
             "no-hidden-sizes", "dropout-rate-type", "look-back-type", "errors-key-type",
             "look-back-null", "threshold-string", "threshold-nan", "threshold-bool", "threshold-object",

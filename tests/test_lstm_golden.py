@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from evtdetect.losses import LossSpec, loss_grad_wrt_preds
-from evtdetect.network import backward, forward, init_network
+from evtdetect.network import Workspace, backward, forward, init_network
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "lstm_golden.json"
 
@@ -63,13 +63,19 @@ def _digest(*arrays: np.ndarray) -> str:
     return sha.hexdigest()
 
 
-def digests(hidden_sizes, batch, output_size, look_back=LOOK_BACK) -> dict[str, str]:
-    """Digests of one seeded forward/backward round trip."""
+def digests(hidden_sizes, batch, output_size, look_back=LOOK_BACK, work=None) -> dict[str, str]:
+    """Digests of one seeded forward/backward round trip, those of
+    ``THREAD_SPLIT`` included."""
     rng = np.random.default_rng(batch * 10 + output_size)
     network = init_network(hidden_sizes, output_size, dropout_rate=DROPOUT, seed=11)
     windows = rng.uniform(size=(batch, look_back))
     targets = rng.uniform(size=(batch, output_size))
-    result = round_trip(network, windows, targets)
+    return round_trip(network, windows, targets, work)
+
+
+def golden_digests(hidden_sizes, batch, output_size, look_back=LOOK_BACK) -> dict[str, str]:
+    """The digests of a case that the golden file records."""
+    result = digests(hidden_sizes, batch, output_size, look_back)
     result.pop(THREAD_SPLIT.get(case_id(hidden_sizes, batch, output_size, look_back)), None)
     return result
 
@@ -80,11 +86,11 @@ def normal_digests() -> dict[str, str]:
     return round_trip(network, rng.normal(size=(1, LOOK_BACK)), rng.normal(size=(1, 1)))
 
 
-def round_trip(network, windows, targets) -> dict[str, str]:
-    infer, _ = forward(network, windows, train=False)
-    train, cache = forward(network, windows, train=True, rng=np.random.default_rng(5))
+def round_trip(network, windows, targets, work=None) -> dict[str, str]:
+    infer, _ = forward(network, windows, train=False, work=work)
+    train, cache = forward(network, windows, train=True, rng=np.random.default_rng(5), work=work)
     dpreds = loss_grad_wrt_preds(train, targets, LossSpec("mse"))
-    grads = backward(network, cache, dpreds, weight_decay=1e-4)
+    grads = backward(network, cache, dpreds, weight_decay=1e-4, work=work)
     return {
         "infer": _digest(infer),
         "train": _digest(train),
@@ -98,7 +104,7 @@ def round_trip(network, windows, targets) -> dict[str, str]:
 @pytest.mark.parametrize("hidden_sizes,batch,output_size,look_back", CASES, ids=[case_id(*c) for c in CASES])
 def test_bits_match_golden(hidden_sizes, batch, output_size, look_back):
     golden = json.loads(GOLDEN_PATH.read_text())
-    assert digests(hidden_sizes, batch, output_size, look_back) == golden[case_id(hidden_sizes, batch, output_size, look_back)]
+    assert golden_digests(hidden_sizes, batch, output_size, look_back) == golden[case_id(hidden_sizes, batch, output_size, look_back)]
 
 
 def test_normal_window_at_batch_one_matches_golden():
@@ -118,10 +124,19 @@ def test_train_caches_of_separate_calls_are_independent():
         assert not np.shares_memory(ours, theirs)
 
 
+@pytest.mark.parametrize("hidden_sizes,output_size,look_back", [((24,), 1, LOOK_BACK), ((50, 20), 24, 48)],
+                         ids=["h24", "h50x20"])
+def test_workspace_reused_across_batch_sizes_gives_fresh_digests(hidden_sizes, output_size, look_back):
+    work = Workspace()
+    for batch in (64, 44, 64):
+        fresh = digests(hidden_sizes, batch, output_size, look_back)
+        assert digests(hidden_sizes, batch, output_size, look_back, work) == fresh, batch
+
+
 if __name__ == "__main__":
     rerecord = "--rerecord" in sys.argv[1:]
     golden = {} if rerecord or not GOLDEN_PATH.exists() else json.loads(GOLDEN_PATH.read_text())
-    computes = {case_id(*c): partial(digests, *c) for c in CASES} | {NORMAL_CASE: normal_digests}
+    computes = {case_id(*c): partial(golden_digests, *c) for c in CASES} | {NORMAL_CASE: normal_digests}
     missing = {key: compute for key, compute in computes.items() if key not in golden}
     golden.update({key: compute() for key, compute in missing.items()})
     GOLDEN_PATH.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -151,6 +152,16 @@ class TestPredict:
     def test_no_windows(self):
         net = init_network((4,), output_size=3, seed=0)
         assert predict(net, np.zeros((0, 5))).shape == (0, 3)
+
+    def test_threads_predicting_at_once_match_one_thread(self):
+        # each call refills its own workspace, so concurrent callers share no arrays
+        net = init_network((6, 5), output_size=2, seed=7)
+        windows = [np.random.default_rng(seed).normal(size=(300, 8)) for seed in range(4)]
+        alone = [predict(net, w) for w in windows]
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            together = list(pool.map(lambda w: [predict(net, w) for _ in range(20)], windows))
+        for want, got in zip(alone, together):
+            assert all(np.array_equal(want, g) for g in got)
 
 
 class TestInit:
