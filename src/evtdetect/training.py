@@ -99,8 +99,9 @@ def _sgd_epoch(
 ) -> None:
     order = rng.permutation(len(data))
     # Every batch's forward cache and backward scratch refill one workspace,
-    # sized by the first, full batch: allocated afresh, arrays this large are
-    # mapped and unmapped batch after batch, each page faulted in anew.
+    # sized by the first, full batch. Allocated per batch, these arrays of
+    # about 1 MB were mapped and faulted in anew whenever malloc's mmap
+    # threshold lay below their size, which hung on what the process had freed.
     work = Workspace()
     for lo in range(0, len(order), config.batch_size):
         idx = order[lo : lo + config.batch_size]

@@ -103,8 +103,8 @@ def round_trip(network, windows, targets, work=None) -> dict[str, str]:
 
 @pytest.mark.parametrize("hidden_sizes,batch,output_size,look_back", CASES, ids=[case_id(*c) for c in CASES])
 def test_bits_match_golden(hidden_sizes, batch, output_size, look_back):
-    golden = json.loads(GOLDEN_PATH.read_text())
-    assert golden_digests(hidden_sizes, batch, output_size, look_back) == golden[case_id(hidden_sizes, batch, output_size, look_back)]
+    golden = json.loads(GOLDEN_PATH.read_text())[case_id(hidden_sizes, batch, output_size, look_back)]
+    assert golden_digests(hidden_sizes, batch, output_size, look_back) == golden
 
 
 def test_normal_window_at_batch_one_matches_golden():

@@ -159,7 +159,7 @@ class TestPredict:
         windows = [np.random.default_rng(seed).normal(size=(300, 8)) for seed in range(4)]
         alone = [predict(net, w) for w in windows]
         with ThreadPoolExecutor(max_workers=4) as pool:
-            together = list(pool.map(lambda w: [predict(net, w) for _ in range(20)], windows))
+            together = list(pool.map(lambda w: [predict(net, w) for _ in range(20)], windows, timeout=60))
         for want, got in zip(alone, together):
             assert all(np.array_equal(want, g) for g in got)
 
