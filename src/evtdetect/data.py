@@ -359,7 +359,9 @@ def split_series(
 def make_windows(series: LabeledSeries, look_back: int, look_ahead: int) -> WindowedDataset:
     """Slide a supervised forecasting window over the series.
 
-    Produces ``len(series) - look_back - look_ahead + 1`` windows.
+    Produces ``len(series) - look_back - look_ahead + 1`` windows. Their
+    ``inputs`` and ``targets`` are read-only views of ``series.values``,
+    not copies.
     """
     if look_back < 1 or look_ahead < 1:
         raise ValueError("look_back and look_ahead must be positive")
@@ -370,8 +372,8 @@ def make_windows(series: LabeledSeries, look_back: int, look_ahead: int) -> Wind
             f"series of length {n} is too short for look_back={look_back}, look_ahead={look_ahead}"
         )
     values = series.values
-    inputs = np.lib.stride_tricks.sliding_window_view(values[: n - look_ahead], look_back).copy()
-    targets = np.lib.stride_tricks.sliding_window_view(values[look_back:], look_ahead).copy()
+    inputs = np.lib.stride_tricks.sliding_window_view(values[: n - look_ahead], look_back)
+    targets = np.lib.stride_tricks.sliding_window_view(values[look_back:], look_ahead)
     target_indices = np.arange(look_back, look_back + count)
     return WindowedDataset(inputs=inputs, targets=targets, target_indices=target_indices)
 

@@ -26,11 +26,13 @@ Most grid rows lie where |theta| * x_max <= 0.6. There u and v are power
 series in theta * x_max whose coefficients are the moments of x / x_max; a
 row whose series value, widened by bounds on its truncation and rounding
 errors, lies beyond +-1e-12 takes its sign from it without the O(m) work of
-``_u_v``. For theta > 0, u falls and v rises in theta, so two computed rows
-bound u*v - 1 on every row between them; the positive rows the series leaves
-are searched with such brackets, and only their knots and the midpoints of
-undecided brackets are computed. The signs, and so every bracket and fit,
-are those of computing every row (derivations in :func:`fit_gpd`).
+``_u_v``. For theta > 0, u is convex and falling in theta and v concave and
+rising, so between computed rows u lies under their chord and above the
+secants of the computed rows beside them, and v the other way round; a
+positive row the series leaves takes its sign from these bounds where they
+decide it, and only the rows left undecided are computed, a few per round.
+The signs, and so every bracket and fit, are those of computing every row
+(derivations in :func:`fit_gpd`).
 """
 from __future__ import annotations
 
@@ -68,11 +70,16 @@ _SERIES_RADIUS = 0.6
 # row's sign the interval's and never 0; it also absorbs the few roundings of
 # forming the interval itself.
 _SIGN_MARGIN = 1e-12
-# The bracket search on the positive rows the series leaves (fit_gpd) puts a
-# knot on every _KNOT_STRIDE-th row of each run of such rows and on its last
-# row, then halves each bracket it cannot decide: at most five more rounds.
+# The convexity search on the positive rows the series leaves (fit_gpd) puts
+# a knot on every _KNOT_STRIDE-th of those rows and on the last; each later
+# round computes the undecided rows among every 8th, then every 2nd, then all
+# of them: at most three more rounds.
 _KNOT_STRIDE = 32
-_CHUNK_ELEMENTS = 1 << 16
+_EPS = np.finfo(float).eps
+# A fit's scratch arrays hold at most _CHUNK_ELEMENTS floats, 125 KiB, below
+# glibc's default 128 KiB mmap threshold: they come from the heap, so a fit of
+# up to that many excesses maps no memory, whatever the process freed before.
+_CHUNK_ELEMENTS = 16000
 _BISECT_TOL = 1e-12
 # The bisection's tolerance is absolute in theta, whose scale is 1 / mean(x):
 # in units of theta * mean(x) it is at most 2.6e-10 while the mean is below
@@ -184,8 +191,8 @@ def gpd_log_likelihood(excesses: np.ndarray, gamma: float, sigma: float) -> floa
 
 
 def _u_v(theta: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Chunks of about _CHUNK_ELEMENTS keep the two (rows, sample) work arrays
-    # in cache; each row's means are the same whatever the chunking.
+    # Chunks of at most _CHUNK_ELEMENTS keep the two (rows, sample) work
+    # arrays in cache; each row's means are the same whatever the chunking.
     theta = np.atleast_1d(theta)
     u = np.empty_like(theta)
     v = np.empty_like(theta)
@@ -194,7 +201,9 @@ def _u_v(theta: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     r = np.empty_like(s)
     for lo in range(0, theta.size, rows):
         n = min(rows, theta.size - lo)
-        np.multiply(theta[lo : lo + n, None], x, out=s[:n])
+        # x, then times theta: theta * x without the buffers of an outer product
+        s[:n] = x
+        s[:n] *= theta[lo : lo + n, None]
         s[:n] += 1.0
         u[lo : lo + n] = np.divide(1.0, s[:n], out=r[:n]).mean(axis=1)
         v[lo : lo + n] = 1.0 + np.log(s[:n], out=s[:n]).mean(axis=1)
@@ -263,53 +272,71 @@ def _series_w(y: np.ndarray, mu: np.ndarray, m: int) -> tuple[np.ndarray, np.nda
     # the module docstring, and the half-width of an interval around it that
     # holds the exact value: truncation remainder plus rounding. u and v
     # exceed 0.6 and 0.08 there, so no absolute values are needed for them.
+    # Blocks of rows keep the powers to at most _CHUNK_ELEMENTS, as in _u_v.
     k = np.arange(1.0, _SERIES_TERMS + 2)
-    powers = _powers(-y, _SERIES_TERMS + 1)
     coef = np.stack([mu[1:-1], mu[1:-1] / k[:-1]])
-    sums = coef @ powers[:-1]
-    sizes = coef @ np.abs(powers[:-1])
-    tail = np.abs(powers[-1]) * (mu[-1] / (1.0 - np.abs(y)))
+    sums = np.empty((2, y.size))
+    sizes = np.empty((2, y.size))
+    tail = np.empty_like(y)
+    rows = _CHUNK_ELEMENTS // (_SERIES_TERMS + 1)
+    for lo in range(0, y.size, rows):
+        block = slice(lo, lo + rows)
+        powers = _powers(-y[block], _SERIES_TERMS + 1)
+        sums[:, block] = coef @ powers[:-1]
+        powers = np.abs(powers, out=powers)
+        sizes[:, block] = coef @ powers[:-1]
+        tail[block] = powers[-1]
+    tail *= mu[-1] / (1.0 - np.abs(y))
     tails = np.stack([tail, tail / k[-1]])  # remainders of u and of v
-    rounding = (m + 5 * _SERIES_TERMS + 8) * np.finfo(float).eps
+    rounding = (m + 5 * _SERIES_TERMS + 8) * _EPS
     half_u, half_v = tails + rounding * (1.0 + sizes + tails)
     u = 1.0 + sums[0]
     v = 1.0 - sums[1]
     return u * v - 1.0, u * half_v + v * half_u + half_u * half_v
 
 
-def _bracket_w(
-    u: np.ndarray, v: np.ndarray, a: np.ndarray, b: np.ndarray, m: int
+def _convex_w(
+    theta: np.ndarray, f: np.ndarray, knots: np.ndarray, rows: np.ndarray, m: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    # Bounds (low, high) on u*v - 1 at every row strictly between computed
-    # positive rows a < b, from u falling and v rising in theta, each widened
-    # by the rounding of the knots and of the rows between (fit_gpd): the
-    # exact value lies inside, and the one _u_v computes to a few eps.
-    upper = u[a] * v[b]
-    slack = (5 * m + 40) * np.finfo(float).eps * upper
-    return u[b] * v[a] - 1.0 - slack, upper - 1.0 + slack
-
-
-def _knots(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # The bracket search's knots over ascending grid rows: every
-    # _KNOT_STRIDE-th row of each run of consecutive rows, and its last row;
-    # and the brackets (a, b) between consecutive knots of a run with rows
-    # between them.
-    first = np.ones(rows.size, dtype=bool)
-    first[1:] = np.diff(rows) != 1
-    last = np.ones(rows.size, dtype=bool)
-    last[:-1] = first[1:]
-    place = np.arange(rows.size)
-    place -= np.maximum.accumulate(np.where(first, place, 0))
-    knot = (place % _KNOT_STRIDE == 0) | last
-    knots = rows[knot]
-    inside = ~last[knot][:-1] & (np.diff(knots) > 1)
-    return knots, knots[:-1][inside], knots[1:][inside]
+    # u*v - 1 at positive rows strictly between computed rows (knots,
+    # ascending), as the middle and half-width of an interval that holds the
+    # exact value and the one _u_v computes (fit_gpd). f = (u, -v) is convex
+    # and falling, so on each bracket it lies under its own chord line and
+    # above those of the brackets beside it. The first bracket has no left
+    # neighbour and takes its right one twice; the last one's right line is
+    # f's value at the last knot.
+    t = theta[knots]
+    fk = f[:, knots]
+    gap = t[1:] - t[:-1]
+    slope = (fk[:, 1:] - fk[:, :-1]) / gap
+    # lines[i + 1]: (intercept, slope) of (u, -v) on bracket i's chord, so
+    # bracket i reads lines i to i + 2.
+    lines = np.empty((gap.size + 2, 2, 2))
+    lines[1:-1, 0] = (fk[:, :-1] - slope * t[:-1]).T
+    lines[1:-1, 1] = slope.T
+    lines[-1, 0] = fk[:, -1]
+    lines[-1, 1] = 0.0
+    lines[0] = lines[2]
+    # kappa, how far a line is carried past its knots in units of their
+    # distance, is at most a bracket's width over its neighbour's.
+    reach = np.zeros(gap.size + 2)
+    np.divide(1.0, gap, out=reach[1:-1])
+    kappa = gap * np.maximum(reach[:-2], reach[2:])
+    slack = (1.0 + 2.0 * kappa) * (5 * (m + 8) * _EPS * -fk[1, -1])
+    j = np.searchsorted(knots, rows) - 1
+    near = lines[j[:, None] + np.arange(3)]
+    at = near[:, :, 0] + near[:, :, 1] * theta[rows, None, None]
+    low = np.maximum(at[:, 0], at[:, 2])
+    neg_uv = low * at[:, 1, ::-1]  # -u_lo v_lo, -u_hi v_hi
+    mid = (neg_uv[:, 0] + neg_uv[:, 1]) * -0.5 - 1.0
+    half = (neg_uv[:, 0] - neg_uv[:, 1]) * 0.5 + slack[j]
+    return mid, half
 
 
 def _grid_w(x: np.ndarray, grid: np.ndarray) -> np.ndarray:
     # w = u*v - 1 on the grid, with the sign of a one-call _u_v at every row:
     # rows a certificate decides hold a value of that sign (the series value,
-    # or a bracket bound), the rest come from _u_v.
+    # or the middle of a convexity interval), the rest come from _u_v.
     y = grid * x.max()
     near = np.flatnonzero(np.abs(y) <= _SERIES_RADIUS)
     w_near, half = _series_w(y[near], _moments(x), x.size)
@@ -319,25 +346,32 @@ def _grid_w(x: np.ndarray, grid: np.ndarray) -> np.ndarray:
     rest = np.ones(grid.size, dtype=bool)
     rest[near[sure]] = False
     rest = np.flatnonzero(rest)
-    knots, a, b = _knots(rest[grid[rest] > 0.0])
-    u = np.empty_like(grid)
-    v = np.empty_like(grid)
-    todo = np.concatenate([rest[grid[rest] < 0.0], knots])
-    while todo.size:
-        u[todo], v[todo] = _u_v(grid[todo], x)
-        w[todo] = u[todo] * v[todo] - 1.0
-        low, high = _bracket_w(u, v, a, b, x.size)
-        decided = (low > _SIGN_MARGIN) | (high < -_SIGN_MARGIN)
-        starts = a[decided] + 1
-        sizes = b[decided] - starts
-        rows = np.repeat(starts - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
-        w[rows] = np.repeat(np.where(low > 0.0, low, high)[decided], sizes)
-        a, b = a[~decided], b[~decided]
-        todo = (a + b) // 2
-        a, b = np.concatenate([a, todo]), np.concatenate([todo, b])
-        keep = b - a > 1
-        a, b = a[keep], b[keep]
-    return w
+    cut = np.searchsorted(grid[rest], 0.0)
+    negative, positive = rest[:cut], rest[cut:]
+    theta = grid[positive]
+    todo = np.append(np.arange(0, theta.size - 1, _KNOT_STRIDE), theta.size - 1)
+    u, v = _u_v(np.concatenate([grid[negative], theta[todo]]), x)
+    w[negative] = u[:cut] * v[:cut] - 1.0
+    u, v = u[cut:], v[cut:]
+    f = np.empty((2, theta.size))
+    known = np.zeros(theta.size, dtype=bool)
+    open_ = np.arange(theta.size)
+    stride = _KNOT_STRIDE
+    while True:
+        f[0, todo] = u
+        f[1, todo] = -v
+        w[positive[todo]] = u * v - 1.0
+        known[todo] = True
+        open_ = open_[~known[open_]]
+        if open_.size:
+            mid, half = _convex_w(theta, f, np.flatnonzero(known), open_, x.size)
+            w[positive[open_]] = mid
+            open_ = open_[np.abs(mid) - half <= _SIGN_MARGIN]
+        if not open_.size:
+            return w
+        stride = max(stride // 4, 1)
+        todo = open_[open_ % stride == 0]
+        u, v = _u_v(theta[todo], x)
 
 
 def _roots_on_grid(x: np.ndarray, grid: np.ndarray, w: np.ndarray) -> list[float]:
@@ -387,7 +421,7 @@ def fit_gpd(
 
     Grid rows with |theta| * x_max <= 0.6 take their sign from a
     certificate when it can decide it; the positive rows it leaves take
-    theirs from brackets (below); only the others are computed. With
+    theirs from convexity bounds (below); only the others are computed. With
     y = theta * x_max and mu_k = mean((x / x_max)^k) <= 1,
 
         u = sum_{k>=0} (-y)^k mu_k,    v = 1 - sum_{k>=1} (-y)^k mu_k / k.
@@ -413,31 +447,34 @@ def fit_gpd(
     1e-13. So the decided sign is the one ``_u_v`` gives, and never 0.
 
     The rows with theta > 0 that the series leaves, nearly all of them
-    beyond its radius, are searched with monotone brackets. There every
-    s = 1 + theta*x exceeds 1, so u = mean(1/s) falls strictly in theta
-    (u' = -mean(x/s^2)) and v = 1 + mean(log s) rises strictly
-    (v' = mean(x/s)), and both are positive. Between computed rows
-    theta_a < theta_b every row therefore has
-    u(theta_b) v(theta_a) - 1 < w < u(theta_a) v(theta_b) - 1. Every term of
-    both means is positive, so each computed mean is within c = (m + 8) eps
-    of the exact one, relatively: the m - 1 additions in any order and the
-    division, two roundings of s, one of 1/s, a log within a few ulp, and
-    for v the 2 eps that s's rounding moves log(s) by, against v >= 1. A
-    product of two means is then within 2.01c, and with the roundings of
-    the product and of subtracting 1, a computed bound and the row ``_u_v``
-    would compute are each within (2.02 m + 18) eps P of their exact values,
-    P = u(theta_a) v(theta_b) being the largest product involved, plus a few
-    eps absolute. ``_bracket_w`` widens the bounds by (5m + 40) eps P, more
-    than the two together, and a bracket
-    decides its rows when the widened bounds lie beyond +-1e-12
-    (``_SIGN_MARGIN``, which covers the absolute roundings); the decided
-    sign is the one ``_u_v`` gives, and never 0. Knots sit on every 32nd row
-    of each run of such rows and on the run's last row; an undecided
-    bracket is split at its middle row, and each round's rows go through one
-    ``_u_v`` call. On m = 1000 samples this computes about 100-180 rows
-    where computing every row the series leaves took about 450. The grid,
-    the bisection midpoints and the candidates are unchanged, and so is
-    every fit.
+    beyond its radius, are decided by convexity. There every
+    s = 1 + theta*x exceeds 1, so u = mean(1/s) is convex and falling
+    (u'' = 2 mean(x^2/s^3)) and v = 1 + mean(log s) concave and rising
+    (v'' = -mean(x^2/s^2)), with 0 < u < 1 <= v. Between computed rows
+    theta_a < theta_b, u lies under their chord and above the secants
+    through the computed rows beside them extended into (theta_a, theta_b),
+    or in the last bracket above its value at theta_b; v lies the other way
+    round. Neither bound is looser than the values at theta_a and theta_b,
+    and their products bound u*v - 1. Every term of both means is
+    positive, so each computed mean is within c = (m + 8) eps of the exact
+    one, relatively: the m - 1 additions in any order and the division, two
+    roundings of s, one of 1/s, a log within a few ulp, and for v the 2 eps
+    that s's rounding moves log(s) by, against v >= 1. A line through two
+    computed values, carried past them by kappa times their distance, is
+    then within (1 + 2 kappa) c of the exact line, times v_max (the v of
+    the last computed row) for v; the row ``_u_v`` would compute is within
+    about 2c u v of the exact one. ``_convex_w`` widens the bounds by
+    5 c (1 + 2 kappa) v_max, more than these together, with kappa at most a
+    bracket's width over its neighbour's, and a row is decided when the
+    widened bounds lie beyond +-1e-12 (``_SIGN_MARGIN``, which covers the
+    roundings of forming the lines); the decided sign is the one ``_u_v``
+    gives, and never 0. Knots sit on every 32nd of these rows and on the
+    last; each later round computes, in one ``_u_v`` call, the undecided
+    rows on every 8th, then 2nd, then every row. On m = 1000 samples a fit
+    computes 54-75 rows, some 35 of them next to -1/x_max, where
+    computing every row the series leaves took about 480. The grid, the
+    bisection midpoints and the candidates are unchanged, and so is every
+    fit.
 
     A sample whose mean lies outside [2**-9, 2**8) is first scaled by a power
     of two to a mean in [0.5, 1), which changes no rounding of the search,

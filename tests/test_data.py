@@ -353,6 +353,13 @@ class TestWindow:
         ds = make_windows(series(np.arange(1.0, 11.0)), look_back=3, look_ahead=2)
         assert len(ds) == 6
 
+    def test_windows_are_read_only_views_of_the_normalised_values(self):
+        scaled = normalize(series(np.arange(1.0, 11.0)), NormParams(1.0, 10.0))
+        ds = make_windows(scaled, look_back=3, look_ahead=2)
+        for windows in (ds.inputs, ds.targets):
+            assert np.shares_memory(windows, scaled.values)
+            assert not windows.flags.writeable
+
     def test_minimal(self):
         ds = make_windows(series([1.0, 2.0]), look_back=1, look_ahead=1)
         assert len(ds) == 1

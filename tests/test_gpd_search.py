@@ -4,12 +4,16 @@
   every later fit must reproduce to 1e-9.
 * A brute-force likelihood grid: the fit must reach the grid's best
   log-likelihood, which catches a missed root.
-* A work count: rows of ``evt._u_v`` and refined brackets per fit.
-* The sign certificates, the series next to theta = 0 and the monotone
-  brackets on the positive side: the signs they decide are those
+* A digest of the exact bits of a seeded corpus of fits.
+* A work count: rows of ``evt._u_v`` and refined brackets per fit, and the
+  memory a fit's scratch arrays take.
+* The sign certificates, the series next to theta = 0 and the convexity
+  bounds on the positive side: the signs they decide are those
   ``evt._u_v`` computes, and their intervals hold the exact u*v - 1.
 """
+import hashlib
 import json
+import tracemalloc
 import warnings
 from decimal import Decimal, localcontext
 from pathlib import Path
@@ -73,6 +77,24 @@ class TestGoldenCorpus:
         fit = evt.fit_gpd(x)
         assert (fit.gamma, fit.sigma) == (0.0, float(x.mean()))
         assert fit.sigma == pytest.approx(case["sigma_hat"], rel=evt._ZERO_BAND)
+
+
+# sha256 over float.hex of (gamma_hat, sigma_hat), one line per fit, for the
+# seeded corpus of test_fit_bits_are_pinned. Any change to the search keeps
+# it; one that moves a bit of any fit re-records it and says so.
+FITS_SHA256 = "12bbf0b23de49cb339fa81adb5738c74a0430ac0708c360a9ebc499ccc98c319"
+
+
+def test_fit_bits_are_pinned():
+    """264 fits, gamma from -0.8 to 2.0 and m from 30 to 3000, keep every
+    bit; the golden corpus holds its fits to 1e-9 only."""
+    digest = hashlib.sha256()
+    for gamma in np.linspace(-0.8, 2.0, 11):
+        for m in (30, 75, 200, 500, 1200, 3000):
+            for seed in range(300, 304):
+                fit = evt.fit_gpd(golden_sample(float(gamma), m, seed))
+                digest.update(f"{fit.gamma.hex()} {fit.sigma.hex()}\n".encode())
+    assert digest.hexdigest() == FITS_SHA256
 
 
 def brute_force_best_log_likelihood(x: np.ndarray) -> float:
@@ -154,13 +176,21 @@ def test_bisection_step_matches_one_row_u_v(gamma, m):
         assert evt._bisect(x, *args) == reference_bisect(*args)
 
 
+def workload_samples():
+    """The three m = 1000 samples of the gpd-compliance benchmark workload
+    at seed 1."""
+    for k, gamma in enumerate((-0.1, 0.1, 0.3)):
+        u = np.random.default_rng([1, k]).uniform(size=1000)
+        yield gamma, np.expm1(-gamma * np.log1p(-u)) / gamma
+
+
 def test_search_work_per_fit(monkeypatch):
-    """Rows of u, v evaluated and brackets refined per m = 1000 fit, on the
-    three samples of the gpd-compliance benchmark workload at seed 1. Noise
-    brackets near theta = 0 would each add a bisection of about 40 rows.
-    Without the sign certificates every grid row, 1,310 to 1,343, is one;
-    with the series alone, 445 to 493 are; with the monotone brackets too,
-    104 to 174."""
+    """Rows of u, v evaluated and brackets refined per fit of the workload
+    samples. Noise brackets near theta = 0 would each add a bisection of
+    about 40 rows. Without the sign certificates every grid row, 1,310 to
+    1,343, is one; with the series alone, 445 to 493 are; with monotone
+    brackets on the positive side, 104 to 174 were; with the convexity
+    bounds, 54 to 70, of which about 35 lie next to -1/x_max."""
     rows, brackets = [0], [0]
     u_v, bisect = evt._u_v, evt._bisect
 
@@ -174,12 +204,27 @@ def test_search_work_per_fit(monkeypatch):
 
     monkeypatch.setattr(evt, "_u_v", counting_u_v)
     monkeypatch.setattr(evt, "_bisect", counting_bisect)
-    for k, gamma in enumerate((-0.1, 0.1, 0.3)):
-        u = np.random.default_rng([1, k]).uniform(size=1000)
+    for gamma, x in workload_samples():
         rows[0] = brackets[0] = 0
-        evt.fit_gpd(np.expm1(-gamma * np.log1p(-u)) / gamma)
-        assert rows[0] < 250, f"gamma={gamma}: {rows[0]} rows of u, v"
+        evt.fit_gpd(x)
+        assert rows[0] < 100, f"gamma={gamma}: {rows[0]} rows of u, v"
         assert brackets[0] <= 2, f"gamma={gamma}: {brackets[0]} brackets refined"
+
+
+def test_fit_scratch_memory():
+    """A fit's scratch arrays stay below glibc's 128 KiB mmap threshold, so
+    none is mapped and faulted in afresh: the traced peak of a fit of each
+    workload sample is about 395 KiB, against 930 to 1,100 KiB when the
+    rows of u, v and the series went through arrays of up to 512 KiB."""
+    for gamma, x in workload_samples():
+        evt.fit_gpd(x)
+        tracemalloc.start()
+        try:
+            evt.fit_gpd(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024, f"gamma={gamma}: peak {peak / 1024:.0f} KiB"
 
 
 def certificate_corpus():
@@ -224,7 +269,7 @@ def computed_rows(monkeypatch, x: np.ndarray, grid: np.ndarray) -> tuple[np.ndar
 
 def test_certified_signs_are_those_of_u_v(monkeypatch):
     """Every row a certificate decides, the series next to theta = 0 or a
-    monotone bracket on the positive side, has the sign u*v - 1 has as _u_v
+    convexity bound on the positive side, has the sign u*v - 1 has as _u_v
     computes it, and is not 0; the rows left are _u_v's bit for bit."""
     rows = decided = bracketed = 0
     for x in certificate_corpus():
@@ -288,44 +333,46 @@ def test_certified_interval_holds_exact_w():
                     assert abs(Decimal(computed) - exact) <= Decimal(8 * eps), t
 
 
-def test_bracket_interval_holds_exact_w(monkeypatch):
-    """At m <= 50 the bounds of every bracket that decides its rows hold
+def test_convexity_interval_holds_exact_w(monkeypatch):
+    """At m <= 50 the interval ``_convex_w`` gives a row it decides holds
     u*v - 1 computed in decimal at 40 digits, at every fifth of those rows,
-    and lie beyond the margin on one side; and _u_v's computed row has the
-    decided sign."""
-    checked = 0
+    and _u_v's computed row has the decided sign. Many of these rows could
+    not be decided from the values at their bracket's ends alone, the
+    monotone bounds u_b v_a - 1 < w < u_a v_b - 1: the chord and the secants
+    extended past their knots decide them."""
+    checked = beyond_ends = 0
     for gamma in (-0.4, 1e-4, 0.3, 0.8):
         for m in (30, 50):
             x = golden_sample(gamma, m, 200)
             grid = search_grid(monkeypatch, x)
-            brackets = []
-            bracket_w = evt._bracket_w
+            calls = []
+            convex_w = evt._convex_w
 
-            def recording(u, v, a, b, m):
-                low, high = bracket_w(u, v, a, b, m)
-                brackets.append((a, b, low, high))
-                return low, high
+            def recording(theta, f, knots, rows, m):
+                mid, half = convex_w(theta, f, knots, rows, m)
+                calls.append((theta, f.copy(), knots, rows, mid, half))
+                return mid, half
 
             with monkeypatch.context() as patched:
-                patched.setattr(evt, "_bracket_w", recording)
+                patched.setattr(evt, "_convex_w", recording)
                 evt._grid_w(x, grid)
-            decided = [
-                (row, lo, hi)
-                for a, b, low, high in brackets
-                for i, j, lo, hi in zip(a, b, low, high)
-                if lo > evt._SIGN_MARGIN or hi < -evt._SIGN_MARGIN
-                for row in range(i + 1, j)
-            ]
+            decided = []
+            for theta, (u, neg_v), knots, rows, mid, half in calls:
+                sure = np.abs(mid) - half > evt._SIGN_MARGIN
+                j = np.searchsorted(knots, rows)
+                a, b = knots[j - 1], knots[j]
+                ends = (u[b] * -neg_v[a] - 1.0, u[a] * -neg_v[b] - 1.0)
+                decided += zip(theta[rows][sure], mid[sure], half[sure], *(e[sure] for e in ends))
             assert decided, (gamma, m)
-            for row, lo, hi in decided[::5]:
-                t = float(grid[row])
-                assert t > 0.0
-                exact = exact_w(t, x)
-                assert Decimal(lo) <= exact <= Decimal(hi), t
+            for t, mid, half, low, high in decided[::5]:
+                exact = exact_w(float(t), x)
+                assert Decimal(mid) - Decimal(half) <= exact <= Decimal(mid) + Decimal(half), t
                 u, v = evt._u_v(np.array([t]), x)
-                assert (u[0] * v[0] - 1.0 > 0.0) == (lo > 0.0), t
+                assert (u[0] * v[0] - 1.0 > 0.0) == (mid > 0.0), t
                 checked += 1
+                beyond_ends += bool(low <= 0.0 <= high)
     assert checked > 400
+    assert beyond_ends > 100, f"{beyond_ends} of {checked} rows beyond the monotone bounds"
 
 
 @pytest.mark.parametrize("scale", [1e-150, 1e150])
