@@ -302,15 +302,36 @@ def _read_detections(path: str, series_length: int) -> tuple[np.ndarray, np.ndar
     return np.asarray(list(rows), dtype=int), np.asarray(list(rows.values()), dtype=bool)
 
 
+def _detection_rule(detections_path: str) -> str | None:
+    """The rule named by the detection_summary.json that ``detect`` wrote
+    beside a detections file, or None when there is no such file. Raises
+    MalformedInput for a summary that is not a JSON object naming a rule."""
+    path = Path(detections_path).with_name("detection_summary.json")
+    try:
+        with open_text(path) as fh:
+            text = fh.read()
+    except FileNotFoundError:
+        return None
+    try:
+        summary = json.loads(text)
+    except json.JSONDecodeError:
+        summary = None
+    rule = summary.get("rule") if isinstance(summary, dict) else None
+    if rule not in RULES:
+        raise MalformedInput(f"{path} is not a JSON object whose 'rule' is one of {', '.join(RULES)}")
+    return rule
+
+
 def cmd_evaluate(config: RunConfig, detections_path: str) -> int:
     series = load_series(config.require_dataset(), config.schema)
     if series.labels is None:
         raise ConfigError("evaluate needs a dataset with a label column")
     indices, flags = _read_detections(detections_path, len(series))
+    rule = _detection_rule(detections_path)
     metrics = compute_metrics(confusion(flags, series.labels[indices]))
 
     out = Path(config.output_dir)
-    report = {"rule": config.rule, "points_scored": len(indices), "metrics": asdict(metrics)}
+    report = {"rule": rule, "points_scored": len(indices), "metrics": asdict(metrics)}
     atomic_write_json(out / "metrics.json", report)
     print(
         f"precision={metrics.precision:.4f} recall={metrics.recall:.4f} f1={metrics.f1:.4f} "

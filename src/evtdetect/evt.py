@@ -222,6 +222,20 @@ def _w_at(theta: float, x: np.ndarray, s: np.ndarray, r: np.ndarray) -> float:
     return float(u * v - 1.0)
 
 
+def _geomspace(lo: float, hi: float, num: int) -> np.ndarray:
+    # np.geomspace(lo, hi, num) for 0 < lo, hi and num > 1, bit for bit: its
+    # arithmetic (log10 of the bounds, numpy's linspace between them, 10**y
+    # and the bounds put back at the ends) without its dtype and sign
+    # handling, which costs more than the arithmetic at num = 1001.
+    log_lo, log_hi = np.log10(lo), np.log10(hi)
+    y = np.arange(num, dtype=float)
+    y *= (log_hi - log_lo) / (num - 1)
+    y += log_lo
+    out = np.power(10.0, y)
+    out[0], out[-1] = lo, hi
+    return out
+
+
 def _bisect(x: np.ndarray, lo: float, hi: float, w_lo: float) -> float:
     # w changes sign on [lo, hi]; plain bisection to an interval <= _BISECT_TOL,
     # or to adjacent floats where the tolerance is below theta's resolution.
@@ -523,9 +537,9 @@ def _mle(x: np.ndarray) -> tuple[float, float]:
     grid_start = 1e-8 / x_mean
     band = _ZERO_BAND / x_mean
 
-    mags = np.geomspace(-theta_min, grid_start, _GRID_SUBINTERVALS + 1)
+    mags = _geomspace(-theta_min, grid_start, _GRID_SUBINTERVALS + 1)
     negative = -mags[mags > band]  # ascending from theta_min
-    positive = np.geomspace(grid_start, theta_max, _GRID_SUBINTERVALS + 1)
+    positive = _geomspace(grid_start, theta_max, _GRID_SUBINTERVALS + 1)
     positive = positive[positive > band]
     w = _grid_w(x, np.concatenate([negative, positive]))
     # The left endpoint enters as a candidate of its own: for short-tailed
@@ -538,9 +552,12 @@ def _mle(x: np.ndarray) -> tuple[float, float]:
 
     # theta = 0 solves u*v = 1 identically; it enters as the exponential candidate.
     candidates: list[tuple[float, float]] = [(0.0, x_mean)]
+    s = np.empty_like(x)
     for theta in roots:
-        _, v = _u_v(np.array([theta]), x)
-        gamma = float(v[0] - 1.0)
+        # v in place, bit for bit as a one-row _u_v gives it (see _w_at)
+        np.multiply(x, theta, out=s)
+        s += 1.0
+        gamma = float((1.0 + np.add.reduce(np.log(s, out=s)) / x.size) - 1.0)
         sigma = gamma / theta
         if sigma > 0 and gamma >= GAMMA_FLOOR:
             candidates.append((gamma, sigma))

@@ -135,29 +135,6 @@ def init_network(
     return Network(layers, dense, dropout_rate)
 
 
-def _halved(layer: LstmLayerParams) -> tuple[np.ndarray, ...]:
-    """Operands of :func:`_step` for one layer: ``[W | b]`` and the
-    transposed view of ``U``, their i, f, o rows halved, and the column
-    ``scale`` [0.5 (i, f, o) | 1 (g)] and ``shift`` [0.5 | -0.0].
-
-    Halving is exact, so the pre-activations come out as exactly half of the
-    unscaled ones, the argument sigmoid(x) = 0.5 * tanh(x / 2) + 0.5 needs.
-    Multiplying by 1 and adding -0.0 leave every g value, signed zeros
-    included, as tanh gave it. ``U`` is returned as a transposed view, which
-    a batch of one must keep: with a contiguous copy numpy sends it to
-    another BLAS kernel, which rounds differently. Larger batches take the
-    same matrix kernel either way, and :func:`forward` gives them a
-    contiguous copy.
-    """
-    hsize = layer.hidden_size
-    scale = np.ones(4 * hsize)
-    scale[: 3 * hsize] = 0.5
-    shift = np.full(4 * hsize, -0.0)
-    shift[: 3 * hsize] = 0.5
-    Wb = np.column_stack([layer.W, layer.b]) * scale[:, None]
-    return Wb, (layer.U * scale[:, None]).T, scale, shift
-
-
 def _step(
     a: np.ndarray,
     c_prev: np.ndarray,
@@ -181,7 +158,7 @@ def _step(
     a *= scale
     a += shift
     hsize = c.shape[-1]
-    i, f, o, g = (a[..., k * hsize : (k + 1) * hsize] for k in range(4))
+    i, f, o, g = a[..., :hsize], a[..., hsize : 2 * hsize], a[..., 2 * hsize : 3 * hsize], a[..., 3 * hsize :]
     np.multiply(f, c_prev, out=c)
     np.multiply(i, g, out=ig)
     c += ig
@@ -210,6 +187,54 @@ class Workspace:
         return flat[:size].reshape(shape)
 
 
+def _prepared(layer: LstmLayerParams, batch: int, scale: np.ndarray,
+              work: Workspace) -> tuple[np.ndarray, np.ndarray]:
+    """The right operands of a layer's input and recurrent products, written
+    into ``work``: ``[W | b]`` and ``U`` transposed, their i, f, o columns
+    halved by the column ``scale`` [0.5 (i, f, o) | 1 (g)].
+
+    Halving is exact, so the pre-activations come out as exactly half of the
+    unscaled ones, the argument sigmoid(x) = 0.5 * tanh(x / 2) + 0.5 needs.
+    A batch of one gets transposed views of row-major arrays, which it must
+    keep: with a contiguous copy numpy sends it to another BLAS kernel, which
+    rounds differently. Larger batches take the same matrix kernel either
+    way, and get contiguous arrays.
+    """
+    rows, hsize = layer.input_size + 1, layer.hidden_size
+    if batch == 1:
+        WbT = work.take("Wb", (4 * hsize, rows)).T
+        UT = work.take("U", (4 * hsize, hsize)).T
+    else:
+        WbT = work.take("Wb", (rows, 4 * hsize))
+        UT = work.take("U", (hsize, 4 * hsize))
+    np.multiply(layer.W.T, scale, out=WbT[:-1])
+    np.multiply(layer.b, scale, out=WbT[-1])
+    np.multiply(layer.U.T, scale, out=UT)
+    return WbT, UT
+
+
+def _skip_uniforms(gen: np.random.Generator, count: int) -> None:
+    """Move ``gen`` past the ``count`` doubles that ``random`` would draw.
+
+    A PCG64 generator takes one 64-bit output per double and jumps ahead
+    with ``advance``. That drops a pending 32-bit half, such as
+    ``permutation`` leaves; a double never uses it, so it is put back. Any
+    other bit generator draws the values and discards them.
+    """
+    if not count:
+        return
+    bits = gen.bit_generator
+    if not isinstance(bits, np.random.PCG64):
+        gen.random(count)
+        return
+    pending = bits.state
+    bits.advance(count)
+    if pending["has_uint32"]:
+        state = bits.state
+        state["has_uint32"], state["uinteger"] = pending["has_uint32"], pending["uinteger"]
+        bits.state = state
+
+
 @dataclass
 class ForwardCache:
     """Activations recorded during a train-mode forward pass."""
@@ -219,6 +244,7 @@ class ForwardCache:
     cells: list[np.ndarray] = field(default_factory=list)  # c (T, B, H)
     tanh_cells: list[np.ndarray] = field(default_factory=list)  # tanh(c) (T, B, H)
     hidden: list[np.ndarray] = field(default_factory=list)  # undropped h (T, B, H)
+    # dropout masks over the steps the next layer reads: (T, B, H), the top's (1, B, H)
     masks: list[np.ndarray | None] = field(default_factory=list)
     top_output_last: np.ndarray | None = None  # (B, H) input seen by the dense layer
 
@@ -260,10 +286,15 @@ def forward(
     top = len(network.lstm_layers) - 1
     for li, layer in enumerate(network.lstm_layers):
         hsize = layer.hidden_size
-        Wb, UT, scale, shift = _halved(layer)
-        WbT = Wb.T
-        if batch > 1:
-            WbT, UT = np.ascontiguousarray(WbT), np.ascontiguousarray(UT)
+        # Full (B, 4H) tiles of the column scale [0.5 (i, f, o) | 1 (g)] and
+        # shift [0.5 | -0.0]: a same-shape multiply and add run about twice
+        # as fast as broadcasting one row. Multiplying by 1 and adding -0.0
+        # leave every g value, signed zeros included, as tanh gave it.
+        rec, scale_tile, shift_tile = work.take("tiles", (3, batch, 4 * hsize))
+        scale_tile[:, : 3 * hsize] = shift_tile[:, : 3 * hsize] = 0.5
+        scale_tile[:, 3 * hsize :] = 1.0
+        shift_tile[:, 3 * hsize :] = -0.0
+        WbT, UT = _prepared(layer, batch, scale_tile[0], work)
         # The bias rides on a constant-one input column; np.dot because
         # matmul takes a slow non-BLAS loop for one feature.
         xin = work.take(f"input{li}", (steps, batch, seq.shape[-1] + 1))
@@ -280,11 +311,6 @@ def forward(
         h_s = work.take(f"hidden{li}", (steps if keep_h else 2, batch, hsize))
         c_s = work.take(f"cells{li}", (steps if train else 2, batch, hsize))
         tanh_s = work.take(f"tanh_cells{li}", c_s.shape) if train else h_s
-        # Full (B, 4H) tiles: a same-shape multiply and add run about twice
-        # as fast as broadcasting one row.
-        rec, scale_tile, shift_tile = work.take("tiles", (3, batch, 4 * hsize))
-        scale_tile[:] = scale
-        shift_tile[:] = shift
         c_prev, ig = work.take("cell_scratch", (2, batch, hsize))
         c_prev[:] = 0.0
         for t in range(steps):
@@ -304,12 +330,16 @@ def forward(
         out = h_s if li < top else h_s[-1:]  # the dense layer reads the top's last step only
         mask = None
         if use_dropout:
+            # Each mask holds what one (T, B, H) draw per layer would give its
+            # steps; the top layer's covers the last step only, and the
+            # generator skips the values of the others.
             # random(out=) draws what uniform(size=) draws from the same stream.
-            mask = work.take(f"mask{li}", h_s.shape)
+            _skip_uniforms(gen, (steps - len(out)) * batch * hsize)
+            mask = work.take(f"mask{li}", out.shape)
             gen.random(out=mask)
             np.less(mask, keep, out=mask)
             dropped = work.take(f"dropped{li}", out.shape)
-            np.multiply(out, mask[-len(out) :], out=dropped)
+            np.multiply(out, mask, out=dropped)
             dropped /= keep
             out = dropped
         if cache is not None:
@@ -363,11 +393,14 @@ def _layer_backward(layer: LstmLayerParams, cache: ForwardCache, idx: int, dh_ou
     steps, batch, hsize = h_s.shape
     first_out = steps - len(dh_out)
     i_s, f_s, o_s, g_s = (gates[..., k * hsize : (k + 1) * hsize] for k in range(4))
-    # d(activation)/d(pre-activation): s(1 - s) for the sigmoid gates, 1 - g^2 for g.
-    dact = work.take("dact", gates.shape)
-    np.subtract(1.0, gates, out=dact)
-    dact *= gates
-    dact_g = dact[..., 3 * hsize :]
+    # d(activation)/d(pre-activation): s(1 - s) for the sigmoid gates, 1 - g^2
+    # for g. It is formed in da, which the loop multiplies step by step by
+    # d(loss)/d(activation), held in the one-step scratch d: a (T, B, 4H)
+    # array less to stream through the cache.
+    da = work.take("da", gates.shape)
+    np.subtract(1.0, gates, out=da)
+    da *= gates
+    dact_g = da[..., 3 * hsize :]
     np.square(g_s, out=dact_g)
     np.subtract(1.0, dact_g, out=dact_g)
     # d tanh(c) / dc for every step at once.
@@ -375,7 +408,7 @@ def _layer_backward(layer: LstmLayerParams, cache: ForwardCache, idx: int, dh_ou
     np.square(tanh_c, out=dtanh)
     np.subtract(1.0, dtanh, out=dtanh)
 
-    da = work.take("da", gates.shape)
+    d = work.take("step_delta", (batch, 4 * hsize))
     zero, dh_sum, dc, dc_carry, dh_carry = work.take("step_deltas", (5, batch, hsize))
     zero[:] = 0.0
     dc_carry[:] = 0.0
@@ -387,14 +420,15 @@ def _layer_backward(layer: LstmLayerParams, cache: ForwardCache, idx: int, dh_ou
         np.multiply(dh, o_s[t], out=dc)
         dc *= dtanh[t]
         dc += dc_carry
-        d = da[t]
         np.multiply(dc, g_s[t], out=d[:, :hsize])
         np.multiply(dc, c_s[t - 1] if t else zero, out=d[:, hsize : 2 * hsize])
         np.multiply(dh, tanh_c[t], out=d[:, 2 * hsize : 3 * hsize])
         np.multiply(dc, i_s[t], out=d[:, 3 * hsize :])
-        d *= dact[t]
-        np.multiply(dc, f_s[t], out=dc_carry)
-        np.matmul(d, layer.U, out=dh_carry)
+        da_t = da[t]
+        da_t *= d
+        if t:  # nothing reads the carries into the step before the first
+            np.multiply(dc, f_s[t], out=dc_carry)
+            np.matmul(da_t, layer.U, out=dh_carry)
 
     flat = da.reshape(-1, 4 * hsize)
     dW = flat.T @ inputs.reshape(steps * batch, -1)
@@ -440,7 +474,7 @@ def backward(
         dh_out = dout
         if mask is not None:
             dh_out = work.take(f"dh_out{idx}", dout.shape)
-            np.multiply(dout, mask[-len(dout) :], out=dh_out)
+            np.multiply(dout, mask, out=dh_out)
             dh_out /= keep
         dW, dU, db, dout = _layer_backward(network.lstm_layers[idx], cache, idx, dh_out, work)
         grads = [dW, dU, db] + grads

@@ -11,6 +11,7 @@ reduce to plain error minimization.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -90,7 +91,7 @@ class TrainedModel:
 
 def _sgd_epoch(
     network: Network,
-    params: list[np.ndarray],
+    flat: np.ndarray,
     state,
     data: WindowedDataset,
     spec: LossSpec,
@@ -103,13 +104,32 @@ def _sgd_epoch(
     # about 1 MB were mapped and faulted in anew whenever malloc's mmap
     # threshold lay below their size, which hung on what the process had freed.
     work = Workspace()
+    flat_grad = work.take("flat_grad", flat.shape)
     for lo in range(0, len(order), config.batch_size):
         idx = order[lo : lo + config.batch_size]
         preds, cache = forward(network, data.inputs[idx], train=True, rng=rng, work=work)
         dpreds = loss_grad_wrt_preds(preds, data.targets[idx], spec)
         grads = backward(network, cache, dpreds, weight_decay=spec.weight_decay, work=work)
         clip_global_norm(grads, MAX_GRAD_NORM)
-        adam_step(params, grads, state, config.learning_rate)
+        # Adam is elementwise: one update over all parameters at once gives
+        # each element the bits of one update per parameter array.
+        np.concatenate([g.ravel() for g in grads], out=flat_grad)
+        adam_step([flat], [flat_grad], state, config.learning_rate)
+
+
+def _flatten(network: Network) -> np.ndarray:
+    """Copy the network's parameters, in ``Network.parameters()`` order, into
+    one flat array, and rebind each to its view of that array."""
+    slots = [(layer, name) for layer in network.lstm_layers for name in ("W", "U", "b")]
+    slots += [(network.dense, "weights"), (network.dense, "biases")]
+    flat = np.concatenate([getattr(owner, name).ravel() for owner, name in slots])
+    lo = 0
+    for owner, name in slots:
+        shape = getattr(owner, name).shape
+        hi = lo + math.prod(shape)
+        setattr(owner, name, flat[lo:hi].reshape(shape))
+        lo = hi
+    return flat
 
 
 def _start(
@@ -154,16 +174,20 @@ def _train_epochs(
     ``network``: the last epoch's, or the restored epoch's, and None without
     the training pass or when ``restore_best`` kept no epoch (every
     ``val_loss`` NaN).
+
+    The network's parameter arrays are first rebound to views of one flat
+    array, which Adam and the best-weight restore work on. A warm-started
+    network's arrays are thus replaced, not written to.
     """
-    params = network.parameters()
-    state = init_adam_state(params)
+    flat = _flatten(network)
+    state = init_adam_state([flat])
     history: list[dict] = []
     best_val = np.inf
-    best_params = [p.copy() for p in params] if restore_best else None
+    best_flat = flat.copy() if restore_best else None
     kept = None
     stale = 0
     for epoch in range(1, config.epochs + 1):
-        _sgd_epoch(network, params, state, train, spec, config, rng)
+        _sgd_epoch(network, flat, state, train, spec, config, rng)
         weights = network.weight_matrices()
         record = {"epoch": epoch}
         preds = None
@@ -184,7 +208,7 @@ def _train_epochs(
             best_val = val_loss
             stale = 0
             if restore_best:
-                best_params = [p.copy() for p in params]
+                best_flat[...] = flat
                 kept = epoch_preds
         else:
             stale += 1
@@ -192,8 +216,7 @@ def _train_epochs(
         if stop:
             break
     if restore_best:
-        for p, b in zip(params, best_params):
-            p[...] = b
+        flat[...] = best_flat
     errors = None if kept is None else tuple(map(first_horizon_errors, kept, (train, val)))
     return history, spec, errors
 

@@ -1,0 +1,24 @@
+"""The summary of the pairs runner in ``bench_pairs.py``, on made-up runs."""
+import pytest
+
+from bench_pairs import summarize
+
+
+def test_summary_of_made_up_pairs():
+    parent = [1.10, 1.00, 1.30, 1.20, 1.40, 1.05, 1.25, 1.15, 1.35, 1.45]
+    change = [1.00, 1.10, 1.20, 1.00, 1.30, 1.05, 1.10, 1.10, 1.20, 1.30]
+    got = summarize(parent, change, "s")
+    # Quartiles by statistics.quantiles' default (exclusive) method: for the
+    # sorted parent runs 1.00 ... 1.45 they sit at positions 2.75 and 8.25.
+    assert got == {
+        "unit": "s",
+        "parent": {"median": 1.225, "q1": 1.0875, "q3": 1.3625, "iqr": 0.275},
+        "change": {"median": 1.1, "q1": 1.0375, "q3": 1.225, "iqr": 0.1875},
+        "change_pct": -10.2,
+        "change_lower_in_pairs": "8/10",  # pair 2 went up, pair 6 tied
+    }
+
+
+def test_summary_needs_matching_pairs():
+    with pytest.raises(ValueError):
+        summarize([1.0, 2.0], [1.0], "s")

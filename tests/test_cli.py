@@ -575,6 +575,31 @@ def evt_models(tmp_path_factory, config_doc):
     return cfg, dirs
 
 
+def test_metrics_name_the_rule_of_the_detections(tmp_path, capsys, evt_models):
+    cfg, dirs = evt_models  # the config names no rule
+    out = tmp_path / "out"
+    detections, summary = out / "detections.csv", out / "detection_summary.json"
+    evaluate = ["evaluate", "--config", cfg, "--detections", str(detections), "--output-dir", str(out)]
+    _detect_outputs(cfg, dirs[0] / "model.npz", "tukey", out)
+    assert main(evaluate) == 0
+    assert json.loads((out / "metrics.json").read_text())["rule"] == "tukey"
+
+    summary.unlink()
+    assert main(evaluate) == 0
+    assert json.loads((out / "metrics.json").read_text())["rule"] is None
+
+    (out / "metrics.json").unlink()
+    capsys.readouterr()
+    for text in ("[]", '{"rule": "median"}', "{"):
+        summary.write_text(text)
+        assert main(evaluate) == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert (err["type"], err["message"]) == (
+            "MalformedInput",
+            f"{summary} is not a JSON object whose 'rule' is one of gaussian, tukey, evt, evt-lstm")
+        assert not (out / "metrics.json").exists()
+
+
 def _copy_without(model: Path, path: Path, meta_keys, arrays=(), **meta_values) -> Path:
     """A copy of a model file without the given meta fields and arrays, and
     with ``meta_values`` set in its meta."""
@@ -920,12 +945,12 @@ DETECT_SHA256 = {
     "gaussian": (
         "23aae5d1b2752bcb8f8e52fdf995ada418e504af87c22aca6fc62dd46204c15d",
         "ef04f408698538e1be5550c72e2165f9a06b9143658d5569f96e3ac73dde860c",
-        "529ae334c75425d3abce507aa0bc33b5c692a8fd3fda2719874584c0636c8881",
+        "03257e8e1777e8f76b1e0e2a97c2f8ed67d632753bc4d892e1bdbceb676251ed",
     ),
     "tukey": (
         "b3bf24af09289cfe65f73096dcb47691570b56d21942b4a088e2030d04dbd7df",
         "5a2bc4a4ee39f7b03683444cf2bc1aac08fb51fd9e45ba61388ae5f2aaf3c8d5",
-        "646f8ad7d04ee673461dbe27127d1504262fea20f199dd9691a3ccf6b5d6cd42",
+        "2af138a5e7d8516fb8886985020855747a80baeca6e5cef8e5329dc38d6468f2",
     ),
     "evt": (
         "9a9f5b4fcfcfad9abfaf7cc1bbba83cc132d61ec9cd841a7d18e4eca940e84dc",
@@ -935,7 +960,7 @@ DETECT_SHA256 = {
     "evt-lstm": (
         "172689502d5fc151a81784a0270f11d06e96d894be0050317e75fa34a3853143",
         "184b6514f34e0312dfa8ab739b80547a7c86475c723296b45f7432de823463f4",
-        "529ae334c75425d3abce507aa0bc33b5c692a8fd3fda2719874584c0636c8881",
+        "3788bb49cbe3a9220e0dfedcf434466fe457ae05a456ef4a64db544771565cd2",
     ),
 }
 
@@ -1029,7 +1054,7 @@ TRAINED_DETECT_SHA256 = {
             0,
             "8c36891186ddcd96c19bbbc02f3330766a86cac51e42231e5d1fa2a9c9b9610e",
             "d378647295a80c805b94ee8d0f5dd0088328694d89c2245a05f939291400e883",
-            "a5ebd8c4f6c84fe813d1ba21e9cf1d85ae142696512e9441cbf9040af8734f6f",
+            "e79ff00b99b6f61b329bb16e3a2a235d00d069902bad17b78324d70dc8d2d693",
         ),
         "evt": (
             0,
@@ -1045,7 +1070,7 @@ TRAINED_DETECT_SHA256 = {
             0,
             "5d825961d286873f9be4dbf9c76b71bbadde05c8601210f6070a4e9060def0ef",
             "2d12236ac71119afa13986b04334dacf76bd20181754f17b583a91c9ba2176d5",
-            "a5ebd8c4f6c84fe813d1ba21e9cf1d85ae142696512e9441cbf9040af8734f6f",
+            "e79ff00b99b6f61b329bb16e3a2a235d00d069902bad17b78324d70dc8d2d693",
         ),
         "evt": (
             0,
@@ -1057,7 +1082,7 @@ TRAINED_DETECT_SHA256 = {
             0,
             "cd1286c341794b03bf2d93403e04dc6eb309f37e46fd0e4610f42f58f2dff54e",
             "b28c05bb970921e3bfe3c24e0eb7b66327309e09329bd783baa5625af0b48feb",
-            "a5ebd8c4f6c84fe813d1ba21e9cf1d85ae142696512e9441cbf9040af8734f6f",
+            "a559fa8fd95659fe47142a5cbf214dac2557b65fa872c24bf30a847f454b72ab",
         ),
     },
     "svdd": {
@@ -1066,7 +1091,7 @@ TRAINED_DETECT_SHA256 = {
             0,
             "780c62162419684f4a41f4d152e4bf838026f82e435b6612a652e875e6996a69",
             "15157df34cb210ca0e0a52264a8cf41fed6c83207f517568f8ee8e05932f8b4f",
-            "a5ebd8c4f6c84fe813d1ba21e9cf1d85ae142696512e9441cbf9040af8734f6f",
+            "e79ff00b99b6f61b329bb16e3a2a235d00d069902bad17b78324d70dc8d2d693",
         ),
         "evt": (
             0,
@@ -1078,7 +1103,7 @@ TRAINED_DETECT_SHA256 = {
             0,
             "bf9c3bc036d268ea8a3e65fac537150f282a5150e67d1013bee6f0e53fa470f1",
             "9762c0d28ddd822eae08313bf515ff839c17cbfcbfbf8365cb85a3fd38df2ac1",
-            "a5ebd8c4f6c84fe813d1ba21e9cf1d85ae142696512e9441cbf9040af8734f6f",
+            "a559fa8fd95659fe47142a5cbf214dac2557b65fa872c24bf30a847f454b72ab",
         ),
     },
 }

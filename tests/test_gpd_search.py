@@ -176,6 +176,13 @@ def test_bisection_step_matches_one_row_u_v(gamma, m):
         assert evt._bisect(x, *args) == reference_bisect(*args)
 
 
+def test_geomspace_matches_numpy():
+    # The grid's bounds are positive and span many decades on either side of 1.
+    bounds = 10.0 ** np.random.default_rng(12).uniform(-300, 300, size=(10_000, 2))
+    for lo, hi in bounds:
+        np.testing.assert_array_equal(evt._geomspace(lo, hi, 1001), np.geomspace(lo, hi, 1001))
+
+
 def workload_samples():
     """The three m = 1000 samples of the gpd-compliance benchmark workload
     at seed 1."""

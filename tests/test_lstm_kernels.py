@@ -53,14 +53,39 @@ def test_infer_matches_reference(hidden_sizes, batch):
 @pytest.mark.parametrize("hidden_sizes,batch", CASES)
 def test_train_step_matches_reference(hidden_sizes, batch):
     network, windows, targets = _instance(hidden_sizes, batch)
-    got, cache = forward(network, windows, train=True, rng=np.random.default_rng(5))
-    want, ref_cache = ref.forward(network, windows, train=True, rng=np.random.default_rng(5))
+    gen, ref_gen = np.random.default_rng(5), np.random.default_rng(5)
+    got, cache = forward(network, windows, train=True, rng=gen)
+    want, ref_cache = ref.forward(network, windows, train=True, rng=ref_gen)
     np.testing.assert_allclose(got, want, rtol=0, atol=OUTPUT_ATOL)
-    for mask, ref_mask in zip(cache.masks, ref_cache["masks"]):
+    # The top layer's mask covers the last step, the one the dense head
+    # reads; the generator ends where the full (T, B, H) draw left it.
+    *lower, top = ref_cache["masks"]
+    for mask, ref_mask in zip(cache.masks, lower + [top[-1:]]):
         np.testing.assert_array_equal(mask, ref_mask)
+    assert gen.bit_generator.state == ref_gen.bit_generator.state
 
     dpreds = loss_grad_wrt_preds(want, targets, LossSpec("mse"))
     _assert_grads_close(backward(network, cache, dpreds), ref.backward(network, ref_cache, dpreds))
+
+
+@pytest.mark.parametrize("bits", [lambda: np.random.PCG64(8), lambda: np.random.MT19937(5)],
+                         ids=["pcg64", "mt19937"])
+def test_skipped_draws_leave_the_stream_as_the_full_draw(bits):
+    network, windows, _ = _instance((6, 4), 16)
+    runs = []
+    for forward_pass in (forward, ref.forward):
+        gen = np.random.Generator(bits())
+        gen.permutation(101)
+        if isinstance(gen.bit_generator, np.random.PCG64):
+            # an odd count of 32-bit draws: half of a 64-bit output is pending
+            assert gen.bit_generator.state["has_uint32"] == 1
+        _, cache = forward_pass(network, windows, train=True, rng=gen)
+        runs.append((cache, gen.permutation(101)))
+    (cache, after), (ref_cache, ref_after) = runs
+    *lower, top = ref_cache["masks"]
+    for mask, ref_mask in zip(cache.masks, lower + [top[-1:]]):
+        np.testing.assert_array_equal(mask, ref_mask)
+    np.testing.assert_array_equal(after, ref_after)
 
 
 def test_single_step_windows():

@@ -6,8 +6,9 @@ import pytest
 from evtdetect import evt, network, training
 from evtdetect.data import LabeledSeries, make_windows
 from evtdetect.detectors import prediction_errors
-from evtdetect.losses import LossSpec, batch_loss
+from evtdetect.losses import LossSpec, batch_loss, loss_grad_wrt_preds
 from evtdetect.network import forward
+from evtdetect.optim import adam_step, clip_global_norm, init_adam_state
 from evtdetect.training import (
     TrainConfig,
     TrainedModel,
@@ -236,6 +237,38 @@ def test_warm_start_uses_given_network(sine_windows):
     warm = train_evt_lstm(cfg, train, val, network=copy.deepcopy(base.network))
     scratch = train_evt_lstm(cfg, train, val)
     assert warm.history != scratch.history
+
+
+def _per_array_weights(cfg, train, val):
+    """The weights of train_evt_lstm's first ``cfg.epochs`` epochs, from a
+    loop that updates each parameter array with its own adam_step."""
+    net, rng = training._start(cfg, train, val)
+    spec = LossSpec("evt", weight_decay=cfg.weight_decay, threshold=0.0)
+    params = net.parameters()
+    state = init_adam_state(params)
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(train))
+        for lo in range(0, len(order), cfg.batch_size):
+            idx = order[lo : lo + cfg.batch_size]
+            preds, cache = forward(net, train.inputs[idx], train=True, rng=rng)
+            dpreds = loss_grad_wrt_preds(preds, train.targets[idx], spec)
+            grads = network.backward(net, cache, dpreds, weight_decay=spec.weight_decay)
+            clip_global_norm(grads, training.MAX_GRAD_NORM)
+            adam_step(params, grads, state, cfg.learning_rate)
+    return params
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_flat_parameter_buffer_keeps_per_array_bits(sine_windows, seed):
+    # One threshold re-estimate, after the last epoch: every epoch trains
+    # under threshold 0.0, as the loop above does.
+    cfg = TrainConfig(hidden_sizes=(6, 4), epochs=3, threshold_update_period=3, batch_size=32,
+                      learning_rate=5e-3, dropout_rate=0.2, weight_decay=1e-3, seed=seed)
+    model = train_evt_lstm(cfg, *sine_windows)
+    assert len(model.history) == 3
+    want = _per_array_weights(cfg, *sine_windows)
+    for got, ref in zip(model.network.parameters(), want, strict=True):
+        np.testing.assert_array_equal(got, ref)
 
 
 class TestDecisionScores:
