@@ -23,6 +23,7 @@ import argparse
 import io
 import json
 import resource
+import signal
 import statistics
 import subprocess
 import sys
@@ -46,8 +47,7 @@ def git(*args: str) -> str:
 def benchmark_differs(parent: str) -> str | None:
     """What differs between the parent's benchmark and the working tree's,
     or None when they are the same."""
-    changed = subprocess.run(["git", "diff", "--name-only", parent, "--", *BENCH_FILES], cwd=ROOT,
-                             capture_output=True, text=True, check=True, timeout=60).stdout.split()
+    changed = git("diff", "--name-only", parent, "--", *BENCH_FILES).split()
     changed += git("ls-files", "--others", "--exclude-standard", "--", *BENCH_FILES).split()
     return ", ".join(changed) or None
 
@@ -148,6 +148,9 @@ def main(argv=None) -> int:
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
 
+    # SIGTERM unwinds like an error: subprocess.run kills the running bench
+    # process and the parent's export is removed.
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit("terminated"))
     differs = benchmark_differs(args.parent)
     if differs:
         sys.exit(f"the benchmark differs from {args.parent}'s ({differs}); both sides must run the same one")

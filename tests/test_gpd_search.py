@@ -197,7 +197,8 @@ def test_search_work_per_fit(monkeypatch):
     about 40 rows. Without the sign certificates every grid row, 1,310 to
     1,343, is one; with the series alone, 445 to 493 are; with monotone
     brackets on the positive side, 104 to 174 were; with the convexity
-    bounds, 54 to 70, of which about 35 lie next to -1/x_max."""
+    bounds, 54 to 70, of which about 35 lie next to -1/x_max; 52 to 68 since
+    the candidates' v is computed in place, outside _u_v."""
     rows, brackets = [0], [0]
     u_v, bisect = evt._u_v, evt._bisect
 
