@@ -210,8 +210,8 @@ def _u_v(theta: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, v
 
 
-def _w_at(theta: float, x: np.ndarray, s: np.ndarray, r: np.ndarray) -> float:
-    # u * v - 1 at one theta, bit for bit as a one-row _u_v gives it: the same
+def _u_v_at(theta: float, x: np.ndarray, s: np.ndarray, r: np.ndarray) -> tuple[float, float]:
+    # u and v at one theta, bit for bit as a one-row _u_v gives them: the same
     # multiply, add, divide and log, done in place in the length-m buffers s
     # and r, and the same pairwise sums divided by the count, as mean() does.
     # It costs about a third of a one-row _u_v call, whose time is overhead.
@@ -219,6 +219,11 @@ def _w_at(theta: float, x: np.ndarray, s: np.ndarray, r: np.ndarray) -> float:
     s += 1.0
     u = np.add.reduce(np.divide(1.0, s, out=r)) / x.size
     v = 1.0 + np.add.reduce(np.log(s, out=s)) / x.size
+    return u, v
+
+
+def _w_at(theta: float, x: np.ndarray, s: np.ndarray, r: np.ndarray) -> float:
+    u, v = _u_v_at(theta, x, s, r)
     return float(u * v - 1.0)
 
 
@@ -552,12 +557,9 @@ def _mle(x: np.ndarray) -> tuple[float, float]:
 
     # theta = 0 solves u*v = 1 identically; it enters as the exponential candidate.
     candidates: list[tuple[float, float]] = [(0.0, x_mean)]
-    s = np.empty_like(x)
+    s, r = np.empty_like(x), np.empty_like(x)
     for theta in roots:
-        # v in place, bit for bit as a one-row _u_v gives it (see _w_at)
-        np.multiply(x, theta, out=s)
-        s += 1.0
-        gamma = float((1.0 + np.add.reduce(np.log(s, out=s)) / x.size) - 1.0)
+        gamma = float(_u_v_at(theta, x, s, r)[1] - 1.0)
         sigma = gamma / theta
         if sigma > 0 and gamma >= GAMMA_FLOOR:
             candidates.append((gamma, sigma))

@@ -100,6 +100,19 @@ class Network:
             params += layer.parameters()
         return params + self.dense.parameters()
 
+    def flatten(self) -> np.ndarray:
+        """Copy the parameters, in ``parameters()`` order, into one flat
+        array, rebind each to its view of that array, and return the array.
+        The network's arrays are replaced, not written to."""
+        params = self.parameters()
+        flat = np.concatenate([p.ravel() for p in params])
+        ends = np.cumsum([0] + [p.size for p in params])
+        views = [flat[lo:hi].reshape(p.shape) for p, lo, hi in zip(params, ends, ends[1:])]
+        for k, layer in enumerate(self.lstm_layers):
+            layer.W, layer.U, layer.b = views[3 * k : 3 * k + 3]
+        self.dense.weights, self.dense.biases = views[-2:]
+        return flat
+
     def weight_matrices(self) -> list[np.ndarray]:
         mats: list[np.ndarray] = []
         for layer in self.lstm_layers:

@@ -11,7 +11,6 @@ reduce to plain error minimization.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -117,21 +116,6 @@ def _sgd_epoch(
         adam_step([flat], [flat_grad], state, config.learning_rate)
 
 
-def _flatten(network: Network) -> np.ndarray:
-    """Copy the network's parameters, in ``Network.parameters()`` order, into
-    one flat array, and rebind each to its view of that array."""
-    slots = [(layer, name) for layer in network.lstm_layers for name in ("W", "U", "b")]
-    slots += [(network.dense, "weights"), (network.dense, "biases")]
-    flat = np.concatenate([getattr(owner, name).ravel() for owner, name in slots])
-    lo = 0
-    for owner, name in slots:
-        shape = getattr(owner, name).shape
-        hi = lo + math.prod(shape)
-        setattr(owner, name, flat[lo:hi].reshape(shape))
-        lo = hi
-    return flat
-
-
 def _start(
     config: TrainConfig, train: WindowedDataset, val: WindowedDataset, network: Network | None = None
 ) -> tuple[Network, np.random.Generator]:
@@ -179,7 +163,7 @@ def _train_epochs(
     array, which Adam and the best-weight restore work on. A warm-started
     network's arrays are thus replaced, not written to.
     """
-    flat = _flatten(network)
+    flat = network.flatten()
     state = init_adam_state([flat])
     history: list[dict] = []
     best_val = np.inf

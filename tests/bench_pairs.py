@@ -5,12 +5,12 @@
 Run from the repository root. The parent commit is exported with
 ``git archive`` into a temporary directory, so the repository's branches,
 index and working tree are left alone. ``bench/run.py`` then runs there and
-in the working tree in turn, the parent first in odd pairs, at one seed
-(the held-out 104729 unless ``--seed`` says otherwise). Each run's CPU time
+in the working tree in turn, the parent first in odd pairs, for 30 s each
+at the held-out seed 104729. Each run's CPU time
 (user + system) and minor faults are read with ``getrusage(RUSAGE_CHILDREN)``
 around it, so they cover the whole bench process and its import probes.
 
-The record goes to ``BENCH_<workload>.json`` (or ``--out``) in the layout of
+The record goes to ``BENCH_<workload>.json`` in the layout of
 the checked-in records: each side's runs, the median and quartiles of each
 end-to-end metric, the pairs the change won, and the process CPU per
 elapsed second. The script refuses to run when ``bench/`` or
@@ -35,6 +35,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 BENCH_FILES = ("bench", "BENCHMARK.json")
 HELD_OUT_SEED = 104729
+SECONDS = 30
 # BENCHMARK.json's end-to-end metrics, each better when lower.
 METRICS = ("wall_s", "setup_s", "peak_rss_mb")
 
@@ -59,14 +60,14 @@ def export(parent: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+def run_once(tree: Path, workload: str) -> tuple[dict, dict]:
     """One ``bench/run.py`` run in ``tree``: its result object, and its CPU
     seconds, elapsed seconds and minor faults."""
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     began = time.perf_counter()
     done = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(HELD_OUT_SEED),
+         "--seconds", str(SECONDS), "--trace", "0"],
         cwd=tree, capture_output=True, text=True, check=True,
     )
     elapsed = time.perf_counter() - began
@@ -101,7 +102,7 @@ def summarize(parent: list[float], change: list[float], unit: str) -> dict:
     }
 
 
-def record(workload: str, seed: int, seconds: float, commits: dict, runs: dict, usage: dict) -> dict:
+def record(workload: str, commits: dict, runs: dict, usage: dict) -> dict:
     """The BENCH_<workload>.json record of finished pairs: ``runs[side]`` and
     ``usage[side]`` map each pair's number to its result and its usage."""
     first = runs["parent"]["1"]["environment"]
@@ -112,8 +113,9 @@ def record(workload: str, seed: int, seconds: float, commits: dict, runs: dict, 
         summary[name] = summarize(values["parent"], values["change"], unit)
     return {
         "workload": workload,
-        "command": f"python3 bench/run.py --workload {workload} --seed {seed} --seconds {seconds:g} --trace 0",
-        "pairs": f"{len(runs['parent'])} pairs on seed {seed}, parent and change alternating which runs "
+        "command": f"python3 bench/run.py --workload {workload} --seed {HELD_OUT_SEED} --seconds {SECONDS} "
+                   "--trace 0",
+        "pairs": f"{len(runs['parent'])} pairs on seed {HELD_OUT_SEED}, parent and change alternating which runs "
                  "first (parent first in odd pairs)",
         "environment": {key: first[key] for key in
                         ("blas", "blas_threads", "held_out_seed", "nproc", "numpy", "python")},
@@ -141,9 +143,6 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, help="git ref of the parent commit")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--seed", type=int, default=HELD_OUT_SEED)
-    parser.add_argument("--out", type=Path, help="record path (default BENCH_<workload>.json)")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
@@ -163,13 +162,12 @@ def main(argv=None) -> int:
         for pair in range(1, args.pairs + 1):
             order = ("parent", "change") if pair % 2 else ("change", "parent")
             for side in order:
-                result, used = run_once(trees[side], args.workload, args.seed, args.seconds)
+                result, used = run_once(trees[side], args.workload)
                 runs[side][str(pair)], usage[side][str(pair)] = result, used
                 wall = result["metrics"]["wall_s"]["value"]
                 print(f"pair {pair} {side:<6} wall_s {wall:.6f} cpu_s {used['cpu_s']:.3f}", flush=True)
-    out = args.out or ROOT / f"BENCH_{args.workload}.json"
-    doc = record(args.workload, args.seed, args.seconds, commits, runs, usage)
-    out.write_text(json.dumps(doc, indent=1) + "\n")
+    doc = record(args.workload, commits, runs, usage)
+    (ROOT / f"BENCH_{args.workload}.json").write_text(json.dumps(doc, indent=1) + "\n")
     for name, row in doc["summary"].items():
         print(f"{name}: {row['parent']['median']} -> {row['change']['median']} ({row['change_pct']:+.1f}%), "
               f"lower in {row['change_lower_in_pairs']}, parent IQR {row['parent']['iqr']}")
