@@ -34,7 +34,7 @@ from .evaluation import (
     confusion,
     format_report,
 )
-from .network import UnsupportedModelFormat, load_network, save_network
+from .network import ERROR_ARRAYS, UnsupportedModelFormat, load_network, save_network
 from .presets import preset
 from .training import (
     TrainConfig,
@@ -167,35 +167,45 @@ def _prepared_splits(config: RunConfig):
     return (series, *prepare(series, p.split, p.look_back, p.look_ahead))
 
 
-def _errors_key(train: WindowedDataset, val: WindowedDataset) -> str:
-    """sha256 over the shape and bytes of each training and validation
-    window's inputs and targets."""
+def _errors_key(windows: tuple[WindowedDataset, ...]) -> str:
+    """sha256 over the shape and bytes of every window's inputs and targets,
+    split by split."""
     import hashlib  # here, not at module import, where it adds about 4 ms to every command
 
     digest = hashlib.sha256()
-    for array in (train.inputs, train.targets, val.inputs, val.targets):
-        digest.update(repr(array.shape).encode())
-        digest.update(np.ascontiguousarray(array))
+    for w in windows:
+        for array in (w.inputs, w.targets):
+            digest.update(repr(array.shape).encode())
+            digest.update(np.ascontiguousarray(array))
     return digest.hexdigest()
 
 
-def _calibration_errors(network, saved, train: WindowedDataset,
-                        val: WindowedDataset) -> tuple[np.ndarray, ...]:
-    """The network's errors on the training and validation windows: those
-    ``saved`` in its model file when their key matches these windows,
-    otherwise predicted. Raises UnsupportedModelFormat for a saved array
-    that is not one non-negative float64 per window."""
-    if saved is None or saved[0] != _errors_key(train, val):
-        return tuple(prediction_errors(network, w) for w in (train, val))
-    for name, e, w in zip(("train_errors", "val_errors"), saved[1:], (train, val)):
-        if e.dtype != np.float64 or e.shape != (len(w),) or not np.all(e >= 0):  # NaN fails
+def _stored_errors(network, saved, windows: tuple[WindowedDataset, ...]) -> tuple[np.ndarray, ...] | None:
+    """The ``network``'s errors on the (train, validation, test) ``windows``
+    that its model file ``saved``, or None when the file holds none or their
+    key does not match these windows. Raises UnsupportedModelFormat for a
+    saved array that is not one finite, non-negative float64 per window, or
+    whose first error is not the network's: the key covers the windows, not
+    the weights, so the first window of each split is predicted again, in
+    one forward pass, and compared."""
+    if saved is None or saved[0] != _errors_key(windows):
+        return None
+    for name, e, w in zip(ERROR_ARRAYS, saved[1:], windows):
+        if e.dtype != np.float64 or e.shape != (len(w),) or not np.all(np.isfinite(e) & (e >= 0)):
             raise UnsupportedModelFormat(
-                f"model file's {name!r} is not one non-negative float64 per window")
+                f"model file's {name!r} is not one finite, non-negative float64 per window")
+    firsts = WindowedDataset(*(np.concatenate([getattr(w, part)[:1] for w in windows])
+                               for part in ("inputs", "targets", "target_indices")))
+    stored = np.concatenate([e[:1] for e in saved[1:]])
+    # not bit for bit: a 3-window pass may round apart from train's batches
+    if not np.allclose(prediction_errors(network, firsts), stored, rtol=1e-9, atol=1e-12):
+        raise UnsupportedModelFormat("model file's stored errors are not its network's")
     return saved[1:]
 
 
 def cmd_train(config: RunConfig) -> int:
-    _, (train_w, val_w, _), _, _ = _prepared_splits(config)
+    _, windows, _, _ = _prepared_splits(config)
+    train_w, val_w, test_w = windows
     trainers = {"mse": train_forecaster, "evt": train_evt_lstm, "svdd": train_svdd}
     train = config.pipeline.train
     start = time.perf_counter()
@@ -205,8 +215,8 @@ def cmd_train(config: RunConfig) -> int:
 
     out = Path(config.output_dir)
     errors = None
-    if model.errors is not None:  # so that ``detect`` predicts only the test split
-        errors = (_errors_key(train_w, val_w), *model.errors)
+    if model.errors is not None:  # so that ``detect`` on these windows predicts only a check
+        errors = (_errors_key(windows), *model.errors, prediction_errors(model.network, test_w))
     save_network(out / "model.npz", model.network, model.spec.threshold, config.pipeline.look_back, errors)
     manifest = run_manifest(model, train, wall_clock_seconds=round(seconds, 3))
     manifest["objective"] = config.objective
@@ -232,12 +242,15 @@ def cmd_detect(config: RunConfig, model_path: str) -> int:
     _require_geometry(config.pipeline, look_back, network.output_size)
     if config.rule == "evt-lstm" and threshold is None:
         raise ConfigError("model file has no detection threshold (evt or svdd objective)")
-    test_errs = prediction_errors(network, windows[2])
+    errs = _stored_errors(network, saved, windows)
     if config.rule == "evt-lstm":  # the model file carries its own detection threshold
+        test_errs = prediction_errors(network, windows[2]) if errs is None else errs[2]
         det = threshold_decisions(test_errs, threshold)
         params = {"threshold": threshold}
     else:
-        errs = (*_calibration_errors(network, saved, windows[0], windows[1]), test_errs)
+        if errs is None:
+            errs = tuple(prediction_errors(network, w) for w in windows)
+        test_errs = errs[2]
         p = config.pipeline
         try:
             det, params = calibrate(config.rule, errs, labels, p.risk_grid, p.train.init_quantile)

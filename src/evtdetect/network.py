@@ -22,7 +22,9 @@ import numpy as np
 from .checks import EvtdetectError, finite_number
 from .data import atomic_write_bytes
 
-SERIAL_FORMAT_VERSION = 3
+SERIAL_FORMAT_VERSION = 4
+# A model file's stored errors: one array per split, in split order.
+ERROR_ARRAYS = ("train_errors", "val_errors", "test_errors")
 
 
 class UnsupportedModelFormat(EvtdetectError):
@@ -501,11 +503,11 @@ def backward(
 
 
 def save_network(path, network: Network, threshold: float | None, look_back: int,
-                 errors: tuple[str, np.ndarray, np.ndarray] | None = None) -> None:
+                 errors: tuple[str, np.ndarray, np.ndarray, np.ndarray] | None = None) -> None:
     """Serialize a network, its detection threshold (None for a model that
     has none), the window length it was trained on, and optionally
-    ``errors``: a key with the network's errors on the training and
-    validation windows, to .npz, written atomically.
+    ``errors``: a key with the network's errors on the training, validation
+    and test windows, to .npz, written atomically.
 
     The format is versioned and round-trips bit-exactly; all matrices are
     stored row-major.
@@ -526,7 +528,7 @@ def save_network(path, network: Network, threshold: float | None, look_back: int
     arrays["dense_weights"] = np.ascontiguousarray(network.dense.weights)
     arrays["dense_biases"] = np.ascontiguousarray(network.dense.biases)
     if errors is not None:
-        arrays["train_errors"], arrays["val_errors"] = errors[1:]
+        arrays.update(zip(ERROR_ARRAYS, errors[1:]))
     arrays["meta"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
     buf = io.BytesIO()
     np.savez(buf, **arrays)
@@ -599,7 +601,7 @@ def load_network(path):
         except ValueError as exc:  # the dropout rate's range; the arrays' shapes are checked above
             raise UnsupportedModelFormat(f"model file's network is not valid: {exc}") from None
         key = meta["errors_key"]
-        errors = None if key is None else (key, arrays["train_errors"], arrays["val_errors"])
+        errors = None if key is None else (key, *(arrays[name] for name in ERROR_ARRAYS))
         return network, meta["threshold"], meta["look_back"], errors
     except KeyError as exc:
         raise UnsupportedModelFormat(f"model file has no {exc.args[0]!r}") from None

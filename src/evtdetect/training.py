@@ -231,16 +231,21 @@ def _update_threshold(
     """Re-estimate the detection threshold from the current training errors.
 
     Falls back to the previous threshold when there are too few excesses or
-    the tail fit cannot accommodate the requested risk.
+    the tail fit cannot accommodate the requested risk, and records which as
+    the ``reason``: ``too_few_excesses`` or ``risk_too_high``.
     """
     try:
         fit = evt.fit_tail(errors, config.init_quantile)
         threshold = evt.pot_threshold(fit, config.risk)
-    except (evt.TooFewExcesses, evt.RiskTooHigh):
-        initial = evt.initial_threshold(errors, config.init_quantile)
-        return previous, {"initial_threshold": initial, "retained_previous": True}
-    return threshold, {"initial_threshold": fit.threshold, "gamma": fit.gamma, "sigma": fit.sigma,
-                       "peak_count": fit.peak_count}
+    except evt.TooFewExcesses:
+        reason = "too_few_excesses"
+    except evt.RiskTooHigh:
+        reason = "risk_too_high"
+    else:
+        return threshold, {"initial_threshold": fit.threshold, "gamma": fit.gamma, "sigma": fit.sigma,
+                           "peak_count": fit.peak_count}
+    initial = evt.initial_threshold(errors, config.init_quantile)
+    return previous, {"initial_threshold": initial, "reason": reason, "retained_previous": True}
 
 
 def train_evt_lstm(
@@ -329,10 +334,12 @@ def require_threshold_estimate(model: TrainedModel, config: TrainConfig, train_s
         return
     updates = [r["threshold_update"] for r in model.history if "threshold_update" in r]
     if all(u.get("retained_previous") for u in updates):
+        reasons = [u["reason"] for u in updates]
         raise NoThresholdEstimate(
             f"none of {len(updates)} threshold re-estimates in {len(model.history)} epochs "
-            f"succeeded (too few excesses above the {config.init_quantile} quantile of "
-            f"{train_size} training errors, or risk too high)"
+            f"succeeded ({reasons.count('too_few_excesses')} with too few excesses above the "
+            f"{config.init_quantile} quantile of {train_size} training errors, "
+            f"{reasons.count('risk_too_high')} with the risk too high for the fitted tail)"
         )
 
 

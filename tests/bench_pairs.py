@@ -36,6 +36,7 @@ ROOT = Path(__file__).resolve().parent.parent
 BENCH_FILES = ("bench", "BENCHMARK.json")
 HELD_OUT_SEED = 104729
 SECONDS = 30
+STDERR_LINES = 20  # of a failed run, in the report that stops the script
 # BENCHMARK.json's end-to-end metrics, each better when lower.
 METRICS = ("wall_s", "setup_s", "peak_rss_mb")
 
@@ -60,16 +61,22 @@ def export(parent: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
-def run_once(tree: Path, workload: str) -> tuple[dict, dict]:
+def run_once(tree: Path, workload: str, label: str) -> tuple[dict, dict]:
     """One ``bench/run.py`` run in ``tree``: its result object, and its CPU
-    seconds, elapsed seconds and minor faults."""
+    seconds, elapsed seconds and minor faults. A run that exits non-zero
+    stops the script with ``label`` (the pair and side), the exit code and
+    the last lines of the run's stderr."""
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     began = time.perf_counter()
     done = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(HELD_OUT_SEED),
          "--seconds", str(SECONDS), "--trace", "0"],
-        cwd=tree, capture_output=True, text=True, check=True,
+        cwd=tree, capture_output=True, text=True,
     )
+    if done.returncode != 0:
+        tail = "\n".join(done.stderr.splitlines()[-STDERR_LINES:])
+        sys.exit(f"{label}: bench/run.py exited with {done.returncode}; the last {STDERR_LINES} lines "
+                 f"of its stderr:\n{tail}")
     elapsed = time.perf_counter() - began
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
     cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
@@ -162,7 +169,7 @@ def main(argv=None) -> int:
         for pair in range(1, args.pairs + 1):
             order = ("parent", "change") if pair % 2 else ("change", "parent")
             for side in order:
-                result, used = run_once(trees[side], args.workload)
+                result, used = run_once(trees[side], args.workload, f"pair {pair} {side}")
                 runs[side][str(pair)], usage[side][str(pair)] = result, used
                 wall = result["metrics"]["wall_s"]["value"]
                 print(f"pair {pair} {side:<6} wall_s {wall:.6f} cpu_s {used['cpu_s']:.3f}", flush=True)

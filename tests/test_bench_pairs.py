@@ -1,7 +1,8 @@
-"""The summary of the pairs runner in ``bench_pairs.py``, on made-up runs."""
+"""The pairs runner in ``bench_pairs.py``: its summary, on made-up runs, and
+its report of a run that fails, on a stub tree."""
 import pytest
 
-from bench_pairs import summarize
+from bench_pairs import run_once, summarize
 
 
 def test_summary_of_made_up_pairs():
@@ -22,3 +23,17 @@ def test_summary_of_made_up_pairs():
 def test_summary_needs_matching_pairs():
     with pytest.raises(ValueError):
         summarize([1.0, 2.0], [1.0], "s")
+
+
+def test_failed_run_stops_with_its_pair_side_exit_code_and_stderr_tail(tmp_path):
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text(
+        "import sys\n"
+        "for i in range(1, 31):\n"
+        "    print(f'stderr line {i}', file=sys.stderr)\n"
+        "sys.exit(3)\n")
+    with pytest.raises(SystemExit) as stopped:
+        run_once(tmp_path, "cli-detect", "pair 2 change")
+    lines = str(stopped.value.code).splitlines()
+    assert lines[0] == "pair 2 change: bench/run.py exited with 3; the last 20 lines of its stderr:"
+    assert lines[1:] == [f"stderr line {i}" for i in range(11, 31)]

@@ -15,7 +15,7 @@ from evtdetect import cli
 from evtdetect.cli import load_config, main, parse_config
 from evtdetect.data import SplitSpec, load_series, prepare
 from evtdetect.detectors import prediction_errors
-from evtdetect.network import SERIAL_FORMAT_VERSION, init_network, load_network, save_network
+from evtdetect.network import ERROR_ARRAYS, SERIAL_FORMAT_VERSION, init_network, load_network, save_network
 from evtdetect.synthetic import make_spike_series, write_csv
 from infer_counting import count_infer_windows
 
@@ -616,9 +616,9 @@ def _copy_without(model: Path, path: Path, meta_keys, arrays=(), **meta_values) 
 
 
 def _without_errors(model: Path, path: Path) -> Path:
-    """A copy of a model file without its calibration errors, as
+    """A copy of a model file without its stored errors, as
     ``save_network`` writes it when given none."""
-    return _copy_without(model, path, [], ["train_errors", "val_errors"], errors_key=None)
+    return _copy_without(model, path, [], ERROR_ARRAYS, errors_key=None)
 
 
 def _sidecar(model: Path, cfg: str) -> bytes:
@@ -645,16 +645,20 @@ def _as_trained(tmp_path, cfg, dirs):
     return cfg, dirs[0] / "model.npz", None
 
 
-def _dataset_byte(tmp_path, cfg, dirs):
-    doc = json.loads(Path(cfg).read_text())
-    lines = Path(doc["dataset"]["path"]).read_text().splitlines()
-    ts, value, label = lines[100].split(",")  # a training point
-    d = value.index(".") + 1  # its first decimal, so that the float changes
-    lines[100] = ",".join([ts, value[:d] + str((int(value[d]) + 1) % 10) + value[d + 1:], label])
-    changed = tmp_path / "changed.csv"
-    changed.write_text("\n".join(lines) + "\n")
-    doc["dataset"]["path"] = str(changed)
-    return write_config(tmp_path, doc), dirs[0] / "model.npz", None
+def _dataset_byte(line):
+    """A case whose dataset is the trained one with one digit of the value
+    on CSV line ``line`` changed."""
+    def case(tmp_path, cfg, dirs):
+        doc = json.loads(Path(cfg).read_text())
+        lines = Path(doc["dataset"]["path"]).read_text().splitlines()
+        ts, value, label = lines[line].split(",")
+        d = value.index(".") + 1  # its first decimal, so that the float changes
+        lines[line] = ",".join([ts, value[:d] + str((int(value[d]) + 1) % 10) + value[d + 1:], label])
+        changed = tmp_path / "changed.csv"
+        changed.write_text("\n".join(lines) + "\n")
+        doc["dataset"]["path"] = str(changed)
+        return write_config(tmp_path, doc), dirs[0] / "model.npz", None
+    return case
 
 
 def _saved_without_errors(tmp_path, cfg, dirs):
@@ -695,16 +699,19 @@ def _missing_array(tmp_path, cfg, dirs):
 
 
 class TestErrorsFile:
-    """``train`` stores the model's errors on the training and validation
-    windows in model.npz, keyed to those windows. ``detect`` uses them when
-    the key matches the windows it built, and predicts them otherwise; either
-    way its outputs are the same bytes. An errors.npz next to the model, as
-    ``train`` once wrote, is never read."""
+    """``train`` stores the model's errors on the training, validation and
+    test windows in model.npz, keyed to those windows. ``detect`` uses them
+    when the key matches the windows it built, and predicts what its rule
+    reads otherwise; either way its outputs are the same bytes. An errors.npz
+    next to the model, as ``train`` once wrote, is never read."""
 
     @pytest.mark.parametrize("rule", ["gaussian", "tukey", "evt", "evt-lstm"])
     @pytest.mark.parametrize("case, hit", [
         (_as_trained, True),
-        (_dataset_byte, False),
+        # CSV lines 101 and 1751 hold points 100 and 1750 of the 1,800: the
+        # test split starts at point 1,620
+        (_dataset_byte(101), False),
+        (_dataset_byte(1751), False),
         (_saved_without_errors, False),
         (_beside_an_older_model, False),
         (_stray(_other_seed), True),
@@ -713,8 +720,8 @@ class TestErrorsFile:
         (_stray(lambda tmp_path, cfg, dirs: b"not an npz file"), True),
         (_stray(_npy), True),
         (_stray(_missing_array), True),
-    ], ids=["present", "dataset-byte", "without-errors", "beside-an-older-model", "other-seed",
-            "truncated", "empty", "garbage", "npy", "missing-array"])
+    ], ids=["present", "dataset-byte", "dataset-byte-test", "without-errors", "beside-an-older-model",
+            "other-seed", "truncated", "empty", "garbage", "npy", "missing-array"])
     def test_outputs_do_not_depend_on_the_file(self, tmp_path, monkeypatch, evt_models, rule, case, hit):
         cfg, dirs = evt_models
         cfg, model, errors_bytes = case(tmp_path, cfg, dirs)
@@ -732,10 +739,14 @@ class TestErrorsFile:
         assert _detect_outputs(cfg, run / "model.npz", rule, run / "out") == expected
 
         scored = json.loads(expected[1])["points_scored"]
-        if hit or rule == "evt-lstm":
-            assert sum(counted) == scored  # only the test windows
+        if rule == "evt-lstm":
+            assert forwarded_on_miss == scored  # only the test windows
         else:
-            assert sum(counted) == forwarded_on_miss > scored
+            assert forwarded_on_miss > scored
+        if hit:  # the first window of each split, in one pass, checks the stored errors
+            assert counted == [3]
+        else:
+            assert sum(counted) == forwarded_on_miss
         if errors_bytes is not None:
             assert (run / "errors.npz").read_bytes() == errors_bytes
 
@@ -755,21 +766,43 @@ class TestErrorsFile:
                                   f"the config has {wanted}")
         assert not out.exists()
 
+    @pytest.mark.parametrize("array", ERROR_ARRAYS)
     @pytest.mark.parametrize("damage", [lambda e: e[:-1], lambda e: np.concatenate([[-1.0], e[1:]]),
-                                        lambda e: np.concatenate([[np.nan], e[1:]])],
-                             ids=["one-short", "negative", "nan"])
-    def test_damaged_saved_errors_exit_1_without_output(self, tmp_path, capsys, evt_models, damage):
+                                        lambda e: np.concatenate([[np.nan], e[1:]]),
+                                        lambda e: np.concatenate([[np.inf], e[1:]])],
+                             ids=["one-short", "negative", "nan", "inf"])
+    def test_damaged_saved_errors_exit_1_without_output(self, tmp_path, capsys, evt_models, damage, array):
         """Saved errors whose key matches the windows but that are not one
-        absolute error per window stop ``detect``."""
+        finite absolute error per window stop ``detect``."""
         cfg, dirs = evt_models
         with np.load(dirs[0] / "model.npz") as saved:
             arrays = {name: saved[name] for name in saved.files}
-        arrays["val_errors"] = damage(arrays["val_errors"])
+        arrays[array] = damage(arrays[array])
         np.savez(tmp_path / "model.npz", **arrays)
         out = tmp_path / "out"
         assert main(["detect", "--config", cfg, "--model", str(tmp_path / "model.npz"), "--rule", "tukey",
                      "--output-dir", str(out)]) == 1
-        assert json.loads(capsys.readouterr().err)["error"]["kind"] == "runtime"
+        assert json.loads(capsys.readouterr().err)["error"] == {
+            "kind": "runtime", "type": "UnsupportedModelFormat",
+            "message": f"model file's {array!r} is not one finite, non-negative float64 per window"}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("array", ERROR_ARRAYS)
+    def test_saved_errors_of_another_network_exit_1_without_output(self, tmp_path, capsys, evt_models,
+                                                                   array):
+        """Saved errors whose key matches the windows and that are valid
+        errors, but not the network's, stop ``detect``."""
+        cfg, dirs = evt_models
+        with np.load(dirs[0] / "model.npz") as saved:
+            arrays = {name: saved[name] for name in saved.files}
+        arrays[array] = 2.0 * arrays[array]
+        np.savez(tmp_path / "model.npz", **arrays)
+        out = tmp_path / "out"
+        assert main(["detect", "--config", cfg, "--model", str(tmp_path / "model.npz"), "--rule", "tukey",
+                     "--output-dir", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == {
+            "kind": "runtime", "type": "UnsupportedModelFormat",
+            "message": "model file's stored errors are not its network's"}
         assert not out.exists()
 
     @pytest.mark.parametrize("objective, training", [
@@ -795,6 +828,7 @@ class TestErrorsFile:
                                 p.split, p.look_back, p.look_ahead)
         assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "model.npz"]
         network, _, _, saved = load_network(out / "model.npz")
+        assert len(saved[1:]) == len(windows) == 3
         for errors, w in zip(saved[1:], windows):
             assert errors.tobytes() == prediction_errors(network, w).tobytes()
 
@@ -875,6 +909,8 @@ class TestUnreadableModelFile:
          "model file has no 'dense_biases'"),
         (lambda tmp_path, model: _copy_without(model, tmp_path / "m.npz", [], ["train_errors"]),
          "model file has no 'train_errors'"),
+        (lambda tmp_path, model: _copy_without(model, tmp_path / "m.npz", [], ["test_errors"]),
+         "model file has no 'test_errors'"),
         (lambda tmp_path, model: _copy_without(model, tmp_path / "m.npz", ["errors_key"]),
          "model file has no 'errors_key'"),
         (_bytes_of("model.npz", lambda model: model.read_bytes()[: model.stat().st_size // 2]), _NOT_AN_ARCHIVE),
@@ -903,6 +939,10 @@ class TestUnreadableModelFile:
         (_edited_meta(lambda meta: {**meta, "threshold": {"kind": "evt"}}),
          "model file's 'threshold' is not null or a finite number: {{'kind': 'evt'}}"),
         (_edited_meta(_as_format_2), "unsupported model format version 2"),
+        # format 3 stored no test-split errors
+        (lambda tmp_path, model: _copy_without(model, tmp_path / "m.npz", [], ["test_errors"],
+                                               format_version=3),
+         "unsupported model format version 3"),
         # hidden size 8: each layer0 array stacks 4 * 8 gate rows
         (_edited_array("layer0_W", np.ravel),
          "model file's 'layer0_W' is not a float64 array of shape (32, 1): float64 (32,)"),
@@ -921,11 +961,12 @@ class TestUnreadableModelFile:
          "model file's 'output_size' is not a whole number >= 1: '1'"),
         (_edited_meta(lambda meta: {**meta, "dropout_rate": 1.5}),
          "model file's network is not valid: dropout_rate must lie in [0, 1)"),
-    ], ids=["meta-only-version", "no-meta", "no-meta-field", "no-array", "no-errors-array", "no-errors-key",
+    ], ids=["meta-only-version", "no-meta", "no-meta-field", "no-array", "no-errors-array",
+            "no-test-errors-array", "no-errors-key",
             "truncated", "npy", "text", "empty", "meta-not-an-object", "hidden-sizes-type",
             "no-hidden-sizes", "dropout-rate-type", "look-back-type", "errors-key-type",
             "look-back-null", "threshold-string", "threshold-nan", "threshold-bool", "threshold-object",
-            "format-2", "vector-w", "vector-dense-weights", "string-w", "eight-row-u",
+            "format-2", "format-3", "vector-w", "vector-dense-weights", "string-w", "eight-row-u",
             "two-feature-w", "float-meta", "non-utf8-meta", "output-size-type", "dropout-rate-range"])
     def test_exits_1_without_output(self, tmp_path, capsys, evt_models, case, message):
         cfg, dirs = evt_models
@@ -992,15 +1033,15 @@ def test_detect_and_evaluate_outputs_keep_their_bytes(tmp_path, config_doc):
 # out) that ``train`` writes for each objective on the tiny run below.
 TRAIN_SHA256 = {
     "mse": (
-        "2ee798d081580af39aca9ce7dc5cf0bb156aae2cee65c4024d685cb173566b32",
+        "7b607b3d88e72bf0e486c24889d1e0faaf44e2fc7a5a60b7e5d9a87f365d2811",
         "2976e2ab4e6467ae57940b921188179eb4b00ce0fbff3b9806e4d1b7bd480ba4",
     ),
     "evt": (
-        "59508df9f77e2128a53254483e49f1578acbe0e723698aba88b79c33c81adb8e",
+        "68129bc7bd4ec43efb1ed382e4085ed29e58c09d5881df0908dfaccfd9df1aa7",
         "7a843e78943dadd00c51b656f220b549ca426aa34faa65195b5382de078366e7",
     ),
     "svdd": (
-        "e4f9698b79472bc4013cc95416d1cc4facb2d605381ebf315ce34181eab7b7cd",
+        "cf2511d831d4aca7061a82f76d311a7d4e7465cff8b8aef70352d9ea280987c9",
         "6fcdbcd6ce2667e96f7731451361e929dba1b910438800352d55d925b402daa8",
     ),
 }

@@ -190,7 +190,7 @@ class TestInit:
 class TestSerialization:
     def test_round_trip_bit_exact(self, tmp_path):
         net = init_network((7, 3), output_size=2, dropout_rate=0.25, seed=21)
-        errors = ("key", np.random.default_rng(0).exponential(size=9), np.linspace(0.0, 1.0, 4))
+        errors = ("key", np.random.default_rng(0).exponential(size=9), np.linspace(0.0, 1.0, 4), np.ones(3))
         path = tmp_path / "model.npz"
         save_network(path, net, 0.321, look_back=6, errors=errors)
         loaded, threshold, look_back, loaded_errors = load_network(path)
@@ -199,7 +199,7 @@ class TestSerialization:
         for a, b in zip(net.parameters(), loaded.parameters()):
             assert a.dtype == b.dtype
             np.testing.assert_array_equal(a, b)
-        assert loaded_errors[0] == "key"
+        assert loaded_errors[0] == "key" and len(loaded_errors) == len(errors)
         for a, b in zip(errors[1:], loaded_errors[1:]):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         out_a, _ = forward(net, np.linspace(0, 1, 6)[None])
@@ -218,7 +218,8 @@ class TestSerialization:
 
     def test_meta_holds_only_the_fields_load_network_checks(self, tmp_path):
         path = tmp_path / "m.npz"
-        save_network(path, init_network((4,), output_size=1, seed=2), 0.5, 6, ("key", np.ones(2), np.ones(2)))
+        save_network(path, init_network((4,), output_size=1, seed=2), 0.5, 6,
+                     ("key", np.ones(2), np.ones(2), np.ones(2)))
         with np.load(path) as saved:
             meta = json.loads(bytes(saved["meta"]).decode())
         assert sorted(meta) == sorted(["format_version", *(name for name, _, _ in _META_TYPES)])

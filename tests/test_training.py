@@ -179,6 +179,32 @@ def test_typed_fit_failure_retains_threshold(monkeypatch, sine_windows):
     assert model.spec.threshold == 0.0
 
 
+def test_fallbacks_record_their_reasons(monkeypatch, sine_windows):
+    # Risk 0.5 lies above the 0.2 share of excesses at quantile 0.8, so each
+    # fit that succeeds cannot reach it; the first fit finds too few excesses.
+    fit_tail, fits = evt.fit_tail, []
+
+    def first_fit_too_few(errors, level):
+        fits.append(level)
+        if len(fits) == 1:
+            raise evt.TooFewExcesses("injected")
+        return fit_tail(errors, level)
+
+    monkeypatch.setattr(evt, "fit_tail", first_fit_too_few)
+    train, val = sine_windows
+    cfg = TrainConfig(epochs=6, threshold_update_period=2, risk=0.5, init_quantile=0.8,
+                      convergence_patience=6, **SMALL)
+    model = train_evt_lstm(cfg, train, val)
+    updates = [r["threshold_update"] for r in model.history if "threshold_update" in r]
+    assert [u["reason"] for u in updates] == ["too_few_excesses", "risk_too_high", "risk_too_high"]
+    assert all(u["retained_previous"] for u in updates)
+    with pytest.raises(training.NoThresholdEstimate) as raised:
+        training.require_threshold_estimate(model, cfg, len(train))
+    assert str(raised.value) == (
+        "none of 3 threshold re-estimates in 6 epochs succeeded (1 with too few excesses above the 0.8 "
+        f"quantile of {len(train)} training errors, 2 with the risk too high for the fitted tail)")
+
+
 def test_off_cycle_fallback_retains_threshold(monkeypatch, sine_windows):
     monkeypatch.setattr(evt, "fit_gpd", _fit_gpd_raising(evt.TooFewExcesses("injected")))
     cfg = TrainConfig(epochs=3, threshold_update_period=2, risk=1e-3, **SMALL)
