@@ -198,31 +198,25 @@ def _first_gap(timestamps: np.ndarray, period: float | None) -> int | None:
     return int(bad[0]) if bad.size else None
 
 
-def _read_columns(path: Path, skip: int, width: int, ts_at: int, value_at: int, label_at: int | None):
-    """The timestamp, value and label columns past ``skip`` lines, parsed by one
-    ``np.loadtxt`` call; None where the row loop must read the file instead: a
-    cell loadtxt rejects or not finite, a label not "0" or "1", a NUL, two
-    columns on one cell."""
-    fields = {ts_at: ("t", "f8"), value_at: ("v", "f8")}
-    if label_at is not None:
-        fields[label_at] = ("l", "U2")  # as "i8", "+1" and "00" would pass
-    # A string cell drops trailing NULs, so "1\0" would read as "1".
-    if len(fields) < 2 + (label_at is not None) or b"\0" in path.read_bytes():
+def _read_columns(path: str | Path, skip: int, width: int, fields: dict[int, tuple[str, str]],
+                  quotechar: str | None = None) -> np.ndarray | None:
+    """The cells past ``skip`` lines of each column that ``fields`` maps to
+    its (name, dtype), parsed by one ``np.loadtxt`` call into a structured
+    array; None where a caller's row loop must read the file instead: a cell
+    loadtxt rejects, a row of fewer than ``width`` cells, a NUL (a string
+    cell drops trailing NULs, so "1\\0" would read as "1")."""
+    if b"\0" in Path(path).read_bytes():
         return None
-    fields.setdefault(width - 1, ("w", "U1"))  # usecols alone lets a short row through
+    fields = {width - 1: ("w", "U1"), **fields}  # usecols alone lets a short row through
     cols = sorted(fields)
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            table = np.loadtxt(path, delimiter=",", quotechar='"', comments=None, ndmin=1,
-                               encoding="utf-8", skiprows=skip, usecols=cols,
-                               dtype=[fields[k] for k in cols])
+            return np.loadtxt(path, delimiter=",", quotechar=quotechar, comments=None, ndmin=1,
+                              encoding="utf-8", skiprows=skip, usecols=cols,
+                              dtype=[fields[k] for k in cols])
     except ValueError:
         return None
-    labels = None if label_at is None else table["l"] == "1"
-    if not np.all(np.isfinite(table["v"])) or labels is not None and not np.all(labels | (table["l"] == "0")):
-        return None
-    return np.ascontiguousarray(table["t"]), np.ascontiguousarray(table["v"]), labels
 
 
 def load_series(path: str | Path, schema: CsvSchema = CsvSchema()) -> LabeledSeries:
@@ -258,10 +252,20 @@ def load_series(path: str | Path, schema: CsvSchema = CsvSchema()) -> LabeledSer
         label_at = None if schema.label_column is None else column[schema.label_column]
         width = len(header)
 
-        # line_num: a quoted header cell may span lines
-        fast = _read_columns(path, reader.line_num, width, ts_at, value_at, label_at)
-        if fast is not None and _first_gap(fast[0], schema.sampling_period) is None:
-            return LabeledSeries(*fast)
+        # One loadtxt call, unless two columns share a cell (line_num: a
+        # quoted header cell may span lines); the row loop reads the file
+        # where it cannot, or where a value is not finite or a label not 0 or 1.
+        fields = {ts_at: ("t", "f8"), value_at: ("v", "f8")}
+        if label_at is not None:
+            fields[label_at] = ("l", "U2")  # as "i8", "+1" and "00" would pass
+        table = None
+        if len(fields) == 2 + (label_at is not None):
+            table = _read_columns(path, reader.line_num, width, fields, quotechar='"')
+        if table is not None:
+            ts, flags = np.ascontiguousarray(table["t"]), None if label_at is None else table["l"] == "1"
+            if (np.all(np.isfinite(table["v"])) and (flags is None or np.all(flags | (table["l"] == "0")))
+                    and _first_gap(ts, schema.sampling_period) is None):
+                return LabeledSeries(ts, np.ascontiguousarray(table["v"]), flags)
 
         # Blank lines are skipped; rows are numbered by the file's lines (the
         # last line of a record with quoted line breaks), blank ones included.

@@ -7,13 +7,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import evtdetect
 from evtdetect import cli
+from evtdetect.checks import MalformedInput
 from evtdetect.cli import load_config, main, parse_config
-from evtdetect.data import SplitSpec, load_series, prepare
+from evtdetect.data import LabeledSeries, SplitSpec, load_series, make_windows, prepare
 from evtdetect.detectors import prediction_errors
 from evtdetect.network import ERROR_ARRAYS, SERIAL_FORMAT_VERSION, init_network, load_network, save_network
 from evtdetect.synthetic import make_spike_series, write_csv
@@ -600,6 +605,111 @@ def test_metrics_name_the_rule_of_the_detections(tmp_path, capsys, evt_models):
         assert not (out / "metrics.json").exists()
 
 
+def read_detections(path, length):
+    """What ``_read_detections`` gives: each array's dtype, shape and bytes,
+    or the MalformedInput's message."""
+    try:
+        arrays = cli._read_detections(str(path), length)
+    except MalformedInput as exc:
+        return str(exc)
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+def read_detections_both_ways(path, length):
+    """``read_detections`` as ``evaluate`` runs it, then with the row loop alone."""
+    fast = read_detections(path, length)
+    with mock.patch.object(cli, "_read_columns", return_value=None):
+        return fast, read_detections(path, length)
+
+
+SERIES_LENGTH = 20
+HEADER = "index,timestamp,error,score,flag"
+INDEX_SPELLINGS = ["+5", " 5", "05", "1_000", "١", "9223372036854775808", "5.0", '"5"']
+FLAG_SPELLINGS = ["00", " 1", "1 ", "1\0", '"1"']
+DETECTIONS_CORPUS = {
+    **{f"index {c!r}": f"{HEADER}\n{c},1.0,0.1,0.1,1\n3,2.0,0.1,0.1,0\n" for c in INDEX_SPELLINGS},
+    **{f"flag {c!r}": f"{HEADER}\n5,1.0,0.1,0.1,{c}\n" for c in FLAG_SPELLINGS},
+    **{f"flag {c!r} before the index": f"flag,index\n{c},5\n" for c in FLAG_SPELLINGS},
+    "clean": f"{HEADER}\n5,1.0,0.1,0.1,1\n3,2.0,0.1,0.1,0\n19,3.0,0.1,0.1,0\n",
+    "CRLF": f"{HEADER}\r\n5,1.0,0.1,0.1,1\r\n3,2.0,0.1,0.1,0\r\n",
+    "bare CR": f"{HEADER}\r5,1.0,0.1,0.1,1\r3,2.0,0.1,0.1,0\r",
+    "blank lines": f"{HEADER}\n\n5,1.0,0.1,0.1,1\n\n\n3,2.0,0.1,0.1,0\n\n",
+    "whitespace-only line": f"{HEADER}\n5,1.0,0.1,0.1,1\n  \n3,2.0,0.1,0.1,0\n",
+    "tab-only line": f"{HEADER}\n5,1.0,0.1,0.1,1\n\t\n",
+    "short row": f"{HEADER}\n5,1.0,0.1,0.1,1\n3,2.0,0.1\n",
+    "short row past the flag": "index,flag,x\n5,1,a\n3,0\n",
+    "rows longer than the header": "index,flag\n5,1,a,b\n3,0,\n",
+    "header only": f"{HEADER}\n",
+    "header only, no line end": HEADER,
+    "empty file": "",
+    "repeated index": f"{HEADER}\n5,1.0,0.1,0.1,1\n3,2.0,0.1,0.1,0\n5,3.0,0.1,0.1,0\n",
+    "index at the series' length": f"{HEADER}\n5,1.0,0.1,0.1,1\n20,2.0,0.1,0.1,0\n",
+    "negative index": f"{HEADER}\n-1,1.0,0.1,0.1,1\n",
+    "non-numeric index": f"{HEADER}\nfive,1.0,0.1,0.1,1\n",
+    "no flag column": "index,timestamp\n5,1.0\n",
+    "invalid UTF-8": f"{HEADER}\n5,1.0,0.1,0.1,1\n3,\xff,0.1,0.1,0\n".encode("latin-1"),
+}
+
+
+@pytest.mark.parametrize("text", DETECTIONS_CORPUS.values(), ids=list(DETECTIONS_CORPUS))
+def test_detections_reader_paths_agree_on_corpus(tmp_path, text):
+    # loadtxt gives the row loop's arrays bit for bit, or hands the file to it
+    p = tmp_path / "detections.csv"
+    p.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+    fast, rows = read_detections_both_ways(p, SERIES_LENGTH)
+    assert fast == rows
+
+
+@st.composite
+def detections_texts(draw):
+    """A detections file with index and flag cells and line ends drawn from
+    spellings either reader may trip on. A clean file draws distinct
+    in-range indices and flags of 0 or 1 only, so that about half the files
+    read."""
+    clean = draw(st.booleans())
+    header = draw(st.sampled_from([HEADER, "index,flag", "flag,x,index"]))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    count = draw(st.integers(0, 6))
+    indices = [str(i) for i in draw(st.lists(st.integers(0, SERIES_LENGTH - 1), min_size=count,
+                                             max_size=count, unique=clean))]
+    lines = [header]
+    for index in indices:
+        if not clean:
+            index = draw(st.sampled_from([index, "-1", str(SERIES_LENGTH), *INDEX_SPELLINGS]))
+        flag = draw(st.sampled_from(["0", "1"] if clean else ["0", "1", *FLAG_SPELLINGS, ""]))
+        cells = [{"index": index, "flag": flag}.get(name, "0.5") for name in header.split(",")]
+        lines.append(",".join(cells[:len(cells) if clean else draw(st.integers(1, len(cells)))]))
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from([""] if clean else ["", " ", "\t"])))
+    return end.join(lines) + draw(st.sampled_from([end, ""]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=detections_texts())
+def test_detections_reader_paths_agree_on_generated_files(tmp_path_factory, text):
+    p = tmp_path_factory.mktemp("detections") / "detections.csv"
+    p.write_text(text, encoding="utf-8", newline="")
+    fast, rows = read_detections_both_ways(p, SERIES_LENGTH)
+    assert fast == rows
+
+
+def test_detections_of_detect_take_the_loadtxt_path(tmp_path, monkeypatch, evt_models):
+    cfg, dirs = evt_models
+    out = tmp_path / "out"
+    _detect_outputs(cfg, dirs[0] / "model.npz", "evt", out)
+    parsed, original = [], cli._read_columns
+
+    def recording(*args, **kwargs):
+        parsed.append(original(*args, **kwargs))
+        return parsed[-1]
+
+    monkeypatch.setattr(cli, "_read_columns", recording)
+    indices, flags = cli._read_detections(str(out / "detections.csv"), 1800)
+    assert len(parsed) == 1 and parsed[0] is not None
+    assert np.array_equal(indices, np.arange(1630, 1800))
+    assert flags.dtype == bool
+
+
 def _copy_without(model: Path, path: Path, meta_keys, arrays=(), **meta_values) -> Path:
     """A copy of a model file without the given meta fields and arrays, and
     with ``meta_values`` set in its meta."""
@@ -621,19 +731,34 @@ def _without_errors(model: Path, path: Path) -> Path:
     return _copy_without(model, path, [], ERROR_ARRAYS, errors_key=None)
 
 
+def _windows_of(cfg: str):
+    """The (train, val, test) windows that ``cfg`` makes of its dataset."""
+    config = load_config(cfg, [])
+    p = config.pipeline
+    return prepare(load_series(config.dataset_path, config.schema), p.split, p.look_back, p.look_ahead)[0]
+
+
+def _hash_windows(digest, windows):
+    """``digest`` updated with the shape and bytes of every window's inputs
+    and targets, as the errors keys before the point-wise one were made."""
+    for w in windows:
+        for array in (w.inputs, w.targets):
+            digest.update(repr(array.shape).encode())
+            digest.update(np.ascontiguousarray(array))
+    return digest
+
+
+def old_errors_key(windows) -> str:
+    """``cli._errors_key`` as it was before it hashed each point once."""
+    return _hash_windows(hashlib.sha256(), windows).hexdigest()
+
+
 def _sidecar(model: Path, cfg: str) -> bytes:
     """A valid errors.npz as ``train`` once wrote it next to ``model``: the
     model's errors on the training and validation windows under a sha256 key
     over the model file's bytes and those windows."""
-    config = load_config(cfg, [])
-    p = config.pipeline
-    windows, _, _ = prepare(load_series(config.dataset_path, config.schema),
-                            p.split, p.look_back, p.look_ahead)
-    digest = hashlib.sha256(model.read_bytes())
-    for w in windows[:2]:
-        for array in (w.inputs, w.targets):
-            digest.update(repr(array.shape).encode())
-            digest.update(np.ascontiguousarray(array))
+    windows = _windows_of(cfg)
+    digest = _hash_windows(hashlib.sha256(model.read_bytes()), windows[:2])
     network = load_network(model)[0]
     buf = io.BytesIO()
     np.savez(buf, key=np.array(digest.hexdigest()),
@@ -645,20 +770,43 @@ def _as_trained(tmp_path, cfg, dirs):
     return cfg, dirs[0] / "model.npz", None
 
 
-def _dataset_byte(line):
-    """A case whose dataset is the trained one with one digit of the value
-    on CSV line ``line`` changed."""
+def _edited_dataset(line, edit):
+    """A case whose dataset is the trained one with the cells (timestamp,
+    value, label) of CSV line ``line`` replaced by ``edit(cells)``."""
     def case(tmp_path, cfg, dirs):
         doc = json.loads(Path(cfg).read_text())
         lines = Path(doc["dataset"]["path"]).read_text().splitlines()
-        ts, value, label = lines[line].split(",")
-        d = value.index(".") + 1  # its first decimal, so that the float changes
-        lines[line] = ",".join([ts, value[:d] + str((int(value[d]) + 1) % 10) + value[d + 1:], label])
+        lines[line] = ",".join(edit(*lines[line].split(",")))
         changed = tmp_path / "changed.csv"
         changed.write_text("\n".join(lines) + "\n")
         doc["dataset"]["path"] = str(changed)
         return write_config(tmp_path, doc), dirs[0] / "model.npz", None
     return case
+
+
+def _dataset_byte(line):
+    """A case whose dataset has one digit of the value on CSV line ``line``
+    changed: its first decimal, so that the float changes."""
+    def edit(ts, value, label):
+        d = value.index(".") + 1
+        return ts, value[:d] + str((int(value[d]) + 1) % 10) + value[d + 1:], label
+    return _edited_dataset(line, edit)
+
+
+def _shifted_split(tmp_path, cfg, dirs):
+    """The trained config with the training split one point longer and the
+    validation split one point shorter: 1,441 and 179 of the 1,800 points."""
+    doc = json.loads(Path(cfg).read_text())
+    doc["split"] = {"train_frac": 1441.5 / 1800, "val_frac": 179.5 / 1800, "test_frac": 179 / 1800}
+    return write_config(tmp_path, doc), dirs[0] / "model.npz", None
+
+
+def _old_key(tmp_path, cfg, dirs):
+    """The trained model with the errors key of the same windows as it was
+    computed before the point-wise key."""
+    model = _copy_without(dirs[0] / "model.npz", tmp_path / "old-key" / "model.npz", [],
+                          errors_key=old_errors_key(_windows_of(cfg)))
+    return cfg, model, None
 
 
 def _saved_without_errors(tmp_path, cfg, dirs):
@@ -708,10 +856,17 @@ class TestErrorsFile:
     @pytest.mark.parametrize("rule", ["gaussian", "tukey", "evt", "evt-lstm"])
     @pytest.mark.parametrize("case, hit", [
         (_as_trained, True),
-        # CSV lines 101 and 1751 hold points 100 and 1750 of the 1,800: the
-        # test split starts at point 1,620
+        # CSV lines 101, 1501 and 1751 hold points 100, 1500 and 1750 of the
+        # 1,800: the validation split starts at point 1,440, the test split at 1,620
         (_dataset_byte(101), False),
+        (_dataset_byte(1501), False),
         (_dataset_byte(1751), False),
+        (_shifted_split, False),
+        # points 1,700 and 1,500: a timestamp or a label is no point of a window
+        (_edited_dataset(1701, lambda ts, value, label: (f"{float(ts) + 0.5:.6f}", value, label)), True),
+        (_edited_dataset(1501, lambda ts, value, label: (ts, value, "1" if label == "0" else "0")), True),
+        # a format-4 file written before the key hashed each point once
+        (_old_key, False),
         (_saved_without_errors, False),
         (_beside_an_older_model, False),
         (_stray(_other_seed), True),
@@ -720,7 +875,8 @@ class TestErrorsFile:
         (_stray(lambda tmp_path, cfg, dirs: b"not an npz file"), True),
         (_stray(_npy), True),
         (_stray(_missing_array), True),
-    ], ids=["present", "dataset-byte", "dataset-byte-test", "without-errors", "beside-an-older-model",
+    ], ids=["present", "dataset-byte", "dataset-byte-val", "dataset-byte-test", "split-shifted",
+            "timestamp-only", "label-only", "old-key", "without-errors", "beside-an-older-model",
             "other-seed", "truncated", "empty", "garbage", "npy", "missing-array"])
     def test_outputs_do_not_depend_on_the_file(self, tmp_path, monkeypatch, evt_models, rule, case, hit):
         cfg, dirs = evt_models
@@ -822,15 +978,51 @@ class TestErrorsFile:
             val_losses = [r["val_loss"] for r in history]
             assert val_losses.index(min(val_losses)) + 1 < len(history)
 
-        config = load_config(cfg, [])
-        p = config.pipeline
-        windows, _, _ = prepare(load_series(config.dataset_path, config.schema),
-                                p.split, p.look_back, p.look_ahead)
+        windows = _windows_of(cfg)
         assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "model.npz"]
         network, _, _, saved = load_network(out / "model.npz")
         assert len(saved[1:]) == len(windows) == 3
         for errors, w in zip(saved[1:], windows):
             assert errors.tobytes() == prediction_errors(network, w).tobytes()
+
+
+POINTS = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def windowing_pairs(draw):
+    """Two (train, val, test) windowings of a short series: the second of
+    the same points, or of one point redrawn, cut with the first's geometry
+    and split points or with its own."""
+    values = draw(st.lists(POINTS, min_size=6, max_size=24))
+    edited = list(values)
+    if draw(st.booleans()):
+        edited[draw(st.integers(0, len(values) - 1))] = draw(POINTS)
+
+    def cuts():
+        look_back, look_ahead = draw(st.sampled_from(
+            [(b, a) for b in (1, 2, 3) for a in (1, 2, 3) if 3 * (b + a) <= len(values)]))
+        n = look_back + look_ahead
+        lo = draw(st.integers(n, len(values) - 2 * n))
+        hi = draw(st.integers(lo + n, len(values) - n))
+        return look_back, look_ahead, (0, lo, hi, len(values))
+
+    def windowing(points, look_back, look_ahead, bounds):
+        return tuple(make_windows(LabeledSeries(np.arange(hi - lo), points[lo:hi]), look_back, look_ahead)
+                     for lo, hi in zip(bounds, bounds[1:]))
+
+    first = cuts()
+    second = first if draw(st.booleans()) else cuts()
+    return windowing(values, *first), windowing(edited, *second)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=windowing_pairs())
+def test_errors_keys_match_exactly_when_the_window_keys_do(pair):
+    """The key over each split's points decides hits and misses as the key
+    over every window's inputs and targets did."""
+    a, b = pair
+    assert (cli._errors_key(a) == cli._errors_key(b)) == (old_errors_key(a) == old_errors_key(b))
 
 
 def _meta_only(tmp_path, model):
@@ -1033,15 +1225,15 @@ def test_detect_and_evaluate_outputs_keep_their_bytes(tmp_path, config_doc):
 # out) that ``train`` writes for each objective on the tiny run below.
 TRAIN_SHA256 = {
     "mse": (
-        "7b607b3d88e72bf0e486c24889d1e0faaf44e2fc7a5a60b7e5d9a87f365d2811",
+        "ced6f7ab9779d7ef336d7467bc162e2272e6a935f653cf02c3ebdcd3500adb02",
         "2976e2ab4e6467ae57940b921188179eb4b00ce0fbff3b9806e4d1b7bd480ba4",
     ),
     "evt": (
-        "68129bc7bd4ec43efb1ed382e4085ed29e58c09d5881df0908dfaccfd9df1aa7",
+        "44f2d5a0c724fd50c7f45a58bf9418af54ab7a013d0e092c513b72fe5c2caee2",
         "7a843e78943dadd00c51b656f220b549ca426aa34faa65195b5382de078366e7",
     ),
     "svdd": (
-        "cf2511d831d4aca7061a82f76d311a7d4e7465cff8b8aef70352d9ea280987c9",
+        "94d95bf9bba17dba3f02932eee058568980732ecc67c21be776280b42342d051",
         "6fcdbcd6ce2667e96f7731451361e929dba1b910438800352d55d925b402daa8",
     ),
 }
