@@ -222,11 +222,6 @@ def _u_v_at(theta: float, x: np.ndarray, s: np.ndarray, r: np.ndarray) -> tuple[
     return u, v
 
 
-def _w_at(theta: float, x: np.ndarray, s: np.ndarray, r: np.ndarray) -> float:
-    u, v = _u_v_at(theta, x, s, r)
-    return float(u * v - 1.0)
-
-
 def _geomspace(lo: float, hi: float, num: int) -> np.ndarray:
     # np.geomspace(lo, hi, num) for 0 < lo, hi and num > 1, bit for bit: its
     # arithmetic (log10 of the bounds, numpy's linspace between them, 10**y
@@ -241,16 +236,15 @@ def _geomspace(lo: float, hi: float, num: int) -> np.ndarray:
     return out
 
 
-def _bisect(x: np.ndarray, lo: float, hi: float, w_lo: float) -> float:
+def _bisect(x: np.ndarray, lo: float, hi: float, w_lo: float, s: np.ndarray, r: np.ndarray) -> float:
     # w changes sign on [lo, hi]; plain bisection to an interval <= _BISECT_TOL,
     # or to adjacent floats where the tolerance is below theta's resolution.
-    s = np.empty_like(x)
-    r = np.empty_like(x)
     while hi - lo > _BISECT_TOL:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        w_mid = _w_at(mid, x, s, r)
+        u, v = _u_v_at(mid, x, s, r)
+        w_mid = float(u * v - 1.0)  # a float: numpy scalars compare about 4x slower
         if (w_mid < 0) == (w_lo < 0):
             lo, w_lo = mid, w_mid
         else:
@@ -388,17 +382,20 @@ def _grid_w(x: np.ndarray, grid: np.ndarray) -> np.ndarray:
             open_ = open_[np.abs(mid) - half <= _SIGN_MARGIN]
         if not open_.size:
             return w
-        stride = max(stride // 4, 1)
-        todo = open_[open_ % stride == 0]
+        todo = open_[:0]
+        while not todo.size:  # the next stride with an undecided row; stride 1 has them all
+            stride = max(stride // 4, 1)
+            todo = open_[open_ % stride == 0]
         u, v = _u_v(theta[todo], x)
 
 
-def _roots_on_grid(x: np.ndarray, grid: np.ndarray, w: np.ndarray) -> list[float]:
+def _roots_on_grid(x: np.ndarray, grid: np.ndarray, w: np.ndarray, s: np.ndarray,
+                   r: np.ndarray) -> list[float]:
     # w holds u*v - 1 at the grid's rows, with the signs _u_v gives them.
     roots = []
     sign_change = np.nonzero(np.signbit(w[:-1]) != np.signbit(w[1:]))[0]
     for i in sign_change:
-        roots.append(_bisect(x, float(grid[i]), float(grid[i + 1]), float(w[i])))
+        roots.append(_bisect(x, float(grid[i]), float(grid[i + 1]), float(w[i]), s, r))
     # A grid point may land on a root exactly.
     for i in np.nonzero(w == 0.0)[0]:
         roots.append(float(grid[i]))
@@ -489,11 +486,11 @@ def fit_gpd(
     roundings of forming the lines); the decided sign is the one ``_u_v``
     gives, and never 0. Knots sit on every 32nd of these rows and on the
     last; each later round computes, in one ``_u_v`` call, the undecided
-    rows on every 8th, then 2nd, then every row. On m = 1000 samples a fit
-    computes 54-75 rows, some 35 of them next to -1/x_max, where
-    computing every row the series leaves took about 480. The grid, the
-    bisection midpoints and the candidates are unchanged, and so is every
-    fit.
+    rows on every 8th, then 2nd, then every row, skipping a stride that has
+    none. On m = 1000 samples a fit computes 54-75 rows, some 35 of them
+    next to -1/x_max, where computing every row the series leaves took
+    about 480. The grid, the bisection midpoints and the candidates are
+    unchanged, and so is every fit.
 
     A sample whose mean lies outside [2**-9, 2**8) is first scaled by a power
     of two to a mean in [0.5, 1), which changes no rounding of the search,
@@ -551,13 +548,14 @@ def _mle(x: np.ndarray) -> tuple[float, float]:
     # samples (true gamma <= -1) the profile likelihood increases monotonically
     # toward the singular point -1/x_max and u*v = 1 has no interior root, so
     # the constrained maximum sits at the endpoint offset.
+    # One pair of length-m buffers serves every bisection and candidate.
+    s, r = np.empty_like(x), np.empty_like(x)
     roots = [theta_min]
-    roots += _roots_on_grid(x, negative, w[: negative.size])
-    roots += _roots_on_grid(x, positive, w[negative.size :])
+    roots += _roots_on_grid(x, negative, w[: negative.size], s, r)
+    roots += _roots_on_grid(x, positive, w[negative.size :], s, r)
 
     # theta = 0 solves u*v = 1 identically; it enters as the exponential candidate.
     candidates: list[tuple[float, float]] = [(0.0, x_mean)]
-    s, r = np.empty_like(x), np.empty_like(x)
     for theta in roots:
         gamma = float(_u_v_at(theta, x, s, r)[1] - 1.0)
         sigma = gamma / theta

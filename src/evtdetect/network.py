@@ -202,26 +202,18 @@ class Workspace:
         return flat[:size].reshape(shape)
 
 
-def _prepared(layer: LstmLayerParams, batch: int, scale: np.ndarray,
+def _prepared(layer: LstmLayerParams, scale: np.ndarray,
               work: Workspace) -> tuple[np.ndarray, np.ndarray]:
     """The right operands of a layer's input and recurrent products, written
-    into ``work``: ``[W | b]`` and ``U`` transposed, their i, f, o columns
-    halved by the column ``scale`` [0.5 (i, f, o) | 1 (g)].
+    contiguously into ``work``: ``[W | b]`` and ``U`` transposed, their i, f,
+    o columns halved by the column ``scale`` [0.5 (i, f, o) | 1 (g)].
 
     Halving is exact, so the pre-activations come out as exactly half of the
     unscaled ones, the argument sigmoid(x) = 0.5 * tanh(x / 2) + 0.5 needs.
-    A batch of one gets transposed views of row-major arrays, which it must
-    keep: with a contiguous copy numpy sends it to another BLAS kernel, which
-    rounds differently. Larger batches take the same matrix kernel either
-    way, and get contiguous arrays.
     """
     rows, hsize = layer.input_size + 1, layer.hidden_size
-    if batch == 1:
-        WbT = work.take("Wb", (4 * hsize, rows)).T
-        UT = work.take("U", (4 * hsize, hsize)).T
-    else:
-        WbT = work.take("Wb", (rows, 4 * hsize))
-        UT = work.take("U", (hsize, 4 * hsize))
+    WbT = work.take("Wb", (rows, 4 * hsize))
+    UT = work.take("U", (hsize, 4 * hsize))
     np.multiply(layer.W.T, scale, out=WbT[:-1])
     np.multiply(layer.b, scale, out=WbT[-1])
     np.multiply(layer.U.T, scale, out=UT)
@@ -290,11 +282,6 @@ def forward(
     use_dropout = train and network.dropout_rate > 0.0
     gen = np.random.default_rng(rng) if use_dropout else None
     keep = 1.0 - network.dropout_rate
-    # Train mode keeps every step's gates for backward, and a batch of one
-    # takes BLAS's vector path, where projecting step by step rounds
-    # differently; both project all steps in one product. Inference
-    # otherwise projects each step into one (B, 4H) slot, which stays in cache.
-    whole = train or batch == 1
 
     cache = ForwardCache() if train else None
     seq = np.swapaxes(x, 0, 1)[:, :, None]  # (T, B, 1)
@@ -309,13 +296,16 @@ def forward(
         scale_tile[:, : 3 * hsize] = shift_tile[:, : 3 * hsize] = 0.5
         scale_tile[:, 3 * hsize :] = 1.0
         shift_tile[:, 3 * hsize :] = -0.0
-        WbT, UT = _prepared(layer, batch, scale_tile[0], work)
+        WbT, UT = _prepared(layer, scale_tile[0], work)
         # The bias rides on a constant-one input column; np.dot because
         # matmul takes a slow non-BLAS loop for one feature.
         xin = work.take(f"input{li}", (steps, batch, seq.shape[-1] + 1))
         xin[..., :-1] = seq
         xin[..., -1] = 1.0
-        if whole:
+        # Train mode keeps every step's gates for backward and projects all
+        # steps in one product; inference projects each step into one
+        # (B, 4H) slot, which stays in cache.
+        if train:
             gates = work.take(f"gates{li}", (steps, batch, 4 * hsize))
             np.dot(xin.reshape(steps * batch, -1), WbT, out=gates.reshape(steps * batch, -1))
         else:
@@ -330,7 +320,7 @@ def forward(
         c_prev[:] = 0.0
         for t in range(steps):
             a = gates[t % len(gates)]
-            if not whole:
+            if not train:
                 np.dot(xin[t], WbT, out=a)
             if t:
                 np.dot(h_s[(t - 1) % len(h_s)], UT, out=rec)
@@ -471,8 +461,8 @@ def backward(
     term (lambda/2) * sum of squared Frobenius norms contributes lambda * W
     to every weight matrix, biases excluded.
     """
-    if cache.top_output_last is None:
-        raise ValueError("stale or infer-mode cache; run forward(train=True) first")
+    if cache is None or cache.top_output_last is None:
+        raise ValueError("no train-mode cache; run forward(train=True) first")
     work = Workspace() if work is None else work
     keep = 1.0 - network.dropout_rate
 

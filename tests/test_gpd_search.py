@@ -144,8 +144,8 @@ def test_u_v_matches_direct_means():
 
 @pytest.mark.parametrize("gamma, m", [(-0.4, 50), (0.0, 1000), (0.3, 1000), (0.8, 37)])
 def test_bisection_step_matches_one_row_u_v(gamma, m):
-    # The bisection's in-place step must give a one-row _u_v's w bit for bit,
-    # over both sides of the search and at odd sample sizes.
+    # The bisection's in-place step must give a one-row _u_v's u and v bit for
+    # bit, over both sides of the search and at odd sample sizes.
     x = golden_sample(gamma, m, 6)
     theta = np.concatenate([
         -np.geomspace(1.0 - 1e-8, 1e-6, 200) / x.max(),
@@ -154,7 +154,7 @@ def test_bisection_step_matches_one_row_u_v(gamma, m):
     s, r = np.empty_like(x), np.empty_like(x)
     for t in theta:
         u, v = evt._u_v(np.array([t]), x)
-        assert evt._w_at(float(t), x, s, r) == float(u[0] * v[0] - 1.0), t
+        assert evt._u_v_at(float(t), x, s, r) == (u[0], v[0]), t
 
     # And the roots _bisect returns are those of bisecting on one-row _u_v calls.
     def reference_bisect(lo, hi, w_lo):
@@ -173,7 +173,7 @@ def test_bisection_step_matches_one_row_u_v(gamma, m):
     brackets = np.nonzero(np.signbit(w[:-1]) != np.signbit(w[1:]))[0]
     for i in brackets:
         args = float(theta[i]), float(theta[i + 1]), float(w[i])
-        assert evt._bisect(x, *args) == reference_bisect(*args)
+        assert evt._bisect(x, *args, s, r) == reference_bisect(*args)
 
 
 def test_geomspace_matches_numpy():
@@ -217,6 +217,39 @@ def test_search_work_per_fit(monkeypatch):
         evt.fit_gpd(x)
         assert rows[0] < 100, f"gamma={gamma}: {rows[0]} rows of u, v"
         assert brackets[0] <= 2, f"gamma={gamma}: {brackets[0]} brackets refined"
+
+
+def test_no_round_computes_zero_rows(monkeypatch):
+    """A refinement stride with no undecided row is passed over, not spent
+    on an empty _u_v call and a second convexity pass over unchanged knots."""
+    empty = [0]
+    u_v = evt._u_v
+
+    def counting_u_v(theta, x):
+        empty[0] += np.atleast_1d(theta).size == 0
+        return u_v(theta, x)
+
+    monkeypatch.setattr(evt, "_u_v", counting_u_v)
+    for gamma in np.linspace(-0.8, 2.0, 11):
+        for m in (30, 100, 300, 1000, 3000):
+            for seed in range(6):
+                evt.fit_gpd(golden_sample(float(gamma), m, seed))
+    assert empty[0] == 0
+
+
+def test_tied_candidates_go_to_the_smallest_gamma(monkeypatch):
+    """With every log-likelihood equal, the exponential candidate, gamma 0,
+    wins over the interior roots (gamma about -0.071 and 0.246 here)."""
+    gammas = []
+
+    def constant(x, gamma, sigma):
+        gammas.append(gamma)
+        return 0.0
+
+    monkeypatch.setattr(evt, "gpd_log_likelihood", constant)
+    fit = evt.fit_gpd(golden_sample(0.3, 1000, 0))
+    assert min(gammas) < 0.0 < max(gammas)
+    assert fit.gamma == 0.0
 
 
 def test_fit_scratch_memory():

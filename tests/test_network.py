@@ -14,8 +14,10 @@ import evtdetect
 from evtdetect.network import (
     _META_TYPES,
     DenseParams,
+    ForwardCache,
     LstmLayerParams,
     Network,
+    backward,
     forward,
     init_network,
     load_network,
@@ -139,6 +141,13 @@ class TestForward:
     def test_feature_size_mismatch(self):
         with pytest.raises(ValueError, match="first LSTM layer must read one value"):
             Network([zero_layer(4, 2)], DenseParams(np.zeros((1, 4)), np.zeros(1)))
+
+    def test_backward_needs_a_train_mode_cache(self):
+        net = init_network((4,), output_size=1, seed=0)
+        preds, infer_cache = forward(net, np.zeros((2, 5)), train=False)
+        for cache in (infer_cache, ForwardCache()):
+            with pytest.raises(ValueError, match=r"no train-mode cache; run forward\(train=True\) first"):
+                backward(net, cache, np.ones_like(preds))
 
 
 class TestPredict:
