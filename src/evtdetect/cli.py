@@ -11,6 +11,7 @@ other exception is a bug and leaves as a traceback.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -405,6 +406,7 @@ def cmd_benchmark(config: RunConfig) -> int:
     return EXIT_OK
 
 
+@functools.cache  # parsing leaves the parser as it was, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="evtdetect",

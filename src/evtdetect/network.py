@@ -188,7 +188,8 @@ class Workspace:
     Each named array is a contiguous view of a flat buffer that grows to the
     largest size asked of it, so a short last batch reuses a full batch's
     buffers. A workspace serves one caller at a time: the arrays of a
-    train-mode cache drawn from it hold until the next forward pass with it.
+    train-mode cache drawn from it hold until the next forward pass with it,
+    its gates only until :func:`backward` writes the deltas over them.
     """
 
     def __init__(self):
@@ -244,7 +245,9 @@ def _skip_uniforms(gen: np.random.Generator, count: int) -> None:
 
 @dataclass
 class ForwardCache:
-    """Activations recorded during a train-mode forward pass."""
+    """Activations recorded during a train-mode forward pass, for one
+    :func:`backward`, which overwrites the gates with their deltas and marks
+    the cache spent by clearing ``top_output_last``."""
 
     layer_inputs: list[np.ndarray] = field(default_factory=list)  # (T, B, D) each
     gates: list[np.ndarray] = field(default_factory=list)  # activated i|f|o|g (T, B, 4H)
@@ -388,56 +391,50 @@ def _layer_backward(layer: LstmLayerParams, cache: ForwardCache, idx: int, dh_ou
     on its last ``len(dh_out)`` steps; the earlier steps' are zero.
 
     Returns (dW, dU, db, d inputs), d inputs None for the bottom layer, whose
-    inputs are the windows. The time loop only fills the stacked
-    pre-activation deltas; each gradient is then one matmul over all steps.
-    The scratch arrays come from ``work``, shared by every layer; d inputs
-    is the layer's own, read by the layer below.
+    inputs are the windows. The time loop writes each step's stacked
+    pre-activation deltas over that step's cached gates, which no later step
+    reads; each gradient is then one matmul over all steps. The scratch
+    arrays come from ``work``, shared by every layer; d inputs is the
+    layer's own, read by the layer below.
     """
     inputs, gates = cache.layer_inputs[idx], cache.gates[idx]
     c_s, tanh_c, h_s = cache.cells[idx], cache.tanh_cells[idx], cache.hidden[idx]
     steps, batch, hsize = h_s.shape
     first_out = steps - len(dh_out)
-    i_s, f_s, o_s, g_s = (gates[..., k * hsize : (k + 1) * hsize] for k in range(4))
-    # d(activation)/d(pre-activation): s(1 - s) for the sigmoid gates, 1 - g^2
-    # for g. It is formed in da, which the loop multiplies step by step by
-    # d(loss)/d(activation), held in the one-step scratch d: a (T, B, 4H)
-    # array less to stream through the cache.
-    da = work.take("da", gates.shape)
-    np.subtract(1.0, gates, out=da)
-    da *= gates
-    dact_g = da[..., 3 * hsize :]
-    np.square(g_s, out=dact_g)
-    np.subtract(1.0, dact_g, out=dact_g)
-    # d tanh(c) / dc for every step at once.
-    dtanh = work.take("dtanh", tanh_c.shape)
-    np.square(tanh_c, out=dtanh)
-    np.subtract(1.0, dtanh, out=dtanh)
-
-    d = work.take("step_delta", (batch, 4 * hsize))
-    zero, dh_sum, dc, dc_carry, dh_carry = work.take("step_deltas", (5, batch, hsize))
-    zero[:] = 0.0
-    dc_carry[:] = 0.0
-    dh_carry[:] = 0.0
+    d, dact = work.take("step_delta", (2, batch, 4 * hsize))
+    dact_g = dact[:, 3 * hsize :]
+    deltas = work.take("step_deltas", (6, batch, hsize))
+    deltas[:] = 0.0
+    zero, dh_sum, dc, dc_carry, dh_carry, dtanh = deltas
     for t in range(steps - 1, -1, -1):
+        a = gates[t]
+        i, f, o, g = (a[:, k * hsize : (k + 1) * hsize] for k in range(4))
         dh = dh_carry
         if t >= first_out:
             dh = np.add(dh_out[t - first_out], dh_carry, out=dh_sum)
-        np.multiply(dh, o_s[t], out=dc)
-        dc *= dtanh[t]
+        np.square(tanh_c[t], out=dtanh)  # d tanh(c) / dc = 1 - tanh(c)^2
+        np.subtract(1.0, dtanh, out=dtanh)
+        np.multiply(dh, o, out=dc)
+        dc *= dtanh
         dc += dc_carry
-        np.multiply(dc, g_s[t], out=d[:, :hsize])
+        np.multiply(dc, g, out=d[:, :hsize])
         np.multiply(dc, c_s[t - 1] if t else zero, out=d[:, hsize : 2 * hsize])
         np.multiply(dh, tanh_c[t], out=d[:, 2 * hsize : 3 * hsize])
-        np.multiply(dc, i_s[t], out=d[:, 3 * hsize :])
-        da_t = da[t]
-        da_t *= d
-        if t:  # nothing reads the carries into the step before the first
-            np.multiply(dc, f_s[t], out=dc_carry)
-            np.matmul(da_t, layer.U, out=dh_carry)
+        np.multiply(dc, i, out=d[:, 3 * hsize :])
+        np.multiply(dc, f, out=dc_carry)
+        # d(activation)/d(pre-activation), s(1 - s) for the sigmoid gates and
+        # 1 - g^2 for g, times d: the step's deltas, written over its gates.
+        np.subtract(1.0, a, out=dact)
+        dact *= a
+        np.square(g, out=dact_g)
+        np.subtract(1.0, dact_g, out=dact_g)
+        np.multiply(dact, d, out=a)
+        if t:  # nothing reads the carry into the step before the first
+            np.matmul(a, layer.U, out=dh_carry)
 
-    flat = da.reshape(-1, 4 * hsize)
+    flat = gates.reshape(-1, 4 * hsize)
     dW = flat.T @ inputs.reshape(steps * batch, -1)
-    dU = da[1:].reshape(-1, 4 * hsize).T @ h_s[:-1].reshape(-1, hsize)
+    dU = gates[1:].reshape(-1, 4 * hsize).T @ h_s[:-1].reshape(-1, hsize)
     db = flat.sum(axis=0)
     dx = None
     if idx:
@@ -459,29 +456,30 @@ def backward(
     Returns gradients in the same order as ``Network.parameters()``, always
     new arrays; the scratch comes from ``work`` when given. The weight-decay
     term (lambda/2) * sum of squared Frobenius norms contributes lambda * W
-    to every weight matrix, biases excluded.
+    to every weight matrix, biases excluded. The cache is spent: its gates
+    are overwritten with their deltas, and a second call on it raises.
     """
     if cache is None or cache.top_output_last is None:
-        raise ValueError("no train-mode cache; run forward(train=True) first")
+        raise ValueError("no train-mode cache; run forward(train=True) first, once per backward")
     work = Workspace() if work is None else work
     keep = 1.0 - network.dropout_rate
 
     d_dense_w = dpreds.T @ cache.top_output_last
     d_dense_b = dpreds.sum(axis=0)
+    cache.top_output_last = None
 
     # Gradient w.r.t. the (possibly dropped) output stream of the top layer,
-    # of which the dense layer reads the last step only.
+    # of which the dense layer reads the last step only. Each layer's is an
+    # array of this call's own, so dropout scales it in place.
     dout = (dpreds @ network.dense.weights)[None]
 
     grads = [d_dense_w, d_dense_b]
     for idx in range(len(network.lstm_layers) - 1, -1, -1):
         mask = cache.masks[idx]
-        dh_out = dout
         if mask is not None:
-            dh_out = work.take(f"dh_out{idx}", dout.shape)
-            np.multiply(dout, mask, out=dh_out)
-            dh_out /= keep
-        dW, dU, db, dout = _layer_backward(network.lstm_layers[idx], cache, idx, dh_out, work)
+            dout *= mask
+            dout /= keep
+        dW, dU, db, dout = _layer_backward(network.lstm_layers[idx], cache, idx, dout, work)
         grads = [dW, dU, db] + grads
 
     if weight_decay > 0.0:

@@ -17,6 +17,7 @@ from evtdetect.network import (
     ForwardCache,
     LstmLayerParams,
     Network,
+    Workspace,
     backward,
     forward,
     init_network,
@@ -148,6 +149,36 @@ class TestForward:
         for cache in (infer_cache, ForwardCache()):
             with pytest.raises(ValueError, match=r"no train-mode cache; run forward\(train=True\) first"):
                 backward(net, cache, np.ones_like(preds))
+
+
+class TestBackwardWorkspace:
+    @staticmethod
+    def _round_trip(hidden_sizes, dropout_rate, look_back, output_size=1, batch=64):
+        net = init_network(hidden_sizes, output_size, dropout_rate=dropout_rate, seed=0)
+        windows = np.random.default_rng(1).uniform(size=(batch, look_back))
+        work = Workspace()
+        preds, cache = forward(net, windows, train=True, rng=2, work=work)
+        backward(net, cache, np.ones_like(preds), work=work)
+        return net, cache, work
+
+    def test_a_spent_cache_raises(self):
+        net, cache, _ = self._round_trip((4,), 0.1, 5, batch=2)
+        with pytest.raises(ValueError, match=r"no train-mode cache; run forward\(train=True\) first"):
+            backward(net, cache, np.ones((2, 1)))
+
+    def test_deltas_replace_the_gates_instead_of_a_second_array(self):
+        # spike-benchmark's geometry: one step's gates are read only at that
+        # step, so its deltas take their place
+        steps, batch, hsize = 20, 64, 24
+        *_, work = self._round_trip((hsize,), 0.1, steps, batch=batch)
+        sizes = {name: flat.size for name, flat in work._flat.items()}
+        assert [name for name, size in sizes.items() if size == steps * batch * 4 * hsize] == ["gates0"]
+        assert sum(sizes.values()) * 8 <= 2.1 * 2**20
+
+    def test_dropout_scales_the_output_gradient_in_place(self):
+        # the nyc-taxi preset's geometry: two dropped layers
+        *_, work = self._round_trip((50, 20), 0.4, 48, output_size=24)
+        assert not [name for name in work._flat if name.startswith("dh_out")]
 
 
 class TestPredict:
